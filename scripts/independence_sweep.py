@@ -6,23 +6,15 @@ import argparse
 import sys
 import time
 
-from algseeds.families import SetElement, SetInstance, SetSpec, build_set
+from algseeds.families import SetSpec, build_set
 from algseeds.fields import independence_report
-
-
-def refined(inst: SetInstance, bits: int = 160) -> SetInstance:
-    return SetInstance(inst.spec, tuple(
-        SetElement(e.free_coeff, e.number.refine(bits)) for e in inst.elements))
 
 
 def sweep(specs, label: str) -> tuple[int, int]:
     t0 = time.perf_counter()
     pairs = collisions = 0
     for spec in specs:
-        inst = build_set(spec)
-        if spec.family.startswith("3"):
-            inst = refined(inst)
-        rep = independence_report(inst)
+        rep = independence_report(build_set(spec))
         pairs += rep.pairs_checked
         collisions += len(rep.collisions)
         for col in rep.collisions:

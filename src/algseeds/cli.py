@@ -3,7 +3,8 @@
 Every subcommand emits a deterministic report in one of three formats:
 json (canonical), csv, or pipe-separated table text.  Exit status doubles
 as a verdict: 0 means every assertion passed, 1 means violations were
-found (reported, not raised), 2 means the invocation itself was invalid.
+found (reported, not raised), 2 means the invocation itself was invalid,
+3 means a refinement hit its bit cap before the run was decided.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebraic import AffineValue, AlgebraicNumber, round_half_even
+from .algebraic import AffineValue, AlgebraicNumber, PrecisionExhausted, round_half_even
 from .bits import binary_expansion, bit_stats, complement_check
 from .coverage import (InvalidTarget, NotQuadratic, WrongSignature,
                        common_index_witnesses, find_common_index,
@@ -28,7 +29,7 @@ from .polynomials import MonicIntPoly
 from .tables import TABLES, table_rows
 from .uniformity import TooFewElements, uniformity_report
 
-EXIT_OK, EXIT_VIOLATION, EXIT_USAGE = 0, 1, 2
+EXIT_OK, EXIT_VIOLATION, EXIT_USAGE, EXIT_UNDECIDED = 0, 1, 2, 3
 
 
 @dataclass(frozen=True)
@@ -370,6 +371,9 @@ def main(argv=None) -> int:
             TooFewElements, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except PrecisionExhausted as e:
+        print(f"undecided: {e}", file=sys.stderr)
+        return EXIT_UNDECIDED
     text = _render(outcome, cfg.fmt)
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as f:

@@ -16,35 +16,13 @@ from math import isqrt
 FracIv = tuple[Fraction, Fraction]
 
 
-def iv_add(a: FracIv, b: FracIv) -> FracIv:
-    return (a[0] + b[0], a[1] + b[1])
-
-
 def iv_sub(a: FracIv, b: FracIv) -> FracIv:
     return (a[0] - b[1], a[1] - b[0])
-
-
-def iv_neg(a: FracIv) -> FracIv:
-    return (-a[1], -a[0])
 
 
 def iv_mul(a: FracIv, b: FracIv) -> FracIv:
     ps = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
     return (min(ps), max(ps))
-
-
-def iv_scale(a: FracIv, s: Fraction) -> FracIv:
-    if s >= 0:
-        return (a[0] * s, a[1] * s)
-    return (a[1] * s, a[0] * s)
-
-
-def iv_abs(a: FracIv) -> FracIv:
-    if a[0] >= 0:
-        return a
-    if a[1] <= 0:
-        return (-a[1], -a[0])
-    return (Fraction(0), max(-a[0], a[1]))
 
 
 def iv_width(a: FracIv) -> Fraction:
@@ -89,10 +67,6 @@ def fp_to_fractions(a: IntIv, s: int) -> FracIv:
     return (Fraction(a[0], 1 << s), Fraction(a[1], 1 << s))
 
 
-def fp_int(n: int, s: int) -> IntIv:
-    return (n << s, n << s)
-
-
 def fp_add(a: IntIv, b: IntIv) -> IntIv:
     return (a[0] + b[0], a[1] + b[1])
 
@@ -126,26 +100,3 @@ def fp_div(a: IntIv, b: IntIv, s: int) -> IntIv:
             los.append(xs // y)
             his.append(-((-xs) // y))
     return (min(los), max(his))
-
-
-def fp_half(a: IntIv) -> IntIv:
-    return (a[0] >> 1, -((-a[1]) >> 1))
-
-
-def fp_sqrt(a: IntIv, s: int) -> IntIv:
-    lo = max(a[0], 0)
-    if a[1] < 0:
-        raise ValueError("negative interval has no real square root")
-    r_lo = isqrt(lo << s)
-    r_hi = isqrt(a[1] << s)
-    if r_hi * r_hi < (a[1] << s):
-        r_hi += 1
-    return (r_lo, r_hi)
-
-
-def fp_contains_zero(a: IntIv) -> bool:
-    return a[0] <= 0 <= a[1]
-
-
-def fp_width(a: IntIv) -> int:
-    return a[1] - a[0]

@@ -22,21 +22,13 @@ from algseeds.coverage import (EXCLUDED_INDICES, common_index_witnesses,
                                find_common_index, find_generator,
                                quad_layer_report, trace_obstruction_demo,
                                verify_tiling)
-from algseeds.families import (SetElement, SetInstance, SetSpec, bc_root,
-                               build_set, quadratic_exception)
+from algseeds.families import SetSpec, bc_root, build_set, quadratic_exception
 from algseeds.fields import independence_report
 from algseeds.polynomials import MonicIntPoly
 from algseeds.tables import render_table
 from algseeds.uniformity import discrepancy, half_split, uniformity_report
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-
-
-def _refined(inst: SetInstance, bits: int = 160) -> SetInstance:
-    """Pre-refine every isolating interval once so the pairwise field scans
-    do not redo the narrowing from scratch for each pair."""
-    return SetInstance(inst.spec, tuple(
-        SetElement(e.free_coeff, e.number.refine(bits)) for e in inst.elements))
 
 
 # ---------------------------------------------------------------------------
@@ -61,11 +53,9 @@ def test_criterion_02_independence_sweeps_have_no_collisions():
     reports = []
     expected_pairs = 0
 
-    def run(spec, refine=False):
+    def run(spec):
         nonlocal expected_pairs
         inst = build_set(spec)
-        if refine:
-            inst = _refined(inst)
         k = spec.cardinality()
         expected_pairs += k * (k - 1) // 2
         reports.append(independence_report(inst))
@@ -77,10 +67,10 @@ def test_criterion_02_independence_sweeps_have_no_collisions():
     # smallest admissible n per m: ceil(m^2/3) and 1-m both binding
     for m, n_min in ((0, 1), (-1, 2), (-2, 3), (-3, 4)):
         for n in range(n_min, 61):
-            run(SetSpec("3ntr", (m, n)), refine=True)
+            run(SetSpec("3ntr", (m, n)))
     for m in (0, -1, -2, -3):
         for n in range(-m - 3, -61, -1):
-            run(SetSpec("3tr", (m, n)), refine=True)
+            run(SetSpec("3tr", (m, n)))
 
     assert all(r.independent for r in reports)
     assert sum(len(r.collisions) for r in reports) == 0

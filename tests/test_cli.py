@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from algseeds.cli import main
+from algseeds.algebraic import PrecisionExhausted
+from algseeds.cli import EXIT_UNDECIDED, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -99,6 +100,37 @@ def test_independence_clean_instance(capsys):
     code, out, _ = run(capsys, "independence", "--family", "2r", "--n", "6")
     assert code == 0
     assert json.loads(out)["independent"] is True
+
+
+# Reports captured before pair decisions were bucketed by discriminant
+# kernel; the bucketing must not change a byte of them.
+INDEPENDENCE_GOLDEN = (
+    ("3ntr", ("--m=3", "--n=3"), "independence_3ntr_3_3.json", 1),
+    ("3ntr", ("--m=0", "--n=12"), "independence_3ntr_0_12.json", 0),
+    ("3tr", ("--m=-1", "--n=-20"), "independence_3tr_-1_-20.json", 0),
+    ("2r", ("--n=60",), "independence_2r_60.json", 0),
+    ("2r", ("--n=-40",), "independence_2r_-40.json", 0),
+    ("2i", ("--n=50",), "independence_2i_50.json", 0),
+)
+
+
+@pytest.mark.parametrize("family,params,golden,want_code", INDEPENDENCE_GOLDEN)
+def test_independence_json_matches_golden_file(capsys, family, params, golden, want_code):
+    code, out, err = run(capsys, "independence", "--family", family, *params,
+                         "--format", "json")
+    assert code == want_code
+    assert err == ""
+    assert out.encode("utf-8") == (GOLDEN_DIR / golden).read_bytes()
+
+
+def test_undecided_run_has_its_own_exit_code(capsys, monkeypatch):
+    def exhausted(inst):
+        raise PrecisionExhausted("no decision within 8 bits")
+    monkeypatch.setattr("algseeds.cli.independence_report", exhausted)
+    code, out, err = run(capsys, "independence", "--family", "2r", "--n", "4")
+    assert code == EXIT_UNDECIDED == 3
+    assert out == ""
+    assert err == "undecided: no decision within 8 bits\n"
 
 
 def test_exception_subcommand(capsys):

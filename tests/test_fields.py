@@ -1,16 +1,21 @@
 """Unit tests for the exact field-membership oracle."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from algseeds.algebraic import AlgebraicNumber, irrational_real_roots
+from algseeds.algebraic import AlgebraicNumber, PrecisionExhausted, irrational_real_roots
 from algseeds.families import SetSpec, bc_root, build_set
 from algseeds.fields import (
     FieldExpression,
     FieldId,
+    _express_cubic,
+    _same_kernel,
+    _split_apart,
+    _value_is_beta,
     express_in,
     independence_report,
     same_field,
@@ -37,6 +42,12 @@ def test_squarefree_kernel():
 @given(k=st.integers(min_value=2, max_value=400), s=st.integers(min_value=1, max_value=20))
 def test_kernel_invariant_under_square_factors(k, s):
     assert squarefree_kernel(k * s * s) == squarefree_kernel(k)
+
+
+@given(d=st.integers(-5000, 5000).filter(bool), e=st.integers(-5000, 5000).filter(bool))
+def test_same_kernel_matches_factoring(d, e):
+    assert _same_kernel(d, e) == (squarefree_kernel(d) == squarefree_kernel(e))
+    assert _same_kernel(d, d * 36)
 
 
 def test_field_id_quadratic():
@@ -100,6 +111,90 @@ def test_express_in_mixed_cubic_signatures():
     one_real = irrational_real_roots(MonicIntPoly.cubic(0, 0, -2))[0]
     totally_real = irrational_real_roots(MonicIntPoly.cubic(0, -3, 1))[0]
     assert express_in(totally_real, one_real) is None
+
+
+# Both signatures, inside the guaranteed range (m in {0,...,-3}) and outside
+# it; 3ntr(3,3) has one kernel for all six elements and holds the known
+# collision.
+KERNEL_CROSS_CHECK_SPECS = (
+    ("3ntr", (-2, 9)), ("3ntr", (0, 8)), ("3tr", (0, -10)), ("3tr", (-3, -9)),
+    ("3ntr", (3, 3)), ("3ntr", (2, 6)), ("3tr", (1, -12)),
+)
+
+
+def _disc_kernel(a: AlgebraicNumber) -> int:
+    return squarefree_kernel(a.minpoly.discriminant())
+
+
+@pytest.mark.parametrize("family,params", KERNEL_CROSS_CHECK_SPECS)
+def test_kernel_filter_agrees_with_unfiltered_solver(family, params):
+    """The kernel shortcut of express_in, against the bare solver: every
+    ordered pair it rejects is rejected by the solve too, and every pair the
+    solve accepts has equal kernels."""
+    cubics = [a for a in build_set(SetSpec(family, params)).numbers()
+              if a.minpoly.degree == 3]
+    kernel_rejected = accepted = 0
+    for a, b in permutations(cubics, 2):
+        cert = _express_cubic(b, a, 128, 4096)
+        if _disc_kernel(a) != _disc_kernel(b):
+            kernel_rejected += 1
+            assert cert is None
+            assert express_in(b, a) is None
+        if cert is not None:
+            accepted += 1
+            assert _disc_kernel(a) == _disc_kernel(b)
+            assert cert.verify_root_of(b.minpoly)
+    if (family, params) == ("3ntr", (3, 3)):
+        assert kernel_rejected == 0 and accepted == 2  # the collision, both ways
+    else:
+        assert kernel_rejected > 0 and accepted == 0
+
+
+def _splits_apart(a: AlgebraicNumber, b: AlgebraicNumber) -> bool:
+    f, g = a.minpoly, b.minpoly
+    return _split_apart(f, g, f.discriminant(), g.discriminant())
+
+
+# Equal-kernel cubic pairs (indices into numbers()) of the paper's sweep:
+# three that the splitting test separates, in both signatures, and the
+# isomorphic pair of 3tr(0,-60), which splits alike at every prime and is
+# rejected by the solve alone.
+@pytest.mark.parametrize("family,params,i,j,split", (
+    ("3ntr", (0, 24), 2, 19, True), ("3ntr", (-3, 27), 4, 21, True),
+    ("3tr", (0, -21), 6, 16, True), ("3tr", (0, -60), 15, 46, False),
+))
+def test_splitting_filter_agrees_with_unfiltered_solver(family, params, i, j, split):
+    elems = build_set(SetSpec(family, params)).numbers()
+    a, b = elems[i], elems[j]
+    assert a.minpoly != b.minpoly and _disc_kernel(a) == _disc_kernel(b)
+    assert _splits_apart(a, b) == split
+    assert _splits_apart(b, a) == split
+    assert _express_cubic(b, a, 128, 4096) is None
+    assert express_in(b, a) is None
+
+
+def test_splitting_filter_passes_affine_images():
+    """k - alpha generates Q(alpha), so the splitting test must let the
+    pair through (the collision and cyclic conjugates are checked through
+    express_in above)."""
+    for spec in (SetSpec("3ntr", (0, 24)), SetSpec("3tr", (-1, -20))):
+        for a in build_set(spec).numbers():
+            if a.minpoly.degree == 3:
+                for k in (-2, 1, 3):
+                    assert not _splits_apart(a, a.negated().plus_int(k))
+
+
+def test_bit_cap_raises_precision_exhausted():
+    golden = bc_root(1, -1, 1)
+    mirror = bc_root(-3, 1, -1)
+    expr = FieldExpression(golden, (Fraction(1), Fraction(-1), Fraction(0)))
+    assert _value_is_beta(expr, mirror, 4096)
+    with pytest.raises(PrecisionExhausted):
+        _value_is_beta(expr, mirror, 8)
+    with pytest.raises(PrecisionExhausted):
+        express_in(mirror, golden, max_bits=8)  # the cap reaches _value_is_beta
+    with pytest.raises(PrecisionExhausted):
+        express_in(CBRT4_SHIFTED, CBRT2_SHIFTED, start_bits=16, max_bits=8)
 
 
 QUAD_B = st.integers(min_value=-8, max_value=8)
