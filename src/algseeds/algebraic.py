@@ -4,6 +4,24 @@ A real number is selected by an exact rational isolating interval whose
 endpoints are never roots; a complex quadratic is selected by a half-plane
 tag.  Refinement is plain bisection: unconditionally correct, and fast
 enough at the scales this package works at.
+
+Validate once.  The public constructors (``AlgebraicNumber(...)``,
+``real_root``, ``complex_root``, ``sqrt_of``) check everything: the minimal
+polynomial is irreducible and the interval endpoints have opposite signs.
+Numbers derived from a validated one go through the trusted
+``AlgebraicNumber._narrowed``, which checks nothing, because validity holds
+by construction:
+
+  * the minimal polynomial p was validated once, and x -> +-x + k (the only
+    maps applied: ``fractional_part``, ``negated``, ``plus_int``) keeps it
+    irreducible.  The image polynomial is p(x - k) or +-p(-x), and the
+    endpoints move with the root, so at the new endpoints it takes p's old
+    signs, or all of them flipped: still opposite;
+  * a split point inside the interval (bisection in ``refine``, integers in
+    ``_narrow_to_unit_cell``) is never a root, because an irreducible
+    polynomial of degree >= 2 has no rational root.  So its sign is nonzero
+    and equals the sign at exactly one endpoint; keeping the half whose
+    endpoints differ keeps the sign change.
 """
 
 from __future__ import annotations
@@ -68,6 +86,14 @@ class AlgebraicNumber:
                 raise ValueError("interval endpoints must straddle a sign change")
 
     @classmethod
+    def _narrowed(cls, p: MonicIntPoly, lo: Fraction, hi: Fraction) -> "AlgebraicNumber":
+        """Trusted: a real root of the validated p isolated by (lo, hi), built
+        without re-validation (see the module docstring for when that holds)."""
+        a = object.__new__(cls)
+        a.__dict__.update(minpoly=p, lo=lo, hi=hi, half_plane=0)
+        return a
+
+    @classmethod
     def real_root(cls, p: MonicIntPoly, lo, hi) -> "AlgebraicNumber":
         return cls(p, Fraction(lo), Fraction(hi))
 
@@ -119,7 +145,7 @@ class AlgebraicNumber:
                     nlo = mid
                 else:
                     nhi = mid
-            return AlgebraicNumber(p, Fraction(nlo, 1 << k), Fraction(nhi, 1 << k))
+            return AlgebraicNumber._narrowed(p, Fraction(nlo, 1 << k), Fraction(nhi, 1 << k))
         sign_lo = p.sign_at(lo)
         while hi - lo > target:
             mid = (lo + hi) / 2
@@ -127,7 +153,7 @@ class AlgebraicNumber:
                 lo = mid
             else:
                 hi = mid
-        return AlgebraicNumber(p, lo, hi)
+        return AlgebraicNumber._narrowed(p, lo, hi)
 
     def enclosure(self, bits: int) -> FracIv:
         return self.refine(bits).interval
@@ -136,18 +162,14 @@ class AlgebraicNumber:
 
     def cmp_rational(self, q: Fraction) -> int:
         """-1 or +1; the number itself is irrational so never equal."""
-        a = self
-        while True:
-            if a.hi <= q:
-                return -1
-            if a.lo >= q:
-                return 1
-            s = a.minpoly.sign_at(q)
-            sign_lo = a.minpoly.sign_at(a.lo)
-            if s == sign_lo:
-                a = AlgebraicNumber(a.minpoly, q, a.hi)
-            else:
-                a = AlgebraicNumber(a.minpoly, a.lo, q)
+        if self.hi <= q:
+            return -1
+        if self.lo >= q:
+            return 1
+        # q splits the interval and is not a root: the root lies in (q, hi)
+        # exactly when q has the sign of lo
+        p = self.minpoly
+        return 1 if p.sign_at(q) == p.sign_at(self.lo) else -1
 
     def less_than(self, other: "AlgebraicNumber") -> bool:
         if same_number(self, other):
@@ -165,17 +187,18 @@ class AlgebraicNumber:
     def _narrow_to_unit_cell(self) -> "tuple[int, AlgebraicNumber]":
         # split at integers strictly inside the interval; afterwards the
         # interval sits inside [k, k+1] for k = floor of the number
-        a = self
+        p, lo, hi = self.minpoly, self.lo, self.hi
+        sign_lo = p.sign_at(lo)
         while True:
-            first = a.lo.__floor__() + 1
-            if not a.lo < first < a.hi:
+            first = lo.__floor__() + 1
+            if not lo < first < hi:
                 break
             q = Fraction(first)
-            if a.minpoly.sign_at(q) == a.minpoly.sign_at(a.lo):
-                a = AlgebraicNumber(a.minpoly, q, a.hi)
+            if p.sign_at(q) == sign_lo:
+                lo = q
             else:
-                a = AlgebraicNumber(a.minpoly, a.lo, q)
-        return a.lo.__floor__(), a
+                hi = q
+        return lo.__floor__(), AlgebraicNumber._narrowed(p, lo, hi)
 
     def floor(self) -> int:
         return self._narrow_to_unit_cell()[0]
@@ -183,7 +206,7 @@ class AlgebraicNumber:
     def fractional_part(self) -> "AlgebraicNumber":
         k, a = self._narrow_to_unit_cell()
         p = self.minpoly.map_root(1, -k)
-        return AlgebraicNumber(p, a.lo - k, a.hi - k)
+        return AlgebraicNumber._narrowed(p, a.lo - k, a.hi - k)
 
     # -- affine images -------------------------------------------------------
 
@@ -191,13 +214,13 @@ class AlgebraicNumber:
         p = self.minpoly.map_root(-1, 0)
         if not self.is_real:
             return AlgebraicNumber.complex_root(p, upper=self.half_plane < 0)
-        return AlgebraicNumber(p, -self.hi, -self.lo)
+        return AlgebraicNumber._narrowed(p, -self.hi, -self.lo)
 
     def plus_int(self, k: int) -> "AlgebraicNumber":
         p = self.minpoly.map_root(1, k)
         if not self.is_real:
             return AlgebraicNumber.complex_root(p, upper=self.half_plane > 0)
-        return AlgebraicNumber(p, self.lo + k, self.hi + k)
+        return AlgebraicNumber._narrowed(p, self.lo + k, self.hi + k)
 
     def reflected(self) -> "AlgebraicNumber":
         """1 - alpha."""

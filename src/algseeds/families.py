@@ -9,11 +9,31 @@ Family tags (used verbatim in JSON and on the command line):
 
 Every instance is finite; the free coefficient (c or d) runs over an
 integer range determined by the parameters.
+
+Order of a real instance.  Write p_c = q + c for the defining polynomial
+with free coefficient c, so q(0) = 0.  ``build_set`` lists the elements in
+ascending order without comparing any two of them, by this argument:
+
+  * The element for c is a root in (0,1) of p_c: p_c(0) = c and p_c(1) have
+    opposite signs over every range (the validating constructor checks it).
+  * That root is unique.  A quadratic with a sign change on [0,1] has exactly
+    one root there.  A cubic has one or three, and three roots in (0,1)
+    would give |c| = |product of the roots| < 1, which no nonzero integer c
+    satisfies.  In the reducible 3tr layer the element is the root of the
+    quadratic factor; the integer root lies outside (0,1).
+  * c has one sign over the whole range: 2r with n >= 1 and 3ntr have c < 0,
+    2r with n <= -3 and 3tr have c > 0.  Take c < c' and let a_c be the
+    element for c.  Then p_c'(a_c) = c' - c > 0.  When c < 0, p_c'(0) = c'
+    < 0, so p_c' has a root in (0, a_c), and a_c' < a_c by uniqueness.  When
+    c > 0, p_c'(1) < 0, so p_c' has a root in (a_c, 1), and a_c' > a_c.
+
+So the elements ascend in range order when c > 0 and in reverse range order
+when c < 0.  ``AlgebraicNumber.less_than`` remains the exact order, and the
+tests check the two against each other.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -136,20 +156,17 @@ def _unit_interval_root(p: MonicIntPoly) -> AlgebraicNumber:
 
 
 def build_set(spec: SetSpec) -> SetInstance:
-    """Materialize one instance, elements sorted ascending (2i: by imaginary part)."""
-    elems = []
+    """Materialize one instance, elements ascending (2i: by imaginary part)."""
+    coeffs = spec.free_coeff_range()
     if spec.family == "2i":
-        for c in spec.free_coeff_range():
-            poly = spec.defining_poly(c)
-            elems.append(SetElement(c, AlgebraicNumber.complex_root(poly, upper=True)))
         # imaginary part sqrt(-disc)/2 increases with c; range order is sorted
-        return SetInstance(spec, tuple(elems))
-    for c in spec.free_coeff_range():
-        poly = spec.defining_poly(c)
-        elems.append(SetElement(c, _unit_interval_root(poly)))
-    elems.sort(key=functools.cmp_to_key(
-        lambda a, b: -1 if a.number.less_than(b.number) else 1))
-    return SetInstance(spec, tuple(elems))
+        return SetInstance(spec, tuple(
+            SetElement(c, AlgebraicNumber.complex_root(spec.defining_poly(c), upper=True))
+            for c in coeffs))
+    if coeffs.start < 0:
+        coeffs = reversed(coeffs)   # c < 0: elements fall as c rises (module docstring)
+    return SetInstance(spec, tuple(
+        SetElement(c, _unit_interval_root(spec.defining_poly(c))) for c in coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -61,14 +61,19 @@ CUBIC_RANGE_PARAMS = (0, -1, -2, -3)
 
 
 def squarefree_kernel(d: int) -> int:
-    """The squarefree integer k with d = k * (square); sign preserved."""
+    """The squarefree integer k with d = k * (square); sign preserved.
+
+    Trial division runs only while p^3 <= the cofactor d left.  After that,
+    every prime factor of d is >= p and d < p^3, so d is 1, q, q*r or q^2
+    for primes q != r: a square adds nothing to the kernel, anything else
+    adds d itself, and one isqrt tells the two apart."""
     if d == 0:
         raise ValueError("kernel of 0 is undefined")
     sign = -1 if d < 0 else 1
     d = abs(d)
     kernel = 1
     p = 2
-    while p * p <= d:
+    while p * p * p <= d:
         if d % p == 0:
             e = 0
             while d % p == 0:
@@ -77,7 +82,9 @@ def squarefree_kernel(d: int) -> int:
             if e % 2:
                 kernel *= p
         p += 1 if p == 2 else 2
-    return sign * kernel * d
+    if isqrt(d) ** 2 != d:
+        kernel *= d
+    return sign * kernel
 
 
 def _same_kernel(d: int, e: int) -> bool:

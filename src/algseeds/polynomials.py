@@ -63,7 +63,12 @@ class MonicIntPoly:
         """Coefficients lowest-first, including the leading 1."""
         return list(reversed(self.coeffs)) + [1]
 
-    def evaluate(self, x: Fraction) -> Fraction:
+    def evaluate(self, x: Fraction | int) -> Fraction | int:
+        if isinstance(x, int):
+            acc = 1
+            for c in self.coeffs:
+                acc = acc * x + c
+            return acc
         acc = Fraction(1)
         for c in self.coeffs:
             acc = acc * x + c

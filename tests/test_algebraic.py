@@ -26,6 +26,12 @@ SQRT2 = AlgebraicNumber.sqrt_of(2)
 PLASTIC = MonicIntPoly.cubic(0, -1, -1)  # one real root near 1.3247
 
 
+def assert_revalidates(r):
+    """r, built by a trusted path without validation, equals its rebuild through
+    the validating constructor (which raises if the invariant broke)."""
+    assert AlgebraicNumber(r.minpoly, r.lo, r.hi) == r
+
+
 def test_sqrt_constructor():
     assert SQRT2.minpoly == MonicIntPoly.quadratic(0, -2)
     assert SQRT2.decimal(5) == "1.41421"
@@ -51,6 +57,10 @@ def test_refine_tightens_width():
         r = a.refine(bits)
         assert r.width() <= Fraction(1, 2**bits)
         assert same_number(a, r)
+        assert_revalidates(r)
+    # non-dyadic endpoints take the Fraction bisection path
+    third = AlgebraicNumber.real_root(MonicIntPoly.quadratic(0, -2), Fraction(4, 3), Fraction(3, 2))
+    assert_revalidates(third.refine(50))
 
 
 def test_enclosure_brackets_value():
@@ -67,6 +77,14 @@ def test_cmp_rational_exact_signs():
     # very close rational: 665857/470832 > sqrt(2) by about 1e-12
     assert SQRT2.cmp_rational(Fraction(665857, 470832)) == -1
     assert SQRT2.cmp_rational(Fraction(470832, 332929)) == 1
+    # the half of the interval that the answer names passes validation, the
+    # other half does not
+    for q in (Fraction(665857, 470832), Fraction(470832, 332929), Fraction(3, 2), Fraction(5, 4)):
+        below, above = (SQRT2.lo, q), (q, SQRT2.hi)
+        named, other = (above, below) if SQRT2.cmp_rational(q) > 0 else (below, above)
+        AlgebraicNumber(SQRT2.minpoly, *named)
+        with pytest.raises(ValueError):
+            AlgebraicNumber(SQRT2.minpoly, *other)
 
 
 def test_less_than_for_close_roots():
@@ -85,6 +103,13 @@ def test_floor_and_fractional_part():
     assert neg.floor() == -2
     assert neg.fractional_part().decimal(5) == "0.58579"
 
+    wide = irrational_real_roots(MonicIntPoly.cubic(0, -7, 7))  # isolated on wide intervals
+    for a in [SQRT2, neg, *wide]:
+        k, cell = a._narrow_to_unit_cell()
+        assert k <= cell.lo < cell.hi <= k + 1
+        assert_revalidates(cell)
+        assert_revalidates(a.fractional_part())
+
 
 def test_negated_plus_int_reflected():
     a = SQRT2
@@ -93,6 +118,11 @@ def test_negated_plus_int_reflected():
     r = a.reflected()  # 1 - sqrt(2)
     assert r.decimal(5) == "-0.41421"
     assert same_number(r.reflected(), a)
+    plastic = irrational_real_roots(PLASTIC)[0]
+    for b in (a, plastic):
+        for image in (b.negated(), b.plus_int(3), b.plus_int(-5), b.reflected(),
+                      b.reflected().reflected()):
+            assert_revalidates(image)
 
 
 def test_decimal_round_half_even_certified():
@@ -167,6 +197,10 @@ def test_isolation_intervals_each_contain_one_sign_change(b, c, d):
         assert lo < hi
     for (a_lo, a_hi), (b_lo, b_hi) in zip(iso.intervals, iso.intervals[1:]):
         assert a_hi <= b_lo
+    for a in irrational_real_roots(p):
+        for r in (a.refine(40), a.negated(), a.plus_int(-4), a.fractional_part(),
+                  a.negated().fractional_part()):
+            assert_revalidates(r)
 
 
 @given(b=CUBIC_COEFF, c=CUBIC_COEFF, d=CUBIC_COEFF)

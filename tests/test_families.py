@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from algseeds.algebraic import same_number
@@ -91,26 +91,48 @@ def test_cubic_totally_real_cardinality(mn):
     assert len(build_set(spec).elements) == -m - n - 2
 
 
+def assert_ascending_in_unit_interval(inst):
+    """build_set orders by the free coefficient alone (the order theorem in
+    the families docstring); check it against the exact order less_than."""
+    values = inst.numbers()
+    assert sorted(e.free_coeff for e in inst.elements) == list(inst.spec.free_coeff_range())
+    for a in values:
+        assert a.cmp_rational(Fraction(0)) == 1
+        assert a.cmp_rational(Fraction(1)) == -1
+    for x, y in zip(values, values[1:]):
+        assert x.less_than(y)
+
+
 @given(n=REAL_QUAD_N)
 def test_real_elements_sorted_inside_unit_interval(n):
-    inst = build_set(SetSpec("2r", (n,)))
-    values = inst.numbers()
-    for a in values:
-        assert a.cmp_rational(Fraction(0)) == 1
-        assert a.cmp_rational(Fraction(1)) == -1
-    for x, y in zip(values, values[1:]):
-        assert x.less_than(y)
+    assert_ascending_in_unit_interval(build_set(SetSpec("2r", (n,))))
 
 
-@given(mn=tr_params())
-def test_totally_real_cubic_elements_sorted_inside_unit_interval(mn):
-    inst = build_set(SetSpec("3tr", mn))
-    values = inst.numbers()
-    for a in values:
-        assert a.cmp_rational(Fraction(0)) == 1
-        assert a.cmp_rational(Fraction(1)) == -1
-    for x, y in zip(values, values[1:]):
-        assert x.less_than(y)
+def wide_m_params(family):
+    """(m, n) with m from -6 to 4, outside the guaranteed range too."""
+    def for_m(m):
+        if family == "3tr":
+            return st.tuples(st.just(m), st.integers(min_value=-m - 16, max_value=-m - 3))
+        least = max(-(-m * m // 3), 1 - m)   # m^2 - 3n <= 0 and m + n >= 1
+        return st.tuples(st.just(m), st.integers(min_value=least, max_value=least + 12))
+    return st.integers(min_value=-6, max_value=4).flatmap(for_m)
+
+
+@given(spec=st.one_of(wide_m_params("3tr").map(lambda mn: SetSpec("3tr", mn)),
+                      wide_m_params("3ntr").map(lambda mn: SetSpec("3ntr", mn))))
+@example(spec=SetSpec("3tr", (0, -6)))      # reducible layers: quadratic_exception
+@example(spec=SetSpec("3tr", (-2, -13)))
+@example(spec=SetSpec("3ntr", (-6, 12)))
+@example(spec=SetSpec("3tr", (4, -20)))
+def test_totally_real_cubic_elements_sorted_inside_unit_interval(spec):
+    """Both cubic families, named for the first one it covered."""
+    inst = build_set(spec)
+    assert_ascending_in_unit_interval(inst)
+    m, n = spec.params
+    if spec.family == "3tr" and m in (0, -1, -2, -3):
+        exc = quadratic_exception(m, n)
+        quadratic = [e.number for e in inst.elements if e.number.minpoly.degree == 2]
+        assert quadratic == ([] if exc is None else [exc.element])
 
 
 def test_known_instance_values():

@@ -35,6 +35,13 @@ def test_squarefree_kernel():
     assert squarefree_kernel(49) == 1
     assert squarefree_kernel(1) == 1
     assert squarefree_kernel(90) == 10
+    # cofactors left above the trial-division cut: q^2, q*r and 2*q^2
+    assert squarefree_kernel(10007**2) == 1
+    assert squarefree_kernel(-10007 * 10009) == -10007 * 10009
+    assert squarefree_kernel(2 * 10007**2) == 2
+    assert squarefree_kernel(10007) == 10007
+    assert squarefree_kernel(10007**3) == 10007
+    assert squarefree_kernel(12 * 10007 * 10009) == 3 * 10007 * 10009
     with pytest.raises(ValueError):
         squarefree_kernel(0)
 
@@ -42,6 +49,12 @@ def test_squarefree_kernel():
 @given(k=st.integers(min_value=2, max_value=400), s=st.integers(min_value=1, max_value=20))
 def test_kernel_invariant_under_square_factors(k, s):
     assert squarefree_kernel(k * s * s) == squarefree_kernel(k)
+    # prime squares, semiprimes and 2*q^2 above the cut: k <= 400 shares no
+    # factor with the primes 10007 and 10009
+    for q in (10007, 10009):
+        assert squarefree_kernel(k * s * s * q * q) == squarefree_kernel(k)
+        assert squarefree_kernel(2 * q * q * s * s) == 2
+    assert squarefree_kernel(k * 10007 * 10009) == squarefree_kernel(k) * 10007 * 10009
 
 
 @given(d=st.integers(-5000, 5000).filter(bool), e=st.integers(-5000, 5000).filter(bool))

@@ -24,6 +24,9 @@ def test_quadratic_constructor_and_accessors():
     assert p.coeffs == (3, -5)
     assert p.ascending() == [-5, 3, 1]
     assert p.evaluate(Fraction(2)) == 4 + 6 - 5
+    assert p.evaluate(2) == 4 + 6 - 5
+    assert p.evaluate(-7) == 49 - 21 - 5
+    assert type(p.evaluate(2)) is int
 
 
 def test_cubic_constructor_and_accessors():
@@ -76,6 +79,8 @@ def test_cubic_integer_roots_are_roots(b, c, d):
     p = MonicIntPoly.cubic(b, c, d)
     for r in p.integer_roots():
         assert p.evaluate(Fraction(r)) == 0
+    for r in range(-3, 4):
+        assert p.evaluate(r) == p.evaluate(Fraction(r))
 
 
 def test_deflate_exact_division():
