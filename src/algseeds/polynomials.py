@@ -64,12 +64,7 @@ class MonicIntPoly:
         return list(reversed(self.coeffs)) + [1]
 
     def evaluate(self, x: Fraction | int) -> Fraction | int:
-        if isinstance(x, int):
-            acc = 1
-            for c in self.coeffs:
-                acc = acc * x + c
-            return acc
-        acc = Fraction(1)
+        acc = 1
         for c in self.coeffs:
             acc = acc * x + c
         return acc

@@ -32,15 +32,15 @@ REAL_QUAD_N = st.one_of(
 IMAG_QUAD_N = st.integers(min_value=1, max_value=14)
 
 
-def ntr_params():
+def ntr_params(m_min=-3, m_max=0):
     return st.tuples(
-        st.integers(min_value=-3, max_value=0), st.integers(min_value=1, max_value=14)
+        st.integers(min_value=m_min, max_value=m_max), st.integers(min_value=1, max_value=14)
     ).filter(lambda mn: mn[0] ** 2 - 3 * mn[1] <= 0 and mn[0] + mn[1] >= 1)
 
 
-def tr_params():
+def tr_params(m_min=-3, m_max=0):
     return st.tuples(
-        st.integers(min_value=-3, max_value=0), st.integers(min_value=-16, max_value=-3)
+        st.integers(min_value=m_min, max_value=m_max), st.integers(min_value=-16, max_value=-3)
     ).filter(lambda mn: mn[1] <= -mn[0] - 3)
 
 
@@ -108,18 +108,8 @@ def test_real_elements_sorted_inside_unit_interval(n):
     assert_ascending_in_unit_interval(build_set(SetSpec("2r", (n,))))
 
 
-def wide_m_params(family):
-    """(m, n) with m from -6 to 4, outside the guaranteed range too."""
-    def for_m(m):
-        if family == "3tr":
-            return st.tuples(st.just(m), st.integers(min_value=-m - 16, max_value=-m - 3))
-        least = max(-(-m * m // 3), 1 - m)   # m^2 - 3n <= 0 and m + n >= 1
-        return st.tuples(st.just(m), st.integers(min_value=least, max_value=least + 12))
-    return st.integers(min_value=-6, max_value=4).flatmap(for_m)
-
-
-@given(spec=st.one_of(wide_m_params("3tr").map(lambda mn: SetSpec("3tr", mn)),
-                      wide_m_params("3ntr").map(lambda mn: SetSpec("3ntr", mn))))
+@given(spec=st.one_of(tr_params(-6, 4).map(lambda mn: SetSpec("3tr", mn)),
+                      ntr_params(-6, 4).map(lambda mn: SetSpec("3ntr", mn))))
 @example(spec=SetSpec("3tr", (0, -6)))      # reducible layers: quadratic_exception
 @example(spec=SetSpec("3tr", (-2, -13)))
 @example(spec=SetSpec("3ntr", (-6, 12)))

@@ -27,6 +27,7 @@ def test_quadratic_constructor_and_accessors():
     assert p.evaluate(2) == 4 + 6 - 5
     assert p.evaluate(-7) == 49 - 21 - 5
     assert type(p.evaluate(2)) is int
+    assert type(p.evaluate(Fraction(2))) is Fraction
 
 
 def test_cubic_constructor_and_accessors():
