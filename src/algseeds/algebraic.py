@@ -2,8 +2,26 @@
 
 A real number is selected by an exact rational isolating interval whose
 endpoints are never roots; a complex quadratic is selected by a half-plane
-tag.  Refinement is plain bisection: unconditionally correct, and fast
-enough at the scales this package works at.
+tag.
+
+Refinement returns a cell of the bisection grid.  Write the interval as
+(a/D, b/D) with w = b - a.  The level-s cells of bisection are
+
+    [(a 2^s + j w) / (D 2^s), (a 2^s + (j+1) w) / (D 2^s)],  0 <= j < 2^s,
+
+and ``refine(bits)`` returns the one holding the number at the first level
+s* whose width w / (D 2^s*) is <= 2^-bits, which is the cell plain
+bisection stops on.  It finds that cell by quadratic interval refinement
+(J. Abbott, "Quadratic Interval Refinement for Real Roots", ACM Commun.
+Comput. Algebra 48, 2014), on integers throughout: from the values of p
+at the current cell's ends, both scaled to one denominator, the secant
+picks one of 2^t sub-cells, and p's signs at its two ends test it.  A
+sign change accepts the sub-cell and doubles t; otherwise one bisection
+step is taken and t is halved (t >= 2), and no step goes past level s*.
+Every cell kept is a grid cell on which p changes sign, inside an
+isolating interval, so it holds the number; at each level exactly one
+cell does, because the number is irrational and no grid point is a root.
+So the cell at level s* is the bisection cell, whatever path led to it.
 
 Validate once.  The public constructors (``AlgebraicNumber(...)``,
 ``real_root``, ``complex_root``, ``sqrt_of``) check everything: the minimal
@@ -17,18 +35,23 @@ by construction:
     irreducible.  The image polynomial is p(x - k) or +-p(-x), and the
     endpoints move with the root, so at the new endpoints it takes p's old
     signs, or all of them flipped: still opposite;
-  * a split point inside the interval (bisection in ``refine``, integers in
-    ``_narrow_to_unit_cell``) is never a root, because an irreducible
+  * a split point inside the interval (grid points in ``refine``, integers
+    in ``_narrow_to_unit_cell``) is never a root, because an irreducible
     polynomial of degree >= 2 has no rational root.  So its sign is nonzero
-    and equals the sign at exactly one endpoint; keeping the half whose
-    endpoints differ keeps the sign change.
+    and equals the sign at exactly one endpoint; keeping a cell whose
+    endpoints differ keeps the sign change;
+  * ``irrational_real_roots`` builds each root of ``rest``, the factor of
+    p that ``split_integer_roots`` returns only when it is irreducible, on
+    an interval whose Sturm count is 1 between endpoints that are not
+    roots.  rest is squarefree, so its one root there is simple and the
+    endpoint signs are opposite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from .dyadic import FracIv, frac_sqrt_interval, iv_mul, iv_sub, iv_width
 from .polynomials import (
@@ -50,10 +73,6 @@ class RationalInput(ValueError):
 
 class PrecisionExhausted(RuntimeError):
     """A refinement ladder hit its bit cap before a comparison was decided."""
-
-
-def _is_pow2(n: int) -> bool:
-    return n & (n - 1) == 0
 
 
 @dataclass(frozen=True)
@@ -124,36 +143,50 @@ class AlgebraicNumber:
     # -- refinement ---------------------------------------------------------
 
     def refine(self, bits: int) -> "AlgebraicNumber":
-        """Bisect until the interval width is <= 2**-bits."""
+        """The bisection cell of width <= 2**-bits holding the root, found by
+        quadratic interval refinement on the bisection grid (module docstring)."""
         if not self.is_real:
             raise RationalInput("only real numbers have refinable intervals")
-        bits = max(bits, 0)
-        target = Fraction(1, 1 << bits)
-        if self.width() <= target:
-            return self
         lo, hi = self.lo, self.hi
+        # the current cell is [left, left + w] / den, first (lo, hi) = (a/D, b/D);
+        # den doubles with each level and w stays
+        den = lo.denominator * hi.denominator // gcd(lo.denominator, hi.denominator)
+        left = lo.numerator * (den // lo.denominator)
+        w = hi.numerator * (den // hi.denominator) - left
+        # last = s*, the first level with w / (D 2**s) <= 2**-bits
+        goal = w << max(bits, 0)
+        last = max(0, goal.bit_length() - den.bit_length())
+        while den << last < goal:
+            last += 1
+        if last == 0:
+            return self
         p = self.minpoly
-        if _is_pow2(lo.denominator) and _is_pow2(hi.denominator):
-            k = max(lo.denominator.bit_length(), hi.denominator.bit_length()) - 1
-            nlo = lo.numerator << (k - (lo.denominator.bit_length() - 1))
-            nhi = hi.numerator << (k - (hi.denominator.bit_length() - 1))
-            sign_lo = p.sign_at_dyadic(nlo, k)
-            while (nhi - nlo) << bits > 1 << k:
-                nlo, nhi, k = nlo << 1, nhi << 1, k + 1
-                mid = (nlo + nhi) >> 1
-                if p.sign_at_dyadic(mid, k) == sign_lo:
-                    nlo = mid
-                else:
-                    nhi = mid
-            return AlgebraicNumber._narrowed(p, Fraction(nlo, 1 << k), Fraction(nhi, 1 << k))
-        sign_lo = p.sign_at(lo)
-        while hi - lo > target:
-            mid = (lo + hi) / 2
-            if p.sign_at(mid) == sign_lo:
-                lo = mid
+        v_left, v_right = p.scaled_value(left, den), p.scaled_value(left + w, den)
+        level, t = 0, 2
+        while level < last:
+            step = min(t, last - level)
+            if step > 1:
+                # the chord through the cell's end values crosses zero in
+                # sub-cell j of 2**step; keep that sub-cell if p changes sign on it
+                j = (v_left << step) // (v_left - v_right)
+                sub, sub_den = (left << step) + j * w, den << step
+                u_left, u_right = p.scaled_value(sub, sub_den), p.scaled_value(sub + w, sub_den)
+                if (u_left > 0) != (u_right > 0):
+                    left, den, v_left, v_right = sub, sub_den, u_left, u_right
+                    level += step
+                    t *= 2
+                    continue
+                t = max(2, t // 2)
+            # one bisection step: keep the half on which p changes sign
+            left, den = left << 1, den << 1
+            v_left, v_right = v_left << p.degree, v_right << p.degree
+            v_mid = p.scaled_value(left + w, den)
+            if (v_mid > 0) == (v_left > 0):
+                left, v_left = left + w, v_mid
             else:
-                hi = mid
-        return AlgebraicNumber._narrowed(p, lo, hi)
+                v_right = v_mid
+            level += 1
+        return AlgebraicNumber._narrowed(p, Fraction(left, den), Fraction(left + w, den))
 
     def enclosure(self, bits: int) -> FracIv:
         return self.refine(bits).interval
@@ -321,6 +354,7 @@ def isolate_real_roots(p: MonicIntPoly) -> IsolationList:
     int_roots, rest = p.split_integer_roots()
 
     irr: list[FracIv] = []
+    chain = None
     if rest is not None and rest.discriminant() > 0:
         chain = sturm_chain(rest)
         irr = _bisect_isolate(rest, chain)
@@ -343,7 +377,8 @@ def isolate_real_roots(p: MonicIntPoly) -> IsolationList:
         irr = _bisect_isolate(rest, chain)
 
     pin: list[FracIv] = []
-    p_chain = sturm_chain(p)
+    # with no integer root, rest is p and its chain is built already
+    p_chain = sturm_chain(p) if int_roots else chain
     for r in int_roots:
         h = Fraction(1, 4)
         while count_roots_between(p, r - h, r + h, p_chain) != 1:
@@ -379,7 +414,7 @@ def irrational_real_roots(p: MonicIntPoly) -> list[AlgebraicNumber]:
     if rest is None:
         return []
     iso = isolate_real_roots(rest)
-    return [AlgebraicNumber(rest, lo, hi) for lo, hi in iso.intervals]
+    return [AlgebraicNumber._narrowed(rest, lo, hi) for lo, hi in iso.intervals]
 
 
 # ---------------------------------------------------------------------------

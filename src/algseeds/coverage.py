@@ -15,7 +15,8 @@ from functools import lru_cache
 from math import isqrt
 
 from .algebraic import AlgebraicNumber, irrational_real_roots, same_number
-from .families import SetInstance, SetSpec, bc_root, build_set, quadratic_exception
+from .families import (SetInstance, SetSpec, bc_root, bc_shift_params, build_set,
+                       quadratic_exception)
 from .fields import FieldExpression, express_in, squarefree_kernel
 from .polynomials import MonicIntPoly, is_perfect_square
 
@@ -118,10 +119,12 @@ def _real_member_check(a: AlgebraicNumber, tile: TileIndex, elem_poly: MonicIntP
 def _real_membership_scan(a: AlgebraicNumber, bound: int) -> list[TileIndex]:
     """Brute force: every (eps, n) with |n| <= bound+1 whose tile contains a."""
     hits = []
+    b, c = a.minpoly.coeffs
     for eps in (1, -1):
         for n in range(-bound - 1, bound + 2):
-            q = a.minpoly.map_root(eps, -eps * n)
-            b2, c2 = q.coeffs
+            # q = x^2 + b2 x + c2, the minimal polynomial of eps*(a - n), in the
+            # closed form of bc_shift_params rather than by map_root(eps, -eps*n)
+            b2, c2 = bc_shift_params(b, c, -n) if eps == 1 else bc_shift_params(-b, c, n)
             if c2 >= 0 or 1 + b2 + c2 <= 0 or b2 < 1:
                 continue  # no set element among the roots of q
             # q has exactly one root in (0,1); is it eps*(a-n)?

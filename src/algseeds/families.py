@@ -28,7 +28,17 @@ ascending order without comparing any two of them, by this argument:
     c > 0, p_c'(1) < 0, so p_c' has a root in (a_c, 1), and a_c' > a_c.
 
 So the elements ascend in range order when c > 0 and in reverse range order
-when c < 0.  ``AlgebraicNumber.less_than`` remains the exact order, and the
+when c < 0.
+
+One irreducibility decision per element.  A rational root of a monic
+integer polynomial is an integer.  So a cubic with no integer root is
+irreducible, and ``split_integer_roots`` finds any integer root once and
+keeps the irreducible quadratic factor of a reducible cubic (it checks that
+factor itself).  A quadratic whose signs at 0 and 1 are opposite and
+nonzero has a root in (0,1), which is no integer, so it is irreducible.
+``build_set`` therefore checks only the signs at 0 and 1 and builds each
+element through the trusted ``AlgebraicNumber._narrowed``; the validating
+constructor would decide irreducibility a second time.  ``AlgebraicNumber.less_than`` remains the exact order, and the
 tests check the two against each other.
 """
 
@@ -147,12 +157,16 @@ class SetInstance:
 
 
 def _unit_interval_root(p: MonicIntPoly) -> AlgebraicNumber:
-    """The unique root of p in (0,1); p may be a reducible cubic."""
-    if p.degree == 3 and not p.is_irreducible():
-        roots, rest = p.split_integer_roots()
+    """The unique root of p in (0,1); p may be a reducible cubic.  Built
+    trusted, after one irreducibility decision (module docstring)."""
+    if p.degree == 3:
+        _, rest = p.split_integer_roots()
         assert rest is not None, f"{p} should keep a quadratic factor"
         p = rest
-    return AlgebraicNumber.real_root(p, 0, 1)
+    zero, one = Fraction(0), Fraction(1)
+    if p.sign_at(zero) * p.sign_at(one) >= 0:
+        raise ValueError(f"{p} has no sign change on (0,1)")
+    return AlgebraicNumber._narrowed(p, zero, one)
 
 
 def build_set(spec: SetSpec) -> SetInstance:

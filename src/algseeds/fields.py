@@ -265,6 +265,15 @@ def _complex_enclosure(p: MonicIntPoly, bits: int) -> tuple[Fraction, Fraction, 
 
 
 def _locate(a: AlgebraicNumber, enclosures) -> int:
+    """Index of the enclosure, among the disjoint isolating enclosures of
+    every real root of a.minpoly, that holds a."""
+    # a lies in its own open interval and in exactly one enclosure, so that
+    # enclosure meets a's interval.  When no other one does, it is the
+    # answer with no Sturm count; otherwise the same_number scan decides.
+    meets = [idx for idx, (lo, hi) in enumerate(enclosures)
+             if max(lo, a.lo) < min(hi, a.hi)]
+    if len(meets) == 1:
+        return meets[0]
     p = a.minpoly
     for idx, (lo, hi) in enumerate(enclosures):
         if same_number(a, AlgebraicNumber(p, lo, hi)):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 
 class ZeroDiscriminant(ValueError):
@@ -69,24 +69,15 @@ class MonicIntPoly:
             acc = acc * x + c
         return acc
 
-    def sign_at(self, x: Fraction) -> int:
-        """Exact sign of p(x) at a rational point, via integer Horner."""
-        num, den = x.numerator, x.denominator
-        acc = 1
-        scale = 1
-        for c in self.coeffs:
-            scale *= den
-            acc = acc * num + c * scale
-        return (acc > 0) - (acc < 0)
+    def scaled_value(self, num: int, den: int) -> int:
+        """den**deg * p(num/den) for den > 0, by integer Horner: an int with
+        the sign of p(num/den)."""
+        return _scaled_value((1,) + self.coeffs, num, den)
 
-    def sign_at_dyadic(self, num: int, k: int) -> int:
-        """Sign of p(num / 2**k); fast path used by interval refinement."""
-        acc = 1
-        scale = 1
-        for c in self.coeffs:
-            scale <<= k
-            acc = acc * num + c * scale
-        return (acc > 0) - (acc < 0)
+    def sign_at(self, x: Fraction) -> int:
+        """Exact sign of p(x) at a rational point."""
+        v = self.scaled_value(x.numerator, x.denominator)
+        return (v > 0) - (v < 0)
 
     def discriminant(self) -> int:
         if self.degree == 2:
@@ -124,7 +115,7 @@ class MonicIntPoly:
         for r in range(1, isqrt(a) + 1):
             if a % r == 0:
                 for cand in (r, -r, a // r, -(a // r)):
-                    if self.sign_at(Fraction(cand)) == 0:
+                    if self.evaluate(cand) == 0:
                         roots.add(cand)
         return sorted(roots)
 
@@ -196,10 +187,6 @@ class MonicIntPoly:
                 out[j] += (-shift) * out[j + 1]
         return tuple(reversed(out[:-1]))
 
-    def derivative_ascending(self) -> list[Fraction]:
-        asc = self.ascending()
-        return [Fraction(i * asc[i]) for i in range(1, len(asc))]
-
     def __str__(self) -> str:
         return poly_str(self)
 
@@ -227,50 +214,69 @@ def poly_str(p: MonicIntPoly) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Sturm chains.  Degree <= 3 keeps these tiny; coefficients are Fractions so
-# every sign variation count is exact.
+# Sturm chains, on integers.  A member is a tuple of int coefficients,
+# highest first.  Every member is a positive multiple of the member of the
+# classical chain p, p', -rem(p, p'), ... over Q: the pseudo-remainder
+# multiplies the dividend by |lc|^(delta+1) > 0 before dividing, and the
+# content divided out afterwards is positive too.  For l, m > 0,
+# rem(l A, m B) = l rem(A, B), so by induction the members differ from the
+# classical ones by positive factors only.  At
+# every point each member then has the sign of its classical counterpart,
+# the chain has the same length, and the sign variations (all that a Sturm
+# count reads) are the same.
 
-def _poly_eval_asc(coeffs: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
+
+def _primitive(coeffs: list[int]) -> tuple[int, ...]:
+    g = gcd(*coeffs)
+    return tuple(c // g for c in coeffs)
+
+
+def _pseudo_rem(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """|lc(b)|**(deg a - deg b + 1) * a mod b, leading zeros stripped."""
+    lc = b[0]
+    mag, sgn = abs(lc), (1 if lc > 0 else -1)
+    r = list(a)
+    for _ in range(len(a) - len(b) + 1):
+        top = sgn * r[0]
+        r = [mag * x for x in r]
+        for i, bc in enumerate(b):
+            r[i] -= top * bc
+        r.pop(0)  # mag * r[0] - top * lc = 0
+    while r and r[0] == 0:
+        r.pop(0)
+    return r
+
+
+def _scaled_value(coeffs: tuple[int, ...], num: int, den: int) -> int:
+    """den**deg * q(num/den) for den > 0: an int with the sign of q(num/den)."""
+    acc = coeffs[0]
+    scale = 1
+    for c in coeffs[1:]:
+        scale *= den
+        acc = acc * num + c * scale
     return acc
 
 
-def _poly_rem_asc(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = list(a)
-    while len(a) >= len(b) and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        factor = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i, bc in enumerate(b):
-            a[shift + i] -= factor * bc
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def sturm_chain(p: MonicIntPoly) -> list[list[Fraction]]:
+def sturm_chain(p: MonicIntPoly) -> list[tuple[int, ...]]:
     if p.discriminant() == 0:
         raise ZeroDiscriminant(f"{p} has a repeated root")
-    chain = [[Fraction(c) for c in p.ascending()], p.derivative_ascending()]
+    f = (1,) + p.coeffs
+    n = p.degree
+    chain = [f, _primitive([(n - i) * c for i, c in enumerate(f[:-1])])]
     while len(chain[-1]) > 1:
-        rem = _poly_rem_asc(chain[-2], chain[-1])
+        rem = _pseudo_rem(chain[-2], chain[-1])
         if not rem:
             break
-        chain.append([-c for c in rem])
+        chain.append(tuple(-c for c in _primitive(rem)))
     return chain
 
 
-def _variations(chain: list[list[Fraction]], x: Fraction) -> int:
-    signs = []
-    for coeffs in chain:
-        v = _poly_eval_asc(coeffs, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+def _variations(chain: list[tuple[int, ...]], x: Fraction) -> int:
+    """Sign variations of the chain at x; chain[0] must not vanish there."""
+    values = [_scaled_value(coeffs, x.numerator, x.denominator) for coeffs in chain]
+    if not values[0]:
+        raise ValueError("Sturm endpoints must not be roots")
+    signs = [v > 0 for v in values if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -281,12 +287,10 @@ def root_bound_pow2(p: MonicIntPoly) -> int:
 
 
 def count_roots_between(p: MonicIntPoly, lo: Fraction, hi: Fraction,
-                        chain: list[list[Fraction]] | None = None) -> int:
+                        chain: list[tuple[int, ...]] | None = None) -> int:
     """Number of distinct real roots in (lo, hi]; endpoints must not be roots of p."""
     if chain is None:
         chain = sturm_chain(p)
-    if p.sign_at(lo) == 0 or p.sign_at(hi) == 0:
-        raise ValueError("Sturm endpoints must not be roots")
     return _variations(chain, lo) - _variations(chain, hi)
 
 

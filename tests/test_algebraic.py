@@ -4,7 +4,7 @@ import decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from algseeds.algebraic import (
@@ -20,7 +20,7 @@ from algseeds.algebraic import (
     same_number,
     value_enclosure,
 )
-from algseeds.polynomials import MonicIntPoly
+from algseeds.polynomials import MonicIntPoly, count_roots_between
 
 SQRT2 = AlgebraicNumber.sqrt_of(2)
 PLASTIC = MonicIntPoly.cubic(0, -1, -1)  # one real root near 1.3247
@@ -58,9 +58,63 @@ def test_refine_tightens_width():
         assert r.width() <= Fraction(1, 2**bits)
         assert same_number(a, r)
         assert_revalidates(r)
-    # non-dyadic endpoints take the Fraction bisection path
+    # non-dyadic endpoints
     third = AlgebraicNumber.real_root(MonicIntPoly.quadratic(0, -2), Fraction(4, 3), Fraction(3, 2))
     assert_revalidates(third.refine(50))
+
+
+def grid_interval(a, den, below, above):
+    """An isolating interval of a on the grid Z/den: the grid cell holding a,
+    widened by up to `below` cells down and `above` cells up, and cut back one
+    cell at a time on the side of any other root.  Large widenings therefore
+    end one cell short of a neighbouring root."""
+    p = a.minpoly
+    while True:
+        lo = a.enclosure(64)[0]
+        k = (lo * den).__floor__()
+        if a.cmp_rational(Fraction(k + 1, den)) == 1:
+            k += 1
+        if count_roots_between(p, Fraction(k, den), Fraction(k + 1, den)) == 1:
+            break
+        den *= 2  # two roots share the cell
+    while True:
+        lo, hi = Fraction(k - below, den), Fraction(k + 1 + above, den)
+        if count_roots_between(p, lo, hi) == 1:
+            return AlgebraicNumber(p, lo, hi)
+        if below and count_roots_between(p, lo, Fraction(k, den)):
+            below -= 1
+        else:
+            above -= 1
+
+
+IRREDUCIBLE_REAL = st.one_of(
+    st.tuples(st.integers(-12, 12), st.integers(-12, 12)).map(lambda bc: MonicIntPoly.quadratic(*bc)),
+    st.tuples(st.integers(-9, 9), st.integers(-12, 12), st.integers(-12, 12)).map(
+        lambda bcd: MonicIntPoly.cubic(*bcd)),
+).filter(lambda p: p.is_irreducible() and irrational_real_roots(p))
+
+
+@settings(max_examples=300)
+@given(p=IRREDUCIBLE_REAL, index=st.integers(0, 2), den=st.sampled_from((1, 2, 3, 5, 6, 7, 12, 64)),
+       below=st.integers(0, 40), above=st.integers(0, 40), bits=st.integers(0, 600))
+@example(p=MonicIntPoly.quadratic(0, -2), index=1, den=1, below=1, above=1, bits=9)   # (0, 3)
+@example(p=MonicIntPoly.cubic(0, -7, 7), index=1, den=8, below=40, above=40, bits=10)
+@example(p=MonicIntPoly.cubic(0, -7, 7), index=2, den=8, below=40, above=40, bits=10)
+def test_refine_returns_the_bisection_cell(p, index, den, below, above, bits):
+    """refine(bits) is the cell of the bisection grid of the original interval
+    at the first level s* whose width W/2**s* is <= 2**-bits, and it holds the
+    number: checked from the definition, without bisecting."""
+    roots = irrational_real_roots(p)
+    x = grid_interval(roots[index % len(roots)], den, below, above)
+    r = x.refine(bits)
+    big, width = x.width(), r.width()
+    steps = big / width
+    s = steps.numerator.bit_length() - 1
+    assert steps == 2**s
+    assert width <= Fraction(1, 2**bits) and (s == 0 or 2 * width > Fraction(1, 2**bits))
+    assert ((r.lo - x.lo) / width).denominator == 1
+    assert x.cmp_rational(r.lo) == 1 and x.cmp_rational(r.hi) == -1
+    assert_revalidates(r)
 
 
 def test_enclosure_brackets_value():
@@ -198,7 +252,7 @@ def test_isolation_intervals_each_contain_one_sign_change(b, c, d):
     for (a_lo, a_hi), (b_lo, b_hi) in zip(iso.intervals, iso.intervals[1:]):
         assert a_hi <= b_lo
     for a in irrational_real_roots(p):
-        for r in (a.refine(40), a.negated(), a.plus_int(-4), a.fractional_part(),
+        for r in (a, a.refine(40), a.negated(), a.plus_int(-4), a.fractional_part(),
                   a.negated().fractional_part()):
             assert_revalidates(r)
 

@@ -23,7 +23,7 @@ from algseeds.coverage import (
     trace_obstruction_demo,
     verify_tiling,
 )
-from algseeds.families import SetSpec, bc_root, build_set
+from algseeds.families import SetSpec, bc_root, bc_shift_params, build_set
 from algseeds.polynomials import MonicIntPoly, is_perfect_square
 
 SQRT2 = AlgebraicNumber.sqrt_of(2)
@@ -83,6 +83,18 @@ def test_real_tiling_exhaustive_small_bound():
     assert report.violations == ()
     assert report.checked > 0
     assert report.domain == "real"
+
+
+def test_scan_shift_closed_form_matches_map_root():
+    """_real_membership_scan reads the minimal polynomial of eps*(a - n) off
+    bc_shift_params; over the tiling bound 5 that is what map_root builds."""
+    bound = 5
+    for b in range(-bound, bound + 1):
+        for c in range(-bound, bound + 1):
+            p = MonicIntPoly.quadratic(b, c)
+            for n in range(-bound - 1, bound + 2):
+                assert p.map_root(1, -n).coeffs == bc_shift_params(b, c, -n)
+                assert p.map_root(-1, n).coeffs == bc_shift_params(-b, c, n)
 
 
 def test_imaginary_tiling_exhaustive_small_bound():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from algseeds.algebraic import same_number
+from algseeds.algebraic import AlgebraicNumber, same_number
 from algseeds.families import (
     InvalidParams,
     RationalRoot,
@@ -99,6 +99,9 @@ def assert_ascending_in_unit_interval(inst):
     for a in values:
         assert a.cmp_rational(Fraction(0)) == 1
         assert a.cmp_rational(Fraction(1)) == -1
+        # built trusted after one irreducibility decision (module docstring);
+        # the validating constructor must accept it
+        assert AlgebraicNumber(a.minpoly, a.lo, a.hi) == a
     for x, y in zip(values, values[1:]):
         assert x.less_than(y)
 

@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from algseeds.algebraic import AlgebraicNumber, PrecisionExhausted, irrational_real_roots
+from algseeds.algebraic import (AlgebraicNumber, PrecisionExhausted, irrational_real_roots,
+                                same_number)
 from algseeds.families import SetSpec, bc_root, build_set
 from algseeds.fields import (
     FieldExpression,
     FieldId,
     _express_cubic,
+    _locate,
+    _real_root_enclosures,
     _same_kernel,
     _split_apart,
     _value_is_beta,
@@ -298,3 +301,35 @@ def test_collision_indices_point_at_the_witnessing_elements():
     assert alpha.minpoly == MonicIntPoly.cubic(3, 3, -1)
     assert beta.minpoly == MonicIntPoly.cubic(3, 3, -3)
     assert col.certificate.base.minpoly == alpha.minpoly
+
+
+@pytest.mark.parametrize("coeffs", [(0, -3, 1), (0, -7, 7), (0, 0, -2)])
+def test_locate_matches_same_number_scan(coeffs):
+    """_locate picks the one enclosure that meets alpha's interval; it must
+    name the enclosure that the exact same_number scan names."""
+    p = MonicIntPoly.cubic(*coeffs)
+    conjugates = irrational_real_roots(p)
+    alphas = [x for a in conjugates for x in (a, a.refine(3), a.refine(40))]
+    if p.sign_at(Fraction(0)) != p.sign_at(Fraction(1)):
+        alphas.append(AlgebraicNumber.real_root(p, 0, 1))  # as build_set holds it
+    for bits in (1, 2, 8, 128):
+        encs = _real_root_enclosures(p, bits)
+        for alpha in alphas:
+            scan = [i for i, (lo, hi) in enumerate(encs)
+                    if same_number(alpha, AlgebraicNumber(p, lo, hi))]
+            assert [_locate(alpha, encs)] == scan
+
+
+def test_locate_falls_back_when_two_enclosures_meet():
+    # x^3 - 7x + 7 has roots near 1.357 and 1.692, with 1-bit enclosures
+    # (1, 3/2) and (3/2, 2).  (5/4, 8/5) isolates the first root and
+    # (7/5, 7/4) the second; each meets both enclosures.
+    p = MonicIntPoly.cubic(0, -7, 7)
+    encs = _real_root_enclosures(p, 1)
+    for (lo, hi), want in (((Fraction(5, 4), Fraction(8, 5)), 1),
+                           ((Fraction(7, 5), Fraction(7, 4)), 2)):
+        alpha = AlgebraicNumber.real_root(p, lo, hi)
+        meets = [i for i, (elo, ehi) in enumerate(encs) if max(elo, lo) < min(ehi, hi)]
+        assert meets == [1, 2]
+        assert _locate(alpha, encs) == want
+        assert same_number(alpha, AlgebraicNumber(p, *encs[want]))

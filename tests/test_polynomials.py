@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from algseeds.polynomials import (
@@ -151,11 +151,14 @@ def test_sign_at_matches_evaluate():
         assert s == (0 if v == 0 else (1 if v > 0 else -1))
 
 
-def test_sign_at_dyadic():
+def test_scaled_value():
     p = MonicIntPoly.quadratic(0, -2)
-    assert p.sign_at_dyadic(3, 1) == 1  # p(3/2) = 1/4
-    assert p.sign_at_dyadic(11, 3) == -1  # p(11/8) < 0
-    assert p.sign_at_dyadic(1, 0) == -1
+    assert p.scaled_value(3, 2) == 1  # 2^2 * p(3/2) = 4 * 1/4
+    assert p.scaled_value(11, 8) == -7  # 8^2 * p(11/8) = 121 - 128
+    assert p.scaled_value(1, 1) == -1
+    q = MonicIntPoly.cubic(-2, 0, -1)
+    for x in (Fraction(5, 3), Fraction(-7, 2), Fraction(9, 4)):
+        assert q.scaled_value(x.numerator, x.denominator) == x.denominator**3 * q.evaluate(x)
 
 
 def test_sturm_counts_real_roots():
@@ -177,6 +180,26 @@ def test_count_roots_between_rejects_root_endpoint():
     p = MonicIntPoly.quadratic(-3, 2)  # roots 1 and 2
     with pytest.raises(ValueError):
         count_roots_between(p, Fraction(1), Fraction(3))
+
+
+def _from_roots(roots: list[int]) -> MonicIntPoly:
+    coeffs = [1]
+    for r in roots:  # multiply by (x - r)
+        coeffs = [a - r * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return MonicIntPoly(tuple(coeffs[1:]))
+
+
+@given(roots=st.lists(st.integers(-12, 12), min_size=2, max_size=3, unique=True),
+       ends=st.lists(st.fractions(-15, 15, max_denominator=40), min_size=2, max_size=2,
+                     unique=True).map(sorted))
+def test_integer_sturm_count_matches_true_count(roots, ends):
+    """The integer chain counts the roots of (x - r1)(x - r2)[(x - r3)] in
+    (lo, hi] exactly, at any rational endpoints that are not roots."""
+    lo, hi = ends
+    assume(lo not in roots and hi not in roots)
+    p = _from_roots(roots)
+    assert sorted(p.integer_roots()) == sorted(roots)
+    assert count_roots_between(p, lo, hi) == sum(lo < r < hi for r in roots)
 
 
 @given(b=COEFF, c=COEFF, d=COEFF)
