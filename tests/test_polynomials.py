@@ -161,6 +161,15 @@ def test_scaled_value():
         assert q.scaled_value(x.numerator, x.denominator) == x.denominator**3 * q.evaluate(x)
 
 
+def test_sign_at_dyadic():
+    # refine evaluates at num/2^k points of its bisection grid
+    p = MonicIntPoly.quadratic(0, -2)
+    for num, k, sign in ((3, 1, 1), (11, 3, -1), (1, 0, -1)):  # p(3/2) = 1/4, p(11/8) < 0
+        v = p.scaled_value(num, 2**k)
+        assert (v > 0) - (v < 0) == sign
+        assert p.sign_at(Fraction(num, 2**k)) == sign
+
+
 def test_sturm_counts_real_roots():
     assert count_real_roots(MonicIntPoly.cubic(0, -3, 1)) == 3
     assert count_real_roots(MonicIntPoly.cubic(0, 0, -2)) == 1
