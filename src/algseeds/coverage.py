@@ -16,7 +16,7 @@ from math import isqrt
 
 from .algebraic import AlgebraicNumber, irrational_real_roots, same_number
 from .families import (SetInstance, SetSpec, bc_root, bc_shift_params, build_set,
-                       quadratic_exception)
+                       iter_elements, quadratic_exception)
 from .fields import FieldExpression, express_in, squarefree_kernel
 from .polynomials import MonicIntPoly, is_perfect_square
 
@@ -507,8 +507,8 @@ def trace_obstruction_demo(c_max: int = 60) -> ObstructionReport:
     checked = 0
     hits = []
     for c in range(2, c_max + 1):
-        inst = build_set(SetSpec("3ntr", (-1, c)))
-        for e in inst.elements:
+        # streamed: no instance is held, so the scan allocates next to nothing
+        for e in iter_elements(SetSpec("3ntr", (-1, c))):
             checked += 1
             assert e.number.minpoly.coeffs[0] == -1  # trace 1
             if express_in(e.number, theta) is not None:

@@ -44,6 +44,7 @@ tests check the two against each other.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -169,18 +170,25 @@ def _unit_interval_root(p: MonicIntPoly) -> AlgebraicNumber:
     return AlgebraicNumber._narrowed(p, zero, one)
 
 
-def build_set(spec: SetSpec) -> SetInstance:
-    """Materialize one instance, elements ascending (2i: by imaginary part)."""
+def iter_elements(spec: SetSpec) -> Iterator[SetElement]:
+    """The elements of one instance, one at a time, in ``build_set`` order:
+    ascending (2i: by imaginary part).  A caller that looks at each element
+    once keeps only that one alive."""
     coeffs = spec.free_coeff_range()
     if spec.family == "2i":
         # imaginary part sqrt(-disc)/2 increases with c; range order is sorted
-        return SetInstance(spec, tuple(
-            SetElement(c, AlgebraicNumber.complex_root(spec.defining_poly(c), upper=True))
-            for c in coeffs))
+        for c in coeffs:
+            yield SetElement(c, AlgebraicNumber.complex_root(spec.defining_poly(c), upper=True))
+        return
     if coeffs.start < 0:
         coeffs = reversed(coeffs)   # c < 0: elements fall as c rises (module docstring)
-    return SetInstance(spec, tuple(
-        SetElement(c, _unit_interval_root(spec.defining_poly(c))) for c in coeffs))
+    for c in coeffs:
+        yield SetElement(c, _unit_interval_root(spec.defining_poly(c)))
+
+
+def build_set(spec: SetSpec) -> SetInstance:
+    """Materialize one instance, elements ascending (2i: by imaginary part)."""
+    return SetInstance(spec, tuple(iter_elements(spec)))
 
 
 # ---------------------------------------------------------------------------

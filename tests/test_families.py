@@ -17,6 +17,7 @@ from algseeds.families import (
     build_set,
     classify_exception,
     half_shift_poly,
+    iter_elements,
     quadratic_exception,
     reducible_free_coeffs,
     reflect_set,
@@ -154,6 +155,16 @@ def test_imaginary_instance_structure():
     assert [e.free_coeff for e in even.elements] == [5, 6, 7, 8]
     for e in even.elements:
         assert e.number.minpoly.coeffs[0] == 0  # even n: x^2 + c
+
+
+@given(spec=st.one_of(REAL_QUAD_N.map(lambda n: SetSpec("2r", (n,))),
+                     IMAG_QUAD_N.map(lambda n: SetSpec("2i", (n,))),
+                     ntr_params().map(lambda mn: SetSpec("3ntr", mn)),
+                     tr_params().map(lambda mn: SetSpec("3tr", mn))))
+def test_iter_elements_streams_build_set(spec):
+    stream = iter_elements(spec)
+    assert not isinstance(stream, (list, tuple))
+    assert tuple(stream) == build_set(spec).elements
 
 
 @given(n=st.integers(min_value=1, max_value=30))
