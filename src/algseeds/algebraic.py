@@ -45,6 +45,16 @@ by construction:
     an interval whose Sturm count is 1 between endpoints that are not
     roots.  rest is squarefree, so its one root there is simple and the
     endpoint signs are opposite.
+
+One capped ladder.  Every comparison that needs finer enclosures runs
+through ``refine_until(decide, bits, max_bits=None)``: it returns the first
+of decide(bits), decide(2 bits), decide(4 bits), ... that is not None
+(False is an answer), and raises ``PrecisionExhausted`` once the precision
+passes max_bits, by default bits + MAX_BITS counted from the start.  On
+valid input no ladder reaches its cap: each compared quantity is irrational
+and is compared against a rational, so the two never tie, and with small
+coefficients and denominators a Liouville bound keeps them far more than
+2^-MAX_BITS apart.
 """
 
 from __future__ import annotations
@@ -53,7 +63,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .dyadic import FracIv, frac_sqrt_interval, iv_mul, iv_sub, iv_width
+from .dyadic import FracIv, frac_sqrt_interval, iv_horner, iv_mul, iv_sub, iv_width
 from .polynomials import (
     MonicIntPoly,
     ZeroDiscriminant,
@@ -61,6 +71,9 @@ from .polynomials import (
     root_bound_pow2,
     sturm_chain,
 )
+
+# bits a ladder may add to its starting precision (module docstring)
+MAX_BITS = 4096
 
 
 class PositiveDiscriminant(ValueError):
@@ -73,6 +86,18 @@ class RationalInput(ValueError):
 
 class PrecisionExhausted(RuntimeError):
     """A refinement ladder hit its bit cap before a comparison was decided."""
+
+
+def refine_until(decide, bits: int, max_bits: int | None = None):
+    """The first answer of decide at bits, 2 bits, 4 bits, ... that is not
+    None, capped at max_bits or bits + MAX_BITS (module docstring)."""
+    cap = bits + MAX_BITS if max_bits is None else max_bits
+    while bits <= cap:
+        answer = decide(bits)
+        if answer is not None:
+            return answer
+        bits *= 2
+    raise PrecisionExhausted(f"no decision within {cap} bits")
 
 
 @dataclass(frozen=True)
@@ -207,15 +232,15 @@ class AlgebraicNumber:
     def less_than(self, other: "AlgebraicNumber") -> bool:
         if same_number(self, other):
             raise ValueError("equal numbers have no strict order")
-        a, b = self, other
-        bits = 8
-        while True:
-            a, b = a.refine(bits), b.refine(bits)
+
+        def decide(bits):
+            a, b = self.refine(bits), other.refine(bits)
             if a.hi <= b.lo:
                 return True
             if b.hi <= a.lo:
                 return False
-            bits *= 2
+            return None
+        return refine_until(decide, 8)
 
     def _narrow_to_unit_cell(self) -> "tuple[int, AlgebraicNumber]":
         # split at integers strictly inside the interval; afterwards the
@@ -264,15 +289,7 @@ class AlgebraicNumber:
     def decimal(self, places: int = 5) -> str:
         if not self.is_real:
             raise RationalInput("decimal rendering is for real numbers")
-        a = self
-        bits = 4 * places + 8
-        while True:
-            a = a.refine(bits)
-            s_lo = round_half_even(a.lo, places)
-            s_hi = round_half_even(a.hi, places)
-            if s_lo == s_hi:
-                return s_lo
-            bits *= 2
+        return refine_until(lambda bits: rounded(self.enclosure(bits), places), 4 * places + 8)
 
     def to_json(self) -> dict:
         out: dict = {"minpoly": self.minpoly.to_json()}
@@ -309,6 +326,12 @@ def round_half_even(x: Fraction, places: int) -> str:
     sign = "-" if q < 0 else ""
     digits = str(abs(q)).rjust(places + 1, "0")
     return f"{sign}{digits[:-places]}.{digits[-places:]}" if places else f"{sign}{digits}"
+
+
+def rounded(iv: FracIv, places: int) -> str | None:
+    """The decimal that every point of iv rounds to, or None if there is none."""
+    s = round_half_even(iv[0], places)
+    return s if s == round_half_even(iv[1], places) else None
 
 
 # ---------------------------------------------------------------------------
@@ -436,11 +459,10 @@ class ComplexEnclosure:
 
 
 def _decimal_of_interval(iv: FracIv, places: int) -> str:
-    s_lo = round_half_even(iv[0], places)
-    s_hi = round_half_even(iv[1], places)
-    if s_lo != s_hi:
+    s = rounded(iv, places)
+    if s is None:
         raise ValueError("interval too wide to round; refine further")
-    return s_lo
+    return s
 
 
 def complex_pair(p: MonicIntPoly, bits: int = 64) -> ComplexEnclosure:
@@ -461,21 +483,20 @@ def complex_pair(p: MonicIntPoly, bits: int = 64) -> ComplexEnclosure:
         im_iv = frac_sqrt_interval((Fraction(4 * qc - qb * qb, 4),) * 2, bits + 2)
         return ComplexEnclosure((re, re), im_iv)
     root = irrational_real_roots(p)[0]
-    work = bits + 8
-    while True:
-        a1 = root.refine(work)
-        iv = a1.interval
-        c = Fraction(p.coeffs[1])
+    c = Fraction(p.coeffs[1])
+    gap = Fraction(1, 1 << bits)
+
+    def decide(work):
+        iv = root.enclosure(work)
         # p = (x - a1)(x^2 + (b + a1)x + (a1^2 + b a1 + c))
         s = iv_mul(((iv[0] + b) / 2, (iv[1] + b) / 2), ((iv[0] + b) / 2, (iv[1] + b) / 2))
         e = iv_sub(iv_mul(iv, (iv[0] + b, iv[1] + b)), (-c, -c))
-        im2 = iv_sub(e, s)
-        im_iv = frac_sqrt_interval(im2, work)
+        im_iv = frac_sqrt_interval(iv_sub(e, s), work)
         re_iv = (Fraction(-b - iv[1], 2), Fraction(-b - iv[0], 2))
-        gap = Fraction(1, 1 << bits)
         if iv_width(im_iv) <= gap and iv_width(re_iv) <= gap:
             return ComplexEnclosure(re_iv, im_iv)
-        work *= 2
+        return None
+    return refine_until(decide, bits + 8)
 
 
 # ---------------------------------------------------------------------------
@@ -496,20 +517,28 @@ class AffineValue:
         return (min(pts), max(pts))
 
     def decimal(self, places: int = 5) -> str:
-        bits = 4 * places + 8
-        while True:
-            iv = self.enclosure(bits)
-            s_lo = round_half_even(iv[0], places)
-            s_hi = round_half_even(iv[1], places)
-            if s_lo == s_hi:
-                return s_lo
-            bits *= 2
+        return refine_until(lambda bits: rounded(self.enclosure(bits), places), 4 * places + 8)
 
     def cmp_rational(self, q: Fraction) -> int:
         if self.scale == 0:
             raise ValueError("degenerate affine value")
         c = self.base.cmp_rational((q - self.offset) / self.scale)
         return c if self.scale > 0 else -c
+
+
+def horner_in(theta: AlgebraicNumber, coeffs, lo, hi, bits: int,
+              max_bits: int | None = None) -> bool:
+    """Whether coeffs[0] + coeffs[1] theta + coeffs[2] theta^2 + ... lies in
+    [lo, hi], for a value known to be neither lo nor hi: theta is refined
+    from bits on until the value's enclosure falls inside or misses."""
+    def decide(bits):
+        v_lo, v_hi = iv_horner(coeffs, theta.enclosure(bits))
+        if lo <= v_lo and v_hi <= hi:
+            return True
+        if v_hi < lo or hi < v_lo:
+            return False
+        return None
+    return refine_until(decide, bits, max_bits)
 
 
 def value_enclosure(v, bits: int) -> FracIv:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebraic import AlgebraicNumber, same_number
+from .algebraic import AlgebraicNumber, refine_until, same_number
 from .families import SetInstance, SetSpec
 
 
@@ -60,17 +60,14 @@ def binary_expansion(a: AlgebraicNumber, length: int) -> BitStream:
     if a.cmp_rational(Fraction(0)) < 0 or a.cmp_rational(Fraction(1)) > 0:
         raise NotInUnitInterval(f"{a.minpoly} root is outside (0,1)")
     scale = 1 << length
-    bits = length + 2
-    while True:
+
+    def cell(bits):
         lo, hi = a.enclosure(bits)
         j_lo = (lo.numerator * scale) // lo.denominator
-        j_hi = (hi.numerator * scale) // hi.denominator
-        if hi.denominator == 1 or (hi.numerator * scale) % hi.denominator == 0:
-            j_hi -= 1  # the number is strictly below an exact cell boundary
-        if j_lo == j_hi:
-            j = j_lo
-            break
-        bits *= 2
+        # the last cell that starts below hi: the number is strictly below hi
+        j_hi = -(-hi.numerator * scale // hi.denominator) - 1
+        return j_lo if j_lo == j_hi else None
+    j = refine_until(cell, length + 2)
     assert 0 <= j < scale
     return BitStream(a, tuple((j >> (length - 1 - i)) & 1 for i in range(length)))
 

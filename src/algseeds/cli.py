@@ -3,14 +3,17 @@
 Every subcommand emits a deterministic report in one of three formats:
 json (canonical), csv, or pipe-separated table text.  Exit status doubles
 as a verdict: 0 means every assertion passed, 1 means violations were
-found (reported, not raised), 2 means the invocation itself was invalid,
-3 means a refinement hit its bit cap before the run was decided.
+found (reported, not raised), 2 means the invocation itself was invalid
+(argparse or one of the package's input errors), 3 means a refinement hit
+its bit cap before the run was decided, and 4 means any other exception, a
+fault in the package, reported as ``internal error: <Type>: <message>``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -29,7 +32,7 @@ from .polynomials import MonicIntPoly
 from .tables import TABLES, table_rows
 from .uniformity import TooFewElements, uniformity_report
 
-EXIT_OK, EXIT_VIOLATION, EXIT_USAGE, EXIT_UNDECIDED = 0, 1, 2, 3
+EXIT_OK, EXIT_VIOLATION, EXIT_USAGE, EXIT_UNDECIDED, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 
 @dataclass(frozen=True)
@@ -262,7 +265,9 @@ def _add_common_flags(p: argparse.ArgumentParser, default_fmt="json"):
                    help="working precision in bits, at least 32")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once: each parse_args call returns a new namespace."""
     ap = argparse.ArgumentParser(
         prog="algseeds",
         description="exact constructions and checks for algebraic-integer seed sets")
@@ -362,18 +367,20 @@ def config_from_args(ns: argparse.Namespace) -> CommandConfig:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    ns = ap.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
         cfg = config_from_args(ns)
         outcome = _HANDLERS[cfg.subcommand](cfg)
     except (InvalidParams, InvalidTarget, NotQuadratic, WrongSignature,
-            TooFewElements, ValueError) as e:
+            TooFewElements) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except PrecisionExhausted as e:
         print(f"undecided: {e}", file=sys.stderr)
         return EXIT_UNDECIDED
+    except Exception as e:  # a fault in the package, not in the invocation
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
     text = _render(outcome, cfg.fmt)
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as f:

@@ -14,9 +14,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .algebraic import AlgebraicNumber, irrational_real_roots, same_number
-from .families import (SetInstance, SetSpec, bc_root, bc_shift_params, build_set,
-                       iter_elements, quadratic_exception)
+from .algebraic import AlgebraicNumber, horner_in, irrational_real_roots, same_number
+from .families import (InvalidParams, SetInstance, SetSpec, bc_root, bc_shift_params,
+                       build_set, iter_elements, quadratic_exception)
 from .fields import FieldExpression, express_in, squarefree_kernel
 from .polynomials import MonicIntPoly, is_perfect_square
 
@@ -127,19 +127,8 @@ def _real_membership_scan(a: AlgebraicNumber, bound: int) -> list[TileIndex]:
             b2, c2 = bc_shift_params(b, c, -n) if eps == 1 else bc_shift_params(-b, c, n)
             if c2 >= 0 or 1 + b2 + c2 <= 0 or b2 < 1:
                 continue  # no set element among the roots of q
-            # q has exactly one root in (0,1); is it eps*(a-n)?
-            img = a
-            inside = None
-            bits = 32
-            while inside is None:
-                lo, hi = img.enclosure(bits)
-                s_lo, s_hi = (eps * (lo - n), eps * (hi - n)) if eps == 1 else (eps * (hi - n), eps * (lo - n))
-                if 0 < s_lo and s_hi < 1:
-                    inside = True
-                elif s_hi < 0 or 1 < s_lo:
-                    inside = False
-                bits *= 2
-            if inside:
+            # q has exactly one root in (0,1); is it eps*(a-n) = -eps*n + eps*a?
+            if horner_in(a, (-eps * n, eps), 0, 1, 32):
                 hits.append(TileIndex(eps, n, "S2r"))
     return hits
 
@@ -354,21 +343,6 @@ def _char_poly_coords(target: MonicIntPoly, a0: int, a1: int, a2: int) -> MonicI
     return MonicIntPoly.cubic(-tr, s2, -det)
 
 
-def _value_in_unit_interval(theta: AlgebraicNumber, coords) -> bool | None:
-    bits = 64
-    while True:
-        lo, hi = theta.enclosure(bits)
-        acc_lo, acc_hi = Fraction(0), Fraction(0)
-        for c in reversed(coords):
-            cands = (acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi)
-            acc_lo, acc_hi = min(cands) + c, max(cands) + c
-        if 0 < acc_lo and acc_hi < 1:
-            return True
-        if acc_hi < 0 or 1 < acc_lo:
-            return False
-        bits *= 2
-
-
 def _family_coeff_ok(family: str, c: int, d: int) -> bool:
     if family == "3ntr":
         return c >= 1 and -c <= d <= -1
@@ -404,8 +378,8 @@ def find_generator(target: MonicIntPoly, family: str, coord_bound: int = 50) -> 
                         continue
                     if not char.is_irreducible():
                         continue
-                    if not _value_in_unit_interval(theta, coords):
-                        continue
+                    if not horner_in(theta, coords, 0, 1, 64):
+                        continue  # the value, a root of char, is irrational
                     spec = SetSpec(family, (0, c))
                     elem = AlgebraicNumber.real_root(char, 0, 1)
                     cert = FieldExpression(theta, tuple(Fraction(x) for x in coords))
@@ -455,9 +429,9 @@ def quad_layer_report(m: int, c_bound: int) -> QuadLayerReport:
     down to -c_bound and audit them against the layer identity: every
     exception lies in I_n^{2,r} for an index n outside EXCLUDED_INDICES[m]."""
     if m not in EXCLUDED_INDICES:
-        raise ValueError("layer identity needs m in {0,-1,-2,-3}")
+        raise InvalidParams("layer identity needs m in {0,-1,-2,-3}")
     if c_bound < 3:
-        raise ValueError("c_bound must be at least 3")
+        raise InvalidParams("c_bound must be at least 3")
     excluded = set(EXCLUDED_INDICES[m])
     exceptions = []
     violations = []

@@ -29,6 +29,15 @@ def iv_width(a: FracIv) -> Fraction:
     return a[1] - a[0]
 
 
+def iv_horner(coeffs, x: FracIv) -> FracIv:
+    """Enclosure of coeffs[0] + coeffs[1] t + coeffs[2] t^2 + ... over t in x."""
+    acc = (Fraction(0), Fraction(0))
+    for c in reversed(coeffs):
+        lo, hi = iv_mul(acc, x)
+        acc = (lo + c, hi + c)
+    return acc
+
+
 def frac_sqrt_interval(x: FracIv, bits: int) -> FracIv:
     """Enclosure of sqrt over a nonnegative Fraction interval, width <= 2**(1-bits)."""
     lo, hi = x

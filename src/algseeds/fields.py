@@ -51,7 +51,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import isqrt
 
-from .algebraic import AlgebraicNumber, PrecisionExhausted, complex_pair, same_number
+from .algebraic import (MAX_BITS, AlgebraicNumber, complex_pair, horner_in, refine_until,
+                        same_number)
 from .dyadic import (fp_add, fp_div, fp_from_fractions, fp_mul, fp_neg, fp_sub,
                      fp_to_fractions)
 from .families import SetInstance
@@ -360,29 +361,11 @@ def _beta_rhs_variants(beta: AlgebraicNumber, bits: int):
     return ((r1, u, v), (r1, u, fp_neg(v)))
 
 
-def _horner_interval(coeffs, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    acc_lo, acc_hi = Fraction(0), Fraction(0)
-    for c in reversed(coeffs):
-        cands = (acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi)
-        acc_lo, acc_hi = min(cands) + c, max(cands) + c
-    return acc_lo, acc_hi
-
-
 def _value_is_beta(expr: FieldExpression, beta: AlgebraicNumber, max_bits: int) -> bool:
     """expr's value is known to be a root of beta's minimal polynomial;
-    decide via interval separation whether it is beta itself."""
-    bits = 64
-    a = expr.base
-    while bits <= max_bits:
-        a = a.refine(bits)
-        lo, hi = _horner_interval(expr.coeffs, a.lo, a.hi)
-        if beta.lo <= lo and hi <= beta.hi:
-            return True
-        if hi < beta.lo or beta.hi < lo:
-            return False
-        bits *= 2
-    raise PrecisionExhausted(
-        f"no separation of {beta.minpoly} from its conjugates within {max_bits} bits")
+    decide via interval separation whether it is beta itself: beta's
+    isolating interval holds no other root."""
+    return horner_in(expr.base, expr.coeffs, beta.lo, beta.hi, 64, max_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +406,10 @@ def _express_cubic(beta: AlgebraicNumber, alpha: AlgebraicNumber,
     f, g = alpha.minpoly, beta.minpoly
     qmax = abs(f.discriminant())
     width_cap = Fraction(1, 2 * qmax * qmax)
-    bits = start_bits
     open_matchings = {0, 1}
-    while bits <= max_bits:
+
+    def decide(bits):
+        """The expression, False once every matching is refuted, or None."""
         rows = _alpha_matrix(alpha, bits)
         rhs_pair = _beta_rhs_variants(beta, bits)
         for m in sorted(open_matchings):
@@ -443,15 +427,12 @@ def _express_cubic(beta: AlgebraicNumber, alpha: AlgebraicNumber,
             if _value_is_beta(expr, beta, max_bits):
                 return expr
             # candidate hits a conjugate of beta instead; sharpen
-        if not open_matchings:
-            return None
-        bits *= 2
-    raise PrecisionExhausted(
-        f"no decision for {beta.minpoly} over {alpha.minpoly} within {max_bits} bits")
+        return None if open_matchings else False
+    return refine_until(decide, start_bits, max_bits) or None
 
 
 def express_in(beta: AlgebraicNumber, alpha: AlgebraicNumber,
-               start_bits: int = 128, max_bits: int = 4096) -> FieldExpression | None:
+               start_bits: int = 128, max_bits: int = MAX_BITS) -> FieldExpression | None:
     """Rational coordinates of beta over the power basis of alpha, or None
     when beta is provably outside Q(alpha)."""
     f, g = alpha.minpoly, beta.minpoly

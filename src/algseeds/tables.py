@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebraic import complex_pair, irrational_real_roots
+from .algebraic import complex_pair, irrational_real_roots, refine_until, rounded
 from .polynomials import MonicIntPoly
 
 
@@ -45,13 +45,11 @@ TABLES = {
 
 
 def _complex_pair_decimals(poly: MonicIntPoly, places: int = 5) -> tuple[str, str]:
-    bits = 64
-    while True:
+    def decide(bits):
         enc = complex_pair(poly, bits)
-        try:
-            return enc.decimal_re(places), enc.decimal_im(places)
-        except ValueError:
-            bits *= 2
+        re, im = rounded(enc.re, places), rounded(enc.im, places)
+        return None if re is None or im is None else (re, im)
+    return refine_until(decide, 64)
 
 
 def table_row(poly: MonicIntPoly, disc_sign: int) -> str:

@@ -16,12 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .algebraic import (AffineValue, AlgebraicNumber, PrecisionExhausted,
-                        round_half_even, value_enclosure)
+from .algebraic import (AffineValue, AlgebraicNumber, refine_until, round_half_even,
+                        value_enclosure)
 from .dyadic import FracIv
 from .families import MonicIntPoly, SetInstance, SetSpec, half_shift_poly
-
-MAX_BITS = 4096
 
 
 class TooFewElements(ValueError):
@@ -152,27 +150,30 @@ def _check_bound(spec: SetSpec, values, bits: int) -> BoundCheck | None:
     if spec.family == "2i" and spec.params[0] % 2 and spec.params[0] >= 3:
         n = spec.params[0]
         bound = Fraction(1, n * (n - 1))
-        while bits <= MAX_BITS:
+
+        def below_bound(bits):
             lo, hi = _max_dev(_gap_enclosures(values, bits), n)
             if hi < bound:
-                return BoundCheck(f"max|gap - 1/{n}| < 1/({n}*{n - 1})", True)
+                return True
             if lo >= bound:
-                return BoundCheck(f"max|gap - 1/{n}| < 1/({n}*{n - 1})", False)
-            bits *= 2
-        raise PrecisionExhausted("gap bound undecided")
+                return False
+            return None
+        return BoundCheck(f"max|gap - 1/{n}| < 1/({n}*{n - 1})",
+                          refine_until(below_bound, bits))
     if spec.family == "3tr" and spec.params[0] == -1:
         c = spec.params[1]
         lower = Fraction(1, Fraction(-c) + Fraction(1, 3))
         upper = Fraction(1, -c - 1)
-        desc = f"every gap in [1/({-c}+1/3), 1/{-c - 1})"
-        while bits <= MAX_BITS:
+
+        def in_window(bits):
             gaps = _gap_enclosures(values, bits)
             if all(g_lo >= lower and g_hi < upper for g_lo, g_hi in gaps):
-                return BoundCheck(desc, True)
+                return True
             if any(g_hi < lower or g_lo >= upper for g_lo, g_hi in gaps):
-                return BoundCheck(desc, False)
-            bits *= 2
-        raise PrecisionExhausted("gap window undecided")
+                return False
+            return None
+        return BoundCheck(f"every gap in [1/({-c}+1/3), 1/{-c - 1})",
+                          refine_until(in_window, bits))
     return None
 
 

@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
+import algseeds.algebraic
 from algseeds.algebraic import PrecisionExhausted
-from algseeds.cli import EXIT_UNDECIDED, main
+from algseeds.cli import EXIT_INTERNAL, EXIT_UNDECIDED, build_parser, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -133,6 +134,49 @@ def test_undecided_run_has_its_own_exit_code(capsys, monkeypatch):
     assert err == "undecided: no decision within 8 bits\n"
 
 
+@pytest.mark.parametrize("argv", (
+    ("uniformity", "--family", "2i", "--n", "5", "--precision", "8192"),
+    ("uniformity", "--family", "3tr", "--m", "-1", "--n", "-8", "--precision", "5000"),
+))
+def test_precision_above_the_cap_is_still_tried(capsys, argv):
+    """The ladder's cap counts from the requested precision, so a start
+    above 4096 bits decides the bound instead of giving up untried."""
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["bound_check"]["satisfied"] is True
+
+
+def test_capped_ladder_exits_undecided(capsys, monkeypatch):
+    monkeypatch.setattr(algseeds.algebraic, "MAX_BITS", -1)
+    code, out, err = run(capsys, "tables", "1")
+    assert code == EXIT_UNDECIDED
+    assert out == ""
+    assert err.startswith("undecided: no decision within ")
+
+
+def test_internal_failure_is_not_a_usage_error(capsys, monkeypatch):
+    def broken(inst):
+        raise ValueError("Sturm endpoints must not be roots")
+    monkeypatch.setattr("algseeds.cli.independence_report", broken)
+    code, out, err = run(capsys, "independence", "--family", "2r", "--n", "4")
+    assert code == EXIT_INTERNAL == 4
+    assert out == ""
+    assert err == "internal error: ValueError: Sturm endpoints must not be roots\n"
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    assert build_parser() is build_parser()
+    argv = ("gen", "--family", "3ntr", "--m", "0", "--n", "6")
+    first = run(capsys, *argv)
+    assert first[0] == 0
+    assert run(capsys, *argv) == first
+    # --m from the call before must not carry over
+    code, _, err = run(capsys, "gen", "--family", "3ntr", "--n", "6")
+    assert code == 2
+    assert "needs --m" in err
+
+
 def test_exception_subcommand(capsys):
     code, out, _ = run(capsys, "exception", "--m", "0", "--n", "-6")
     assert code == 0
@@ -249,6 +293,14 @@ def test_layer_subcommand(capsys):
     lines = out.splitlines()
     assert lines[0] == "c | index | quad_const"
     assert any(line.startswith("-6 | 2 | ") for line in lines)
+
+
+@pytest.mark.parametrize("argv", (("layer", "--m", "5"), ("layer", "--m", "0", "--bound", "2")))
+def test_layer_rejects_bad_parameters(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

@@ -23,7 +23,7 @@ from algseeds.coverage import (
     trace_obstruction_demo,
     verify_tiling,
 )
-from algseeds.families import SetSpec, bc_root, bc_shift_params, build_set
+from algseeds.families import InvalidParams, SetSpec, bc_root, bc_shift_params, build_set
 from algseeds.polynomials import MonicIntPoly, is_perfect_square
 
 SQRT2 = AlgebraicNumber.sqrt_of(2)
@@ -269,9 +269,9 @@ def test_quad_layer_m_minus1_sees_both_goldens():
 
 
 def test_quad_layer_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParams):
         quad_layer_report(1, 20)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParams):
         quad_layer_report(0, 2)
 
 
