@@ -25,8 +25,11 @@ So the cell at level s* is the bisection cell, whatever path led to it.
 
 Validate once.  The public constructors (``AlgebraicNumber(...)``,
 ``real_root``, ``complex_root``, ``sqrt_of``) check everything: the minimal
-polynomial is irreducible and the interval endpoints have opposite signs.
-Numbers derived from a validated one go through the trusted
+polynomial is irreducible, the interval endpoints have opposite signs, and
+the interval holds exactly one root.  A sign change leaves an odd number of
+roots inside, so only a cubic with three real roots (disc > 0) needs the
+one Sturm count that checks this.  Numbers derived from a validated one go
+through the trusted
 ``AlgebraicNumber._narrowed``, which checks nothing, because validity holds
 by construction:
 
@@ -34,17 +37,49 @@ by construction:
     maps applied: ``fractional_part``, ``negated``, ``plus_int``) keeps it
     irreducible.  The image polynomial is p(x - k) or +-p(-x), and the
     endpoints move with the root, so at the new endpoints it takes p's old
-    signs, or all of them flipped: still opposite;
+    signs, or all of them flipped: still opposite, around the image of the
+    one root inside;
   * a split point inside the interval (grid points in ``refine``, integers
     in ``_narrow_to_unit_cell``) is never a root, because an irreducible
     polynomial of degree >= 2 has no rational root.  So its sign is nonzero
     and equals the sign at exactly one endpoint; keeping a cell whose
     endpoints differ keeps the sign change;
+  * a sub-interval of an isolating interval on whose ends p changes sign
+    (every cell ``refine`` keeps) still holds exactly one root;
   * ``irrational_real_roots`` builds each root of ``rest``, the factor of
     p that ``split_integer_roots`` returns only when it is irreducible, on
-    an interval whose Sturm count is 1 between endpoints that are not
-    roots.  rest is squarefree, so its one root there is simple and the
-    endpoint signs are opposite.
+    an interval isolated in closed form (below), with p's signs opposite
+    at its ends.
+
+Isolation in closed form.  The real roots of an irreducible rest of
+degree <= 3 are isolated without bisection, by critical points (Rolle's
+theorem; compare isolation by differentiation, Collins and Loos, SYMSAC
+1976, and by Descartes' rule, Collins and Akritas, same proceedings):
+
+  * a quadratic x^2 + bx + c has its roots (-b -+ sqrt(disc)) / 2, and with
+    s = isqrt(disc), sqrt(disc) lies in (s, s + 1), as in families.bc_root;
+  * a cubic with disc < 0 has one real root, inside (-B, B) for the Cauchy
+    bound B = root_bound_pow2;
+  * a cubic with disc > 0 has three, and p' = 3x^2 + 2bx + c vanishes at
+    x1 < x2, the local maximum and minimum, with p(x1) > 0 > p(x2).  With
+    delta = b^2 - 3c, sqrt(delta) is enclosed at scale 2^k by isqrt, which
+    encloses x1 in [l1, r1] and x2 in [l2, r2].  Once p > 0 at l1 and r1
+    and p < 0 at l2 and r2, the intervals (-B, l1), (r1, l2) and (r2, B)
+    each hold exactly one root, because p is monotone on each and changes
+    sign across it.  The ladder on k ends: p(x1) != 0, since x1 is
+    rational or quadratic and an irreducible cubic has no root of degree
+    <= 2; likewise p(x2) != 0, and p is continuous, so p keeps the signs
+    of p(x1) and p(x2) on small enough enclosures.  It starts at k = 4,
+    since doubling from k = 0 would never leave it.
+
+Equality by one sign test.  Let I be the intersection of the isolating
+intervals of two roots a, b of one p.  Its ends are ends of those
+intervals, so none is a root.  If a = b, the root lies in I, and it is the
+only root in I, because I lies inside a's interval; a simple root, so p
+changes sign across I.  If a != b, a root in I would lie in both
+intervals and so equal both a and b; there is none, and p keeps its sign.
+So ``same_number`` is one sign test on I, and ``fields._locate`` uses it
+when two enclosures meet a number's interval.
 
 One capped ladder.  Every comparison that needs finer enclosures runs
 through ``refine_until(decide, bits, max_bits=None)``: it returns the first
@@ -61,19 +96,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
-from .dyadic import FracIv, frac_sqrt_interval, iv_horner, iv_mul, iv_sub, iv_width
-from .polynomials import (
-    MonicIntPoly,
-    ZeroDiscriminant,
-    count_roots_between,
-    root_bound_pow2,
-    sturm_chain,
-)
+from .dyadic import fp_from_fractions, horner_scaled, isqrt_iv
+from .polynomials import MonicIntPoly, ZeroDiscriminant, count_roots_between, root_bound_pow2
 
 # bits a ladder may add to its starting precision (module docstring)
 MAX_BITS = 4096
+
+FracIv = tuple[Fraction, Fraction]
 
 
 class PositiveDiscriminant(ValueError):
@@ -126,8 +157,14 @@ class AlgebraicNumber:
                 raise ValueError("real numbers need an isolating interval")
             if not self.lo < self.hi:
                 raise ValueError("empty interval")
-            if self.minpoly.sign_at(self.lo) * self.minpoly.sign_at(self.hi) >= 0:
+            p = self.minpoly
+            if p.sign_at(self.lo) * p.sign_at(self.hi) >= 0:
                 raise ValueError("interval endpoints must straddle a sign change")
+            # a sign change leaves an odd root count, so only a polynomial
+            # with three real roots can put more than one inside
+            if (p.degree == 3 and p.discriminant() > 0
+                    and count_roots_between(p, self.lo, self.hi) != 1):
+                raise ValueError("interval must isolate exactly one root")
 
     @classmethod
     def _narrowed(cls, p: MonicIntPoly, lo: Fraction, hi: Fraction) -> "AlgebraicNumber":
@@ -313,9 +350,10 @@ def same_number(a: AlgebraicNumber, b: AlgebraicNumber) -> bool:
     hi = min(a.hi, b.hi)
     if lo >= hi:
         return False
-    # each interval isolates one root, so they share a root iff the
-    # intersection still contains one
-    return count_roots_between(a.minpoly, lo, hi) == 1
+    # one sign test: p changes sign across the intersection exactly when
+    # the two isolated roots are one (module docstring)
+    p = a.minpoly
+    return p.sign_at(lo) != p.sign_at(hi)
 
 
 def round_half_even(x: Fraction, places: int) -> str:
@@ -350,24 +388,35 @@ class IsolationList:
         assert len(self.intervals) + 2 * self.complex_pairs == self.poly.degree
 
 
-def _bisect_isolate(p: MonicIntPoly, chain) -> list[FracIv]:
-    bound = root_bound_pow2(p)
-    total = count_roots_between(p, Fraction(-bound), Fraction(bound), chain)
-    stack = [(Fraction(-bound), Fraction(bound), total)]
-    found: list[FracIv] = []
-    while stack:
-        lo, hi, n = stack.pop()
-        if n == 0:
-            continue
-        if n == 1:
-            found.append((lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        # p has no rational roots here (those were deflated away)
-        left = count_roots_between(p, lo, mid, chain)
-        stack.append((lo, mid, left))
-        stack.append((mid, hi, n - left))
-    return sorted(found)
+def _isolate_irreducible(p: MonicIntPoly) -> list[FracIv]:
+    """Isolating intervals, ascending, of the real roots of an irreducible p,
+    in closed form (module docstring)."""
+    disc = p.discriminant()
+    if p.degree == 2:
+        if disc < 0:
+            return []
+        b, s = p.coeffs[0], isqrt(disc)
+        # sqrt(disc) lies in (s, s + 1), as in families.bc_root
+        return [(Fraction(-b - s - 1, 2), Fraction(-b - s, 2)),
+                (Fraction(-b + s, 2), Fraction(-b + s + 1, 2))]
+    bound = Fraction(root_bound_pow2(p))
+    if disc < 0:
+        return [(-bound, bound)]
+    b, c, _ = p.coeffs
+    delta = b * b - 3 * c  # p' = 3x^2 + 2bx + c vanishes at (-b -+ sqrt(delta)) / 3
+
+    def decide(bits):
+        # sqrt(delta) lies in [s_lo, s_hi] / 2**bits, so the critical points
+        # lie in [l1, r1] and [l2, r2], over the denominator 3 * 2**bits
+        one = 1 << bits
+        s_lo, s_hi = isqrt_iv(delta << 2 * bits, delta << 2 * bits)
+        ends = (-b * one - s_hi, -b * one - s_lo, -b * one + s_lo, -b * one + s_hi)
+        v = [p.scaled_value(e, 3 * one) for e in ends]
+        if v[0] > 0 and v[1] > 0 and v[2] < 0 and v[3] < 0:
+            return [Fraction(e, 3 * one) for e in ends]
+        return None
+    l1, r1, l2, r2 = refine_until(decide, 4)
+    return [(-bound, l1), (r1, l2), (r2, bound)]
 
 
 def isolate_real_roots(p: MonicIntPoly) -> IsolationList:
@@ -375,58 +424,26 @@ def isolate_real_roots(p: MonicIntPoly) -> IsolationList:
     if p.discriminant() == 0:
         raise ZeroDiscriminant(f"{p} has a repeated root")
     int_roots, rest = p.split_integer_roots()
-
     irr: list[FracIv] = []
-    chain = None
-    if rest is not None and rest.discriminant() > 0:
-        chain = sturm_chain(rest)
-        irr = _bisect_isolate(rest, chain)
-        # shrink until no integer root of p sits inside or on an interval
-        fixed = []
-        for lo, hi in irr:
-            while any(Fraction(r) >= lo and Fraction(r) <= hi for r in int_roots):
-                mid = (lo + hi) / 2
-                if rest.sign_at(mid) == rest.sign_at(lo):
-                    lo = mid
-                else:
-                    hi = mid
-            fixed.append((lo, hi))
-        irr = fixed
-    elif rest is not None and rest.degree == 2:
-        pass  # negative discriminant: complex pair, no real roots
-    elif rest is not None:
-        # cubic with no rational roots and disc < 0: single real root
-        chain = sturm_chain(rest)
-        irr = _bisect_isolate(rest, chain)
-
-    pin: list[FracIv] = []
-    # with no integer root, rest is p and its chain is built already
-    p_chain = sturm_chain(p) if int_roots else chain
+    for lo, hi in _isolate_irreducible(rest) if rest is not None else ():
+        # shrink until no integer root of p lies in [lo, hi]
+        while any(lo <= r <= hi for r in int_roots):
+            mid = (lo + hi) / 2
+            if rest.sign_at(mid) == rest.sign_at(lo):
+                lo = mid
+            else:
+                hi = mid
+        irr.append((lo, hi))
+    # other integer roots are at least 1 away, so a radius below 1/2 that
+    # keeps clear of every irrational interval pins r alone
+    pins: list[FracIv] = []
     for r in int_roots:
         h = Fraction(1, 4)
-        while count_roots_between(p, r - h, r + h, p_chain) != 1:
+        while any(max(lo, r - h) < min(hi, r + h) for lo, hi in irr):
             h /= 2
-        pin.append((Fraction(r) - h, Fraction(r) + h))
-
-    intervals = sorted(irr + pin)
-    # enforce pairwise set-disjointness
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(intervals) - 1):
-            (alo, ahi), (blo, bhi) = intervals[i], intervals[i + 1]
-            if ahi > blo:
-                changed = True
-                for j, (lo, hi) in ((i, (alo, ahi)), (i + 1, (blo, bhi))):
-                    mid = (lo + hi) / 2
-                    if count_roots_between(p, lo, mid, p_chain) == 1:
-                        intervals[j] = (lo, mid)
-                    else:
-                        intervals[j] = (mid, hi)
-        intervals.sort()
-
-    n_real = len(intervals)
-    return IsolationList(p, tuple(intervals), (p.degree - n_real) // 2)
+        pins.append((r - h, r + h))
+    n_real = len(irr) + len(pins)
+    return IsolationList(p, tuple(sorted(irr + pins)), (p.degree - n_real) // 2)
 
 
 def irrational_real_roots(p: MonicIntPoly) -> list[AlgebraicNumber]:
@@ -436,8 +453,7 @@ def irrational_real_roots(p: MonicIntPoly) -> list[AlgebraicNumber]:
     _, rest = p.split_integer_roots()
     if rest is None:
         return []
-    iso = isolate_real_roots(rest)
-    return [AlgebraicNumber._narrowed(rest, lo, hi) for lo, hi in iso.intervals]
+    return [AlgebraicNumber._narrowed(rest, lo, hi) for lo, hi in _isolate_irreducible(rest)]
 
 
 # ---------------------------------------------------------------------------
@@ -474,27 +490,30 @@ def complex_pair(p: MonicIntPoly, bits: int = 64) -> ComplexEnclosure:
         raise ZeroDiscriminant(f"{p} has a repeated root")
     if disc > 0:
         raise PositiveDiscriminant(f"{p} is totally real")
-    b = p.coeffs[0]
-    int_roots, rest = p.split_integer_roots()
+    b, c = p.coeffs[0], p.coeffs[1]
+    _, rest = p.split_integer_roots()
     if rest is not None and rest.degree == 2:
-        # exact real root; pair comes from the quadratic factor
+        # exact real root; the pair (-qb +- i sqrt(4 qc - qb^2)) / 2 comes
+        # from the quadratic factor
         qb, qc = rest.coeffs
         re = Fraction(-qb, 2)
-        im_iv = frac_sqrt_interval((Fraction(4 * qc - qb * qb, 4),) * 2, bits + 2)
-        return ComplexEnclosure((re, re), im_iv)
+        sq = (4 * qc - qb * qb) << 2 * (bits + 1)
+        im_lo, im_hi = isqrt_iv(sq, sq)
+        return ComplexEnclosure((re, re), (Fraction(im_lo, 4 << bits), Fraction(im_hi, 4 << bits)))
     root = irrational_real_roots(p)[0]
-    c = Fraction(p.coeffs[1])
-    gap = Fraction(1, 1 << bits)
 
     def decide(work):
-        iv = root.enclosure(work)
-        # p = (x - a1)(x^2 + (b + a1)x + (a1^2 + b a1 + c))
-        s = iv_mul(((iv[0] + b) / 2, (iv[1] + b) / 2), ((iv[0] + b) / 2, (iv[1] + b) / 2))
-        e = iv_sub(iv_mul(iv, (iv[0] + b, iv[1] + b)), (-c, -c))
-        im_iv = frac_sqrt_interval(iv_sub(e, s), work)
-        re_iv = (Fraction(-b - iv[1], 2), Fraction(-b - iv[0], 2))
-        if iv_width(im_iv) <= gap and iv_width(re_iv) <= gap:
-            return ComplexEnclosure(re_iv, im_iv)
+        # p = (x - a1)(x^2 + (b + a1) x + (a1^2 + b a1 + c)), so the pair has
+        # re = -(b + a1) / 2 and (2 im)^2 = 3 a1^2 + 2 b a1 + 4c - b^2; a1 is
+        # rounded outward to scale 2**work, and 2 im taken there by isqrt
+        one = 1 << work
+        lo, hi = fp_from_fractions(*root.enclosure(work), work)
+        q_lo, q_hi = horner_scaled((4 * c - b * b, 2 * b, 3), lo, hi, one)
+        im_lo, im_hi = isqrt_iv(max(q_lo, 0), q_hi)
+        den = 2 * one
+        if max(hi - lo, im_hi - im_lo) <= den >> bits:
+            return ComplexEnclosure((Fraction(-b * one - hi, den), Fraction(-b * one - lo, den)),
+                                    (Fraction(im_lo, den), Fraction(im_hi, den)))
         return None
     return refine_until(decide, bits + 8)
 
@@ -531,11 +550,23 @@ def horner_in(theta: AlgebraicNumber, coeffs, lo, hi, bits: int,
     """Whether coeffs[0] + coeffs[1] theta + coeffs[2] theta^2 + ... lies in
     [lo, hi], for a value known to be neither lo nor hi: theta is refined
     from bits on until the value's enclosure falls inside or misses."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    coeffs = [Fraction(c) for c in coeffs]
+    scale = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+    n = len(ints) - 1
+
     def decide(bits):
-        v_lo, v_hi = iv_horner(coeffs, theta.enclosure(bits))
-        if lo <= v_lo and v_hi <= hi:
+        # the cell of theta as [x_lo, x_hi] / den; the value then lies in
+        # [v_lo, v_hi] / unit, compared with lo and hi by cross-multiplication
+        x_lo, x_hi = theta.enclosure(bits)
+        den = lcm(x_lo.denominator, x_hi.denominator)
+        v_lo, v_hi = horner_scaled(ints, x_lo.numerator * (den // x_lo.denominator),
+                                   x_hi.numerator * (den // x_hi.denominator), den)
+        unit = scale * den**n
+        if lo.numerator * unit <= v_lo * lo.denominator and v_hi * hi.denominator <= hi.numerator * unit:
             return True
-        if v_hi < lo or hi < v_lo:
+        if v_hi * lo.denominator < lo.numerator * unit or hi.numerator * unit < v_lo * hi.denominator:
             return False
         return None
     return refine_until(decide, bits, max_bits)

@@ -19,6 +19,17 @@ Since every number here is an algebraic integer, coordinates over the
 power basis of alpha have denominators dividing the index [O_K : Z[alpha]],
 whose square divides disc(f); B = |disc(f)| is a safe bound.
 
+Both run on integers.  The solve returns fixed-point int intervals
+[lo, hi] / 2^prec.  Reconstruction walks the continued fraction of the
+midpoint (lo + hi) / 2^(prec+1) with int numerator and denominator, and
+tests each convergent h/k by cross-multiplication, lo k <= h 2^prec <= hi k;
+only the value it returns becomes a Fraction.  The solve stops at the
+first coordinate that has no candidate.  The composition check clears the
+denominators of h once: with L their lcm and H = L h, an integer
+polynomial, g(h) = 0 mod f exactly when L^n g(H/L) = sum g_i H^i L^(n-i)
+is, n = deg g.  Horner runs that sum through ``_mulmod``, and since f is
+monic, reducing an integer polynomial mod f keeps it integral.
+
 Most pairs never reach the solver.  If K = Q(alpha) and f is the minimal
 polynomial of the algebraic integer alpha, then
 
@@ -49,12 +60,11 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt
+from math import isqrt, lcm
 
 from .algebraic import (MAX_BITS, AlgebraicNumber, complex_pair, horner_in, refine_until,
                         same_number)
-from .dyadic import (fp_add, fp_div, fp_from_fractions, fp_mul, fp_neg, fp_sub,
-                     fp_to_fractions)
+from .dyadic import fp_add, fp_div, fp_from_fractions, fp_mul, fp_neg, fp_sub
 from .families import SetInstance
 from .polynomials import MonicIntPoly
 
@@ -138,12 +148,13 @@ class FieldExpression:
 
 
 # ---------------------------------------------------------------------------
-# Exact polynomial arithmetic mod f over Fractions.
+# Exact polynomial arithmetic mod a monic f, over Z or over Q: it starts from
+# the int 0, so int inputs give ints and Fraction inputs Fractions.
 
 
-def _mulmod(p: list[Fraction], q: list[Fraction], f_asc: tuple[int, ...]) -> list[Fraction]:
+def _mulmod(p: list, q: list, f_asc: tuple[int, ...]) -> list:
     d = len(f_asc) - 1
-    prod = [Fraction(0)] * (len(p) + len(q) - 1)
+    prod = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a:
             for j, b in enumerate(q):
@@ -155,20 +166,26 @@ def _mulmod(p: list[Fraction], q: list[Fraction], f_asc: tuple[int, ...]) -> lis
                 prod[k - d + j] -= top * f_asc[j]
         prod.pop()
     while len(prod) < d:
-        prod.append(Fraction(0))
+        prod.append(0)
     return prod
 
 
 def _compose_is_zero_mod(g: MonicIntPoly, h: tuple[Fraction, ...], f: MonicIntPoly) -> bool:
-    f_asc = f.ascending()
-    hv = [Fraction(c) for c in h]
+    """g(h(x)) = 0 mod f, on integers (module docstring)."""
+    h = [Fraction(c) for c in h]
+    den = lcm(*(c.denominator for c in h))
+    hv = [c.numerator * (den // c.denominator) for c in h]
     while len(hv) > 1 and hv[-1] == 0:
         hv.pop()
-    acc = [Fraction(0)] * f.degree
+    f_asc = f.ascending()
+    # Horner for den**n g(hv / den) = sum of g_i hv**i den**(n-i)
+    acc = [0] * f.degree
+    scale = 1
     for coeff in reversed(g.ascending()):
         acc = _mulmod(acc, hv, f_asc)
-        acc[0] += coeff
-    return all(c == 0 for c in acc)
+        acc[0] += coeff * scale
+        scale *= den
+    return not any(acc)
 
 
 def trace_and_norm(e: FieldExpression) -> tuple[Fraction, Fraction]:
@@ -181,10 +198,10 @@ def trace_and_norm(e: FieldExpression) -> tuple[Fraction, Fraction]:
         raise ValueError("quadratic base cannot carry a square coefficient")
     h = [Fraction(c) for c in e.coeffs[:d]]
     cols = []
-    cur = _mulmod(h, [Fraction(1)], f_asc)
+    cur = _mulmod(h, [1], f_asc)
     for _ in range(d):
         cols.append(list(cur))
-        cur = _mulmod(cur, [Fraction(0), Fraction(1)], f_asc)
+        cur = _mulmod(cur, [0, 1], f_asc)
     trace = sum(cols[j][j] for j in range(d))
     if d == 2:
         norm = cols[0][0] * cols[1][1] - cols[1][0] * cols[0][1]
@@ -193,21 +210,11 @@ def trace_and_norm(e: FieldExpression) -> tuple[Fraction, Fraction]:
         norm = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
                 - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
                 + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-    return trace, norm
+    return Fraction(trace), Fraction(norm)  # an entry _mulmod never touched is the int 0
 
 
 # ---------------------------------------------------------------------------
 # Rational reconstruction from an enclosure.
-
-
-def _convergents(x: Fraction):
-    n, d = x.numerator, x.denominator
-    h0, k0, h1, k1 = 0, 1, 1, 0
-    while d:
-        a, r = divmod(n, d)
-        h0, k0, h1, k1 = h1, k1, a * h1 + h0, a * k1 + k0
-        n, d = d, r
-        yield Fraction(h1, k1)
 
 
 # Odd primes for the splitting test of express_in (a root count mod 2 is
@@ -237,14 +244,21 @@ def _split_apart(f: MonicIntPoly, g: MonicIntPoly, df: int, dg: int) -> bool:
     return False
 
 
-def _reconstruct(lo: Fraction, hi: Fraction, qmax: int) -> Fraction | None:
-    """The unique rational with denominator <= qmax in [lo, hi], given that
-    hi - lo < 1/(2 qmax^2); None certifies that no such rational exists."""
-    for conv in _convergents((lo + hi) / 2):
-        if conv.denominator > qmax:
+def _reconstruct(lo: int, hi: int, prec: int, qmax: int) -> Fraction | None:
+    """The unique rational with denominator <= qmax in [lo, hi] / 2**prec,
+    given that the width is below 1/(2 qmax^2); None certifies that no such
+    rational exists.  Walks the continued fraction of the midpoint on ints
+    and tests each convergent h/k by cross-multiplication."""
+    n, d = lo + hi, 1 << (prec + 1)
+    h0, k0, h1, k1 = 0, 1, 1, 0
+    while d:
+        a, r = divmod(n, d)
+        h0, k0, h1, k1 = h1, k1, a * h1 + h0, a * k1 + k0
+        n, d = d, r
+        if k1 > qmax:
             return None
-        if lo <= conv <= hi:
-            return conv
+        if lo * k1 <= h1 << prec <= hi * k1:
+            return Fraction(h1, k1)
     return None
 
 
@@ -270,14 +284,14 @@ def _locate(a: AlgebraicNumber, enclosures) -> int:
     every real root of a.minpoly, that holds a."""
     # a lies in its own open interval and in exactly one enclosure, so that
     # enclosure meets a's interval.  When no other one does, it is the
-    # answer with no Sturm count; otherwise the same_number scan decides.
+    # answer with no test; otherwise same_number's one sign test decides
+    # among the enclosures that meet.
     meets = [idx for idx, (lo, hi) in enumerate(enclosures)
              if max(lo, a.lo) < min(hi, a.hi)]
     if len(meets) == 1:
         return meets[0]
-    p = a.minpoly
-    for idx, (lo, hi) in enumerate(enclosures):
-        if same_number(a, AlgebraicNumber(p, lo, hi)):
+    for idx in meets:
+        if same_number(a, AlgebraicNumber._narrowed(a.minpoly, *enclosures[idx])):
             return idx
     raise AssertionError("root not found among its own conjugates")
 
@@ -289,12 +303,9 @@ def _locate(a: AlgebraicNumber, enclosures) -> int:
 # imaginary part).
 
 
-def _fp_iv(lo: Fraction, hi: Fraction, prec: int):
-    return fp_from_fractions(lo, hi, prec)
-
-
 def _solve(a_rows, rhs, prec):
-    """Cramer solve with interval adjugate; None when 0 in det."""
+    """Cramer solve with interval adjugate, as fixed-point int intervals at
+    scale 2**prec; None when 0 in det."""
     m = a_rows
     c00 = fp_sub(fp_mul(m[1][1], m[2][2], prec), fp_mul(m[1][2], m[2][1], prec))
     c01 = fp_neg(fp_sub(fp_mul(m[1][0], m[2][2], prec), fp_mul(m[1][2], m[2][0], prec)))
@@ -314,7 +325,7 @@ def _solve(a_rows, rhs, prec):
     for i in range(3):
         num = fp_add(fp_add(fp_mul(adj[i][0], rhs[0], prec), fp_mul(adj[i][1], rhs[1], prec)),
                      fp_mul(adj[i][2], rhs[2], prec))
-        out.append(fp_to_fractions(fp_div(num, det, prec), prec))
+        out.append(fp_div(num, det, prec))
     return out
 
 
@@ -330,14 +341,14 @@ def _alpha_matrix(alpha: AlgebraicNumber, bits: int):
         ordered = (encs[k],) + tuple(e for i, e in enumerate(encs) if i != k)
         rows = []
         for lo, hi in ordered:
-            x = _fp_iv(lo, hi, prec)
+            x = fp_from_fractions(lo, hi, prec)
             rows.append((one, x, fp_mul(x, x, prec)))
         return tuple(rows)
     a1 = alpha.refine(bits)
-    x = _fp_iv(a1.lo, a1.hi, prec)
+    x = fp_from_fractions(a1.lo, a1.hi, prec)
     re_lo, re_hi, im_lo, im_hi = _complex_enclosure(f, bits)
-    u = _fp_iv(re_lo, re_hi, prec)
-    v = _fp_iv(im_lo, im_hi, prec)
+    u = fp_from_fractions(re_lo, re_hi, prec)
+    v = fp_from_fractions(im_lo, im_hi, prec)
     zero = (0, 0)
     return ((one, x, fp_mul(x, x, prec)),
             (one, u, fp_sub(fp_mul(u, u, prec), fp_mul(v, v, prec))),
@@ -349,15 +360,15 @@ def _beta_rhs_variants(beta: AlgebraicNumber, bits: int):
     g = beta.minpoly
     prec = bits
     b1 = beta.refine(bits)
-    r1 = _fp_iv(b1.lo, b1.hi, prec)
+    r1 = fp_from_fractions(b1.lo, b1.hi, prec)
     if g.discriminant() > 0:
         encs = _real_root_enclosures(g, bits)
         k = _locate(beta, encs)
-        others = [_fp_iv(lo, hi, prec) for i, (lo, hi) in enumerate(encs) if i != k]
+        others = [fp_from_fractions(lo, hi, prec) for i, (lo, hi) in enumerate(encs) if i != k]
         return ((r1, others[0], others[1]), (r1, others[1], others[0]))
     re_lo, re_hi, im_lo, im_hi = _complex_enclosure(g, bits)
-    u = _fp_iv(re_lo, re_hi, prec)
-    v = _fp_iv(im_lo, im_hi, prec)
+    u = fp_from_fractions(re_lo, re_hi, prec)
+    v = fp_from_fractions(im_lo, im_hi, prec)
     return ((r1, u, v), (r1, u, fp_neg(v)))
 
 
@@ -405,7 +416,6 @@ def _express_cubic(beta: AlgebraicNumber, alpha: AlgebraicNumber,
     shortcut in front of it."""
     f, g = alpha.minpoly, beta.minpoly
     qmax = abs(f.discriminant())
-    width_cap = Fraction(1, 2 * qmax * qmax)
     open_matchings = {0, 1}
 
     def decide(bits):
@@ -414,13 +424,19 @@ def _express_cubic(beta: AlgebraicNumber, alpha: AlgebraicNumber,
         rhs_pair = _beta_rhs_variants(beta, bits)
         for m in sorted(open_matchings):
             sol = _solve(rows, rhs_pair[m], bits)
-            if sol is None or any(hi - lo >= width_cap for lo, hi in sol):
+            # each width must be below 1/(2 qmax^2), at scale 2**bits
+            if sol is None or any((hi - lo) * 2 * qmax * qmax >= 1 << bits for lo, hi in sol):
                 continue  # too coarse, keep the matching open
-            cand = tuple(_reconstruct(lo, hi, qmax) for lo, hi in sol)
-            if any(c is None for c in cand):
+            cand = []
+            for lo, hi in sol:
+                c = _reconstruct(lo, hi, bits, qmax)
+                if c is None:
+                    break
+                cand.append(c)
+            if len(cand) < 3:
                 open_matchings.discard(m)  # no admissible rational triple
                 continue
-            expr = FieldExpression(alpha, cand)
+            expr = FieldExpression(alpha, tuple(cand))
             if not expr.verify_root_of(g):
                 open_matchings.discard(m)  # unique candidate refuted exactly
                 continue

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .algebraic import (AffineValue, AlgebraicNumber, refine_until, round_half_even,
+from .algebraic import (AffineValue, AlgebraicNumber, FracIv, refine_until, round_half_even,
                         value_enclosure)
-from .dyadic import FracIv
 from .families import MonicIntPoly, SetInstance, SetSpec, half_shift_poly
 
 

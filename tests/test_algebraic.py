@@ -4,7 +4,7 @@ import decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from algseeds.algebraic import (
@@ -20,7 +20,7 @@ from algseeds.algebraic import (
     same_number,
     value_enclosure,
 )
-from algseeds.polynomials import MonicIntPoly, count_roots_between
+from algseeds.polynomials import MonicIntPoly, count_real_roots, count_roots_between
 
 SQRT2 = AlgebraicNumber.sqrt_of(2)
 PLASTIC = MonicIntPoly.cubic(0, -1, -1)  # one real root near 1.3247
@@ -44,6 +44,23 @@ def test_real_root_requires_isolating_bracket():
     assert a.decimal(5) == "1.41421"
     with pytest.raises(Exception):
         AlgebraicNumber.real_root(p, Fraction(-2), Fraction(2))  # two roots
+
+
+def test_constructor_rejects_interval_holding_three_roots():
+    """(-2, 2) straddles a sign change of x^3 - 3x + 1 but holds all three
+    roots; accepting it made same_number(a, a) False and less_than raise."""
+    p = MonicIntPoly.cubic(0, -3, 1)  # roots near -1.879, 0.347, 1.532
+    with pytest.raises(ValueError, match="exactly one root"):
+        AlgebraicNumber.real_root(p, -2, 2)
+    with pytest.raises(ValueError, match="exactly one root"):
+        AlgebraicNumber(p, Fraction(-2), Fraction(2))
+    left, mid, right = (AlgebraicNumber.real_root(p, lo, hi) for lo, hi in ((-2, 0), (0, 1), (1, 2)))
+    for a in (left, mid, right):
+        assert same_number(a, a)
+    assert left.less_than(mid) and mid.less_than(right)
+    assert not right.less_than(left)
+    with pytest.raises(ValueError, match="no strict order"):
+        left.less_than(left.refine(20))
 
 
 def test_plastic_number_decimal():
@@ -115,6 +132,21 @@ def test_refine_returns_the_bisection_cell(p, index, den, below, above, bits):
     assert ((r.lo - x.lo) / width).denominator == 1
     assert x.cmp_rational(r.lo) == 1 and x.cmp_rational(r.hi) == -1
     assert_revalidates(r)
+
+
+@settings(max_examples=200)
+@given(p=IRREDUCIBLE_REAL, i=st.integers(0, 2), j=st.integers(0, 2),
+       dens=st.tuples(st.sampled_from((1, 2, 3, 5, 64)), st.sampled_from((1, 2, 3, 5, 64))),
+       widen=st.tuples(*[st.integers(0, 20)] * 4), bits=st.tuples(st.integers(0, 40), st.integers(0, 40)))
+def test_same_number_sign_test_matches_sturm_count(p, i, j, dens, widen, bits):
+    """same_number's one sign test across the intersection of two isolating
+    intervals, against a Sturm count of that intersection."""
+    roots = irrational_real_roots(p)
+    a = grid_interval(roots[i % len(roots)], dens[0], widen[0], widen[1]).refine(bits[0])
+    b = grid_interval(roots[j % len(roots)], dens[1], widen[2], widen[3]).refine(bits[1])
+    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+    counted = lo < hi and count_roots_between(p, lo, hi) == 1
+    assert same_number(a, b) == counted == (i % len(roots) == j % len(roots))
 
 
 def test_enclosure_brackets_value():
@@ -241,17 +273,25 @@ CUBIC_COEFF = st.integers(min_value=-15, max_value=15)
 
 
 @given(b=CUBIC_COEFF, c=CUBIC_COEFF, d=CUBIC_COEFF)
+# roots near -0.0128 and 0.0130 flank the critical point near 1/12000, whose
+# first Rolle enclosure [0, 1/48] holds the larger root: p > 0 at 1/48
+@example(b=6000, c=-1, d=-1)
 def test_isolation_intervals_each_contain_one_sign_change(b, c, d):
     p = MonicIntPoly.cubic(b, c, d)
     if p.discriminant() == 0:
         return
     iso = isolate_real_roots(p)
     assert len(iso.intervals) + 2 * iso.complex_pairs == 3
+    assert len(iso.intervals) == count_real_roots(p)
     for lo, hi in iso.intervals:
         assert lo < hi
+        assert count_roots_between(p, lo, hi) == 1
     for (a_lo, a_hi), (b_lo, b_hi) in zip(iso.intervals, iso.intervals[1:]):
         assert a_hi <= b_lo
-    for a in irrational_real_roots(p):
+    irr = irrational_real_roots(p)
+    assert len(irr) == count_real_roots(p) - len(p.integer_roots())
+    for a in irr:
+        assert count_roots_between(a.minpoly, a.lo, a.hi) == 1
         for r in (a, a.refine(40), a.negated(), a.plus_int(-4), a.fractional_part(),
                   a.negated().fractional_part()):
             assert_revalidates(r)
@@ -278,6 +318,31 @@ def test_complex_pair_reducible_cubic_exact_real_part():
     enc = complex_pair(MonicIntPoly.cubic(0, 0, -1))
     assert enc.re[0] == enc.re[1] == Fraction(-1, 2)
     assert enc.decimal_im(5) == "0.86603"
+
+
+def _product_range(x, y):
+    ps = [u * v for u in x for v in y]
+    return min(ps), max(ps)
+
+
+@settings(max_examples=150)
+@given(b=CUBIC_COEFF, c=CUBIC_COEFF, d=CUBIC_COEFF, bits=st.integers(0, 160))
+def test_complex_pair_rectangles_nest_across_precisions(b, c, d, bits):
+    """The rectangles at bits and 2 bits intersect and are each within
+    their width; with the real root a1 they satisfy Vieta's a1 |z|^2 = -d."""
+    p = MonicIntPoly.cubic(b, c, d)
+    assume(p.discriminant() < 0)
+    coarse, fine = complex_pair(p, bits), complex_pair(p, 2 * bits)
+    for enc, k in ((coarse, bits), (fine, 2 * bits)):
+        for lo, hi in (enc.re, enc.im):
+            assert 0 <= hi - lo <= Fraction(1, 2**k)
+        re2, im2 = _product_range(enc.re, enc.re), _product_range(enc.im, enc.im)
+        a1 = irrational_real_roots(p)[0].enclosure(k) if p.is_irreducible() else (
+            (Fraction(p.integer_roots()[0]),) * 2)
+        n_lo, n_hi = _product_range(a1, (re2[0] + im2[0], re2[1] + im2[1]))
+        assert n_lo <= -d <= n_hi
+    for x, y in ((coarse.re, fine.re), (coarse.im, fine.im)):
+        assert max(x[0], y[0]) <= min(x[1], y[1])
 
 
 def test_complex_pair_rejects_totally_real():

@@ -4,18 +4,21 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from algseeds.algebraic import (AlgebraicNumber, PrecisionExhausted, irrational_real_roots,
                                 same_number)
+from algseeds.coverage import _char_poly_coords
 from algseeds.families import SetSpec, bc_root, build_set
 from algseeds.fields import (
     FieldExpression,
     FieldId,
     _express_cubic,
     _locate,
+    _mulmod,
     _real_root_enclosures,
+    _reconstruct,
     _same_kernel,
     _split_apart,
     _value_is_beta,
@@ -239,6 +242,7 @@ def test_trace_and_norm_quadratic():
     sqrt2 = AlgebraicNumber.sqrt_of(2)
     t, n = trace_and_norm(FieldExpression(sqrt2, (Fraction(0), Fraction(1), Fraction(0))))
     assert (t, n) == (0, -2)
+    assert type(t) is type(n) is Fraction
     t, n = trace_and_norm(FieldExpression(sqrt2, (Fraction(2), Fraction(-1), Fraction(0))))
     assert (t, n) == (4, 2)  # 2 - sqrt(2) times its conjugate
     with pytest.raises(ValueError):
@@ -321,11 +325,14 @@ def test_locate_matches_same_number_scan(coeffs):
 
 
 def test_locate_falls_back_when_two_enclosures_meet():
-    # x^3 - 7x + 7 has roots near 1.357 and 1.692, with 1-bit enclosures
-    # (1, 3/2) and (3/2, 2).  (5/4, 8/5) isolates the first root and
-    # (7/5, 7/4) the second; each meets both enclosures.
+    # x^3 - 7x + 7 has roots near -3.049, 1.357 and 1.692, with disjoint
+    # isolating enclosures (-7/2, -3), (1, 3/2) and (3/2, 2).  (5/4, 8/5)
+    # isolates the second root and (7/5, 7/4) the third; each meets both
+    # of their enclosures.
     p = MonicIntPoly.cubic(0, -7, 7)
-    encs = _real_root_enclosures(p, 1)
+    encs = ((Fraction(-7, 2), Fraction(-3)), (Fraction(1), Fraction(3, 2)),
+            (Fraction(3, 2), Fraction(2)))
+    assert [AlgebraicNumber(p, lo, hi).decimal(3) for lo, hi in encs] == ["-3.049", "1.357", "1.692"]
     for (lo, hi), want in (((Fraction(5, 4), Fraction(8, 5)), 1),
                            ((Fraction(7, 5), Fraction(7, 4)), 2)):
         alpha = AlgebraicNumber.real_root(p, lo, hi)
@@ -333,3 +340,72 @@ def test_locate_falls_back_when_two_enclosures_meet():
         assert meets == [1, 2]
         assert _locate(alpha, encs) == want
         assert same_number(alpha, AlgebraicNumber(p, *encs[want]))
+
+
+@given(qmax=st.integers(1, 12), prec=st.integers(10, 40), h=st.integers(-60, 60),
+       k=st.integers(1, 12), shift=st.integers(-3, 3), share=st.fractions(0, 1))
+def test_reconstruct_matches_brute_force(qmax, prec, h, k, shift, share):
+    """_reconstruct on [lo, hi] / 2**prec, narrower than 1/(2 qmax^2), names
+    the one rational with denominator <= qmax there, found by trying every
+    denominator; or None when there is none.  The interval sits near h/k,
+    often around it, sometimes just beside it."""
+    most = ((1 << prec) - 1) // (2 * qmax * qmax)   # widest allowed width
+    width = int(most * share)
+    lo = (h << prec) // k - width // 2 + shift * (width + 1)
+    hi = lo + width
+    found = {Fraction(x, q) for q in range(1, qmax + 1)
+             for x in range((lo * q) >> prec, ((hi * q) >> prec) + 2)
+             if lo * q <= x << prec <= hi * q}
+    assert len(found) <= 1
+    assert _reconstruct(lo, hi, prec, qmax) == (found.pop() if found else None)
+
+
+def _composes_over_q(g: MonicIntPoly, h, f: MonicIntPoly) -> bool:
+    """g(h(x)) = 0 mod f by Horner over the rationals, as the slow reference."""
+    acc = [Fraction(0)] * f.degree
+    for coeff in reversed(g.ascending()):
+        acc = _mulmod(acc, [Fraction(c) for c in h], f.ascending())
+        acc[0] += coeff
+    return all(c == 0 for c in acc)
+
+
+def _certificates():
+    """True certificates from express_in: the collision, cyclic conjugates,
+    and k - alpha over a few cubic and quadratic elements."""
+    pairs = [(CBRT4_SHIFTED, CBRT2_SHIFTED)]
+    r1, r2, r3 = irrational_real_roots(MonicIntPoly.cubic(0, -3, 1))
+    pairs += [(r2, r1), (r3, r1)]
+    for spec in (SetSpec("3ntr", (0, 8)), SetSpec("3tr", (-1, -9)), SetSpec("2r", (9,))):
+        for a in build_set(spec).numbers()[::3]:
+            pairs += [(a.reflected(), a), (a.negated().plus_int(2), a)]
+    return [(b.minpoly, express_in(b, a)) for b, a in pairs]
+
+
+def test_integer_composition_matches_rational_composition():
+    """verify_root_of on integers against Horner over Q, on true
+    certificates and on certificates with one coefficient nudged."""
+    nudges = (Fraction(1), Fraction(-1, 2), Fraction(1, 3), Fraction(2, 7))
+    for g, cert in _certificates():
+        f, h = cert.base.minpoly, cert.coeffs
+        assert cert.verify_root_of(g) and _composes_over_q(g, h, f)
+        for i in range(f.degree):
+            for dx in nudges:
+                bent = h[:i] + (h[i] + dx,) + h[i + 1:]
+                expr = FieldExpression(cert.base, bent)
+                assert expr.verify_root_of(g) == _composes_over_q(g, bent, f)
+
+
+@given(f=st.tuples(*[st.integers(-6, 6)] * 3), g=st.tuples(*[st.integers(-20, 20)] * 3),
+       h=st.tuples(*[st.fractions(-4, 4, max_denominator=9)] * 3),
+       coords=st.tuples(*[st.integers(-3, 3)] * 3))
+def test_integer_composition_matches_rational_composition_at_random(f, g, h, coords):
+    """The same on random cubic bases: a random g and rational h, and the
+    characteristic polynomial of an integer h, which must pass."""
+    base = MonicIntPoly.cubic(*f)
+    assume(base.is_irreducible())
+    alpha = irrational_real_roots(base)[0]
+    g = MonicIntPoly.cubic(*g)
+    assert FieldExpression(alpha, h).verify_root_of(g) == _composes_over_q(g, h, base)
+    char = _char_poly_coords(base, *coords)
+    assert FieldExpression(alpha, coords).verify_root_of(char)
+    assert _composes_over_q(char, coords, base)

@@ -9,7 +9,7 @@ import pytest
 
 import algseeds.algebraic
 from algseeds.algebraic import (AffineValue, AlgebraicNumber, PrecisionExhausted,
-                                complex_pair, refine_until)
+                                complex_pair, irrational_real_roots, refine_until)
 from algseeds.bits import binary_expansion
 from algseeds.coverage import find_generator, verify_tiling
 from algseeds.families import SetSpec, build_set
@@ -80,6 +80,7 @@ LADDER_ENTRY_POINTS = {
     "AlgebraicNumber.decimal": lambda: SQRT2.decimal(5),
     "AffineValue.decimal": lambda: AffineValue(SQRT2, Fraction(1, 2), Fraction(0)).decimal(5),
     "complex_pair": lambda: complex_pair(MonicIntPoly.cubic(0, 0, -2)),
+    "irrational_real_roots (totally real)": lambda: irrational_real_roots(MonicIntPoly.cubic(0, -3, 1)),
     "binary_expansion": lambda: binary_expansion(SQRT2.fractional_part(), 16),
     "uniformity_report 2i(5)": lambda: uniformity_report(build_set(SetSpec("2i", (5,)))),
     "uniformity_report 3tr(-1,-8)": lambda: uniformity_report(build_set(SetSpec("3tr", (-1, -8)))),
