@@ -17,8 +17,10 @@ import functools
 import io
 import json
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .algebraic import AffineValue, AlgebraicNumber, PrecisionExhausted, round_half_even
 from .bits import binary_expansion, bit_stats, complement_check
@@ -27,35 +29,12 @@ from .coverage import (InvalidTarget, NotQuadratic, WrongSignature,
                        find_generator, quad_layer_report, verify_tiling)
 from .families import (FAMILIES, InvalidParams, SetSpec, build_set,
                        classify_exception, quadratic_exception)
-from .fields import independence_report
+from .fields import CUBIC_RANGE_PARAMS, independence_report
 from .polynomials import MonicIntPoly
 from .tables import TABLES, table_rows
 from .uniformity import TooFewElements, uniformity_report
 
 EXIT_OK, EXIT_VIOLATION, EXIT_USAGE, EXIT_UNDECIDED, EXIT_INTERNAL = 0, 1, 2, 3, 4
-
-
-@dataclass(frozen=True)
-class CommandConfig:
-    subcommand: str
-    family: str | None = None
-    params: tuple[int, ...] = ()
-    bound: int = 10
-    coord_bound: int = 50
-    stream_bits: int = 64
-    precision: int = 64
-    fmt: str = "json"
-    out: str | None = None
-    domain: str = "real"
-    table: int = 0
-    targets: tuple[int, ...] = ()
-    coeffs: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.bound < 1 or self.coord_bound < 1 or self.stream_bits < 1:
-            raise InvalidParams("bounds must be positive")
-        if self.precision < 32:
-            raise InvalidParams("precision must be at least 32 bits")
 
 
 @dataclass(frozen=True)
@@ -77,24 +56,40 @@ def _value_str(num: AlgebraicNumber) -> str:
     return f"{re} {'+' if num.half_plane > 0 else '-'} {im} i"
 
 
-def _spec_from(cfg: CommandConfig) -> SetSpec:
-    return SetSpec(cfg.family, cfg.params)
+def _check(ns: argparse.Namespace) -> None:
+    """The input checks argparse cannot express, for every subcommand."""
+    family = getattr(ns, "family", None)
+    if family is not None and "n" in ns:  # the subcommands that name an instance
+        if family in ("3ntr", "3tr") and ns.m is None:
+            raise InvalidParams(f"family {family} needs --m")
+        if family in ("2r", "2i") and ns.m is not None:
+            raise InvalidParams(f"family {family} takes no --m")
+    if any(getattr(ns, key, 1) < 1 for key in
+           ("bound", "coord_bound", "stream_bits", "quad_bound", "cubic_bound")):
+        raise InvalidParams("bounds must be positive")
+    if ns.precision < 32:
+        raise InvalidParams("precision must be at least 32 bits")
 
 
-def _cmd_gen(cfg: CommandConfig) -> Outcome:
-    inst = build_set(_spec_from(cfg))
+def _spec(ns: argparse.Namespace) -> SetSpec:
+    return SetSpec(ns.family, (ns.n,) if ns.m is None else (ns.m, ns.n))
+
+
+def _cmd_gen(ns: argparse.Namespace) -> Outcome:
+    spec = _spec(ns)
+    inst = build_set(spec)
     payload = inst.to_json()
     rows = []
     for i, e in enumerate(inst.elements):
         payload["elements"][i]["value"] = _value_str(e.number)
-        rows.append((cfg.family, " ".join(map(str, cfg.params)), e.free_coeff,
+        rows.append((spec.family, " ".join(map(str, spec.params)), e.free_coeff,
                      str(e.number.minpoly), payload["elements"][i]["value"]))
     return Outcome(payload, ("family", "params", "free_coeff", "minpoly", "value"),
                    tuple(rows), EXIT_OK)
 
 
-def _cmd_uniformity(cfg: CommandConfig) -> Outcome:
-    rep = uniformity_report(build_set(_spec_from(cfg)), bits=cfg.precision)
+def _cmd_uniformity(ns: argparse.Namespace) -> Outcome:
+    rep = uniformity_report(build_set(_spec(ns)), bits=ns.precision)
     payload = rep.to_json()
     ok = rep.bound_check is None or rep.bound_check.satisfied
     row = (rep.n,
@@ -108,8 +103,8 @@ def _cmd_uniformity(cfg: CommandConfig) -> Outcome:
                    (row,), EXIT_OK if ok else EXIT_VIOLATION)
 
 
-def _cmd_independence(cfg: CommandConfig) -> Outcome:
-    rep = independence_report(build_set(_spec_from(cfg)))
+def _cmd_independence(ns: argparse.Namespace) -> Outcome:
+    rep = independence_report(build_set(_spec(ns)))
     payload = rep.to_json()
     rows = [(c.i, c.j, " ".join(str(x) for x in c.certificate.coeffs))
             for c in rep.collisions]
@@ -118,10 +113,8 @@ def _cmd_independence(cfg: CommandConfig) -> Outcome:
                    tuple(rows), code)
 
 
-def _cmd_exception(cfg: CommandConfig) -> Outcome:
-    b, c = cfg.params
-    if b not in (0, -1, -2, -3) or c > -b - 3:
-        raise InvalidParams(f"need b in {{0,-1,-2,-3}} and c <= {-b - 3}")
+def _cmd_exception(ns: argparse.Namespace) -> Outcome:
+    b, c = ns.m, ns.n
     rule = classify_exception(b, c)
     exc = quadratic_exception(b, c)
     payload = {"b": b, "c": c, "case": rule.case, "index": rule.n,
@@ -132,9 +125,9 @@ def _cmd_exception(cfg: CommandConfig) -> Outcome:
                    (row,), EXIT_OK)
 
 
-def _cmd_tables(cfg: CommandConfig) -> Outcome:
-    rows = table_rows(cfg.table)
-    payload = {"table": cfg.table, "rows": rows}
+def _cmd_tables(ns: argparse.Namespace) -> Outcome:
+    rows = table_rows(ns.table)
+    payload = {"table": ns.table, "rows": rows}
     split = tuple(tuple(part.strip() for part in r.split("|")) for r in rows)
     width = max(len(r) for r in split)
     header = ("polynomial",) + tuple(f"root{i}" for i in range(1, width))
@@ -142,8 +135,8 @@ def _cmd_tables(cfg: CommandConfig) -> Outcome:
                    text="\n".join(rows) + "\n")
 
 
-def _cmd_tiling(cfg: CommandConfig) -> Outcome:
-    rep = verify_tiling(cfg.bound, cfg.domain)
+def _cmd_tiling(ns: argparse.Namespace) -> Outcome:
+    rep = verify_tiling(ns.bound, ns.domain)
     payload = rep.to_json()
     row = (rep.domain, rep.bound, rep.checked, len(rep.violations),
            rep.qi_excluded, rep.ok)
@@ -152,8 +145,8 @@ def _cmd_tiling(cfg: CommandConfig) -> Outcome:
                    EXIT_OK if rep.ok else EXIT_VIOLATION)
 
 
-def _cmd_find_index(cfg: CommandConfig) -> Outcome:
-    res = find_common_index(cfg.targets, cfg.domain)
+def _cmd_find_index(ns: argparse.Namespace) -> Outcome:
+    res = find_common_index(ns.targets, ns.domain)
     witnesses = common_index_witnesses(res)
     payload = res.to_json()
     payload["witnesses"] = [w.to_json() for w in witnesses]
@@ -165,9 +158,9 @@ def _cmd_find_index(cfg: CommandConfig) -> Outcome:
                    tuple(rows), EXIT_OK)
 
 
-def _cmd_find_generator(cfg: CommandConfig) -> Outcome:
-    target = MonicIntPoly.cubic(*cfg.coeffs)
-    res = find_generator(target, cfg.family, cfg.coord_bound)
+def _cmd_find_generator(ns: argparse.Namespace) -> Outcome:
+    target = MonicIntPoly.cubic(*ns.coeffs)
+    res = find_generator(target, ns.family, ns.coord_bound)
     payload = res.to_json()
     payload["target"] = str(target)
     if res.found:
@@ -180,57 +173,77 @@ def _cmd_find_generator(cfg: CommandConfig) -> Outcome:
                    rows, EXIT_OK if res.found else EXIT_VIOLATION)
 
 
-def _cmd_bits(cfg: CommandConfig) -> Outcome:
-    spec = _spec_from(cfg)
-    if spec.family == "2i":
-        raise InvalidParams("bit streams need a real family")
+def _cmd_bits(ns: argparse.Namespace) -> Outcome:
+    spec = _spec(ns)
     inst = build_set(spec)
     streams = []
     rows = []
     for e in inst.elements:
-        s = binary_expansion(e.number, cfg.stream_bits)
+        s = binary_expansion(e.number, ns.stream_bits)
         st = bit_stats(s)
         streams.append({"free_coeff": e.free_coeff, "bits": s.as_text(),
                         "hex": s.as_hex(), "stats": st.to_json()})
         rows.append((e.free_coeff, s.as_text(), s.as_hex(),
                      st.ones, st.zeros, st.longest_run, st.runs_count))
-    payload = {"spec": spec.to_json(), "length": cfg.stream_bits,
+    payload = {"spec": spec.to_json(), "length": ns.stream_bits,
                "streams": streams}
     return Outcome(payload, ("free_coeff", "bits", "hex", "ones", "zeros",
                              "longest_run", "runs_count"), tuple(rows), EXIT_OK)
 
 
-def _cmd_complement(cfg: CommandConfig) -> Outcome:
-    rep = complement_check(build_set(_spec_from(cfg)))
+def _cmd_complement(ns: argparse.Namespace) -> Outcome:
+    spec = _spec(ns)
+    rep = complement_check(build_set(spec))
     payload = rep.to_json()
-    row = (cfg.family, " ".join(map(str, cfg.params)), rep.size,
+    row = (spec.family, " ".join(map(str, spec.params)), rep.size,
            len(rep.violations), rep.ok)
     return Outcome(payload, ("family", "params", "size", "violations", "ok"),
                    (row,), EXIT_OK if rep.ok else EXIT_VIOLATION)
 
 
-def _cmd_layer(cfg: CommandConfig) -> Outcome:
-    m, = cfg.params
-    rep = quad_layer_report(m, cfg.bound)
+def _cmd_layer(ns: argparse.Namespace) -> Outcome:
+    rep = quad_layer_report(ns.m, ns.bound)
     payload = rep.to_json()
     rows = tuple((c, n, q) for c, n, q in rep.exceptions)
     return Outcome(payload, ("c", "index", "quad_const"), rows,
                    EXIT_OK if rep.ok else EXIT_VIOLATION)
 
 
-_HANDLERS = {
-    "gen": _cmd_gen,
-    "uniformity": _cmd_uniformity,
-    "independence": _cmd_independence,
-    "exception": _cmd_exception,
-    "tables": _cmd_tables,
-    "tiling": _cmd_tiling,
-    "find-index": _cmd_find_index,
-    "find-generator": _cmd_find_generator,
-    "bits": _cmd_bits,
-    "complement-check": _cmd_complement,
-    "layer": _cmd_layer,
-}
+def _sweep_specs(qb: int, cb: int) -> tuple[tuple[str, Iterable[SetSpec]], ...]:
+    """The instances of the paper's independence claim, by family: |n| <= qb
+    for the quadratic families, |n| <= cb and m in CUBIC_RANGE_PARAMS for
+    the cubic ones, from the smallest admissible n of each m."""
+    return (
+        ("2r", (SetSpec("2r", (n,))
+                for n in chain(range(1, qb + 1), range(-3, -qb - 1, -1)))),
+        ("2i", (SetSpec("2i", (n,)) for n in range(1, qb + 1))),
+        ("3ntr", (SetSpec("3ntr", (m, n)) for m in CUBIC_RANGE_PARAMS
+                  for n in range(1 - m, cb + 1))),
+        ("3tr", (SetSpec("3tr", (m, n)) for m in CUBIC_RANGE_PARAMS
+                 for n in range(-m - 3, -cb - 1, -1))),
+    )
+
+
+def _cmd_sweep(ns: argparse.Namespace) -> Outcome:
+    families = []
+    for family, specs in _sweep_specs(ns.quad_bound, ns.cubic_bound):
+        instances = pairs = 0
+        collisions = []
+        for spec in specs:
+            rep = independence_report(build_set(spec))
+            instances += 1
+            pairs += rep.pairs_checked
+            collisions += [{"spec": spec.to_json(), **c.to_json()}
+                           for c in rep.collisions]
+        families.append({"family": family, "instances": instances,
+                         "pairs_checked": pairs, "collisions": collisions})
+    independent = not any(f["collisions"] for f in families)
+    payload = {"quad_bound": ns.quad_bound, "cubic_bound": ns.cubic_bound,
+               "families": families, "independent": independent}
+    rows = tuple((f["family"], f["instances"], f["pairs_checked"],
+                  len(f["collisions"])) for f in families)
+    return Outcome(payload, ("family", "instances", "pairs_checked", "collisions"),
+                   rows, EXIT_OK if independent else EXIT_VIOLATION)
 
 
 def _render(outcome: Outcome, fmt: str) -> str:
@@ -274,39 +287,47 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("gen", help="construct a set instance")
+    p.set_defaults(handler=_cmd_gen)
     _add_family_flags(p)
     _add_common_flags(p)
 
     p = sub.add_parser("uniformity", help="gap statistics, discrepancy, half split")
+    p.set_defaults(handler=_cmd_uniformity)
     _add_family_flags(p)
     _add_common_flags(p)
 
     p = sub.add_parser("independence", help="pairwise field-membership audit")
+    p.set_defaults(handler=_cmd_independence)
     _add_family_flags(p)
     _add_common_flags(p)
 
     p = sub.add_parser("exception", help="quadratic-exception classification")
+    p.set_defaults(handler=_cmd_exception)
     p.add_argument("--m", type=int, required=True, help="layer parameter b")
     p.add_argument("--n", type=int, required=True, help="instance parameter c")
     _add_common_flags(p)
 
     p = sub.add_parser("tables", help="reference root tables")
+    p.set_defaults(handler=_cmd_tables)
     p.add_argument("table", type=int, choices=sorted(TABLES))
     _add_common_flags(p, default_fmt="table")
 
     p = sub.add_parser("tiling", help="verify the quadratic tiling up to a bound")
+    p.set_defaults(handler=_cmd_tiling)
     p.add_argument("--bound", type=int, default=10)
     p.add_argument("--domain", default="real",
                    choices=("real", "imaginary", "imaginary-except-qi"))
     _add_common_flags(p)
 
     p = sub.add_parser("find-index", help="least common instance index")
+    p.set_defaults(handler=_cmd_find_index)
     p.add_argument("targets", type=int, nargs="+",
                    help="square-free integers >= 2 naming quadratic fields")
     p.add_argument("--domain", default="real", choices=("real", "imaginary"))
     _add_common_flags(p)
 
     p = sub.add_parser("find-generator", help="search a family for a field generator")
+    p.set_defaults(handler=_cmd_find_generator)
     p.add_argument("coeffs", type=int, nargs=3, metavar="C",
                    help="cubic coefficients below the leading 1")
     p.add_argument("--family", required=True, choices=("3ntr", "3tr"))
@@ -314,63 +335,40 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
 
     p = sub.add_parser("bits", help="binary expansions of instance elements")
+    p.set_defaults(handler=_cmd_bits)
     _add_family_flags(p, families=("2r", "3ntr", "3tr"))
     p.add_argument("--bits", type=int, default=64, dest="stream_bits",
                    help="stream length")
     _add_common_flags(p)
 
     p = sub.add_parser("complement-check", help="alpha in the set excludes 1-alpha")
+    p.set_defaults(handler=_cmd_complement)
     _add_family_flags(p, families=("2r", "3ntr", "3tr"))
     _add_common_flags(p)
 
     p = sub.add_parser("layer", help="quadratic layer audit of a 3tr union")
+    p.set_defaults(handler=_cmd_layer)
     p.add_argument("--m", type=int, required=True, help="layer parameter")
     p.add_argument("--bound", type=int, default=30,
                    help="scan instance parameters down to -bound")
     _add_common_flags(p)
 
+    p = sub.add_parser("sweep", help="independence audit over the paper's parameter range")
+    p.set_defaults(handler=_cmd_sweep)
+    p.add_argument("--quad-bound", type=int, default=200, dest="quad_bound",
+                   help="largest |n| for the quadratic families")
+    p.add_argument("--cubic-bound", type=int, default=60, dest="cubic_bound",
+                   help="largest |n| for the cubic families, m in {0,-1,-2,-3}")
+    _add_common_flags(p)
+
     return ap
-
-
-def config_from_args(ns: argparse.Namespace) -> CommandConfig:
-    params: tuple[int, ...] = ()
-    family = getattr(ns, "family", None)
-    if ns.subcommand in ("gen", "uniformity", "independence", "bits",
-                         "complement-check"):
-        if family in ("3ntr", "3tr"):
-            if ns.m is None:
-                raise InvalidParams(f"family {family} needs --m")
-            params = (ns.m, ns.n)
-        else:
-            if ns.m is not None:
-                raise InvalidParams(f"family {family} takes no --m")
-            params = (ns.n,)
-    elif ns.subcommand == "exception":
-        params = (ns.m, ns.n)
-    elif ns.subcommand == "layer":
-        params = (ns.m,)
-    return CommandConfig(
-        subcommand=ns.subcommand,
-        family=family,
-        params=params,
-        bound=getattr(ns, "bound", 10),
-        coord_bound=getattr(ns, "coord_bound", 50),
-        stream_bits=getattr(ns, "stream_bits", 64),
-        precision=ns.precision,
-        fmt=ns.fmt,
-        out=ns.out,
-        domain=getattr(ns, "domain", "real"),
-        table=getattr(ns, "table", 0),
-        targets=tuple(getattr(ns, "targets", ())),
-        coeffs=tuple(getattr(ns, "coeffs", ())),
-    )
 
 
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(ns)
-        outcome = _HANDLERS[cfg.subcommand](cfg)
+        _check(ns)
+        outcome = ns.handler(ns)
     except (InvalidParams, InvalidTarget, NotQuadratic, WrongSignature,
             TooFewElements) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -381,12 +379,16 @@ def main(argv=None) -> int:
     except Exception as e:  # a fault in the package, not in the invocation
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL
-    text = _render(outcome, cfg.fmt)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as f:
-            f.write(text)
-    else:
+    text = _render(outcome, ns.fmt)
+    if not ns.out:
         sys.stdout.write(text)
+        return outcome.code
+    try:
+        with open(ns.out, "w", encoding="utf-8") as f:
+            f.write(text)
+    except OSError as e:
+        print(f"error: cannot write {ns.out}: {e.strerror}", file=sys.stderr)
+        return EXIT_USAGE
     return outcome.code
 
 

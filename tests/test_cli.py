@@ -1,6 +1,8 @@
 """End-to-end tests of the command line front end."""
 
+import argparse
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,8 @@ import pytest
 import algseeds.algebraic
 from algseeds.algebraic import PrecisionExhausted
 from algseeds.cli import EXIT_INTERNAL, EXIT_UNDECIDED, build_parser, main
+from algseeds.families import InvalidParams, SetSpec, build_set
+from algseeds.fields import independence_report
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -311,3 +315,89 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert out == ""
     payload = json.loads(target.read_text(encoding="utf-8"))
     assert payload["cardinality"] == 1
+
+
+def test_out_to_a_missing_directory_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "r.json"
+    code, out, err = run(capsys, "gen", "--family", "2r", "--n", "1",
+                         "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("number", (1, 2, 3, 4))
+def test_tables_out_writes_the_golden_bytes(capsys, tmp_path, number):
+    target = tmp_path / f"table{number}.txt"
+    code, out, _ = run(capsys, "tables", str(number), "--out", str(target))
+    assert code == 0
+    assert out == ""
+    assert target.read_bytes() == (GOLDEN_DIR / f"table{number}.txt").read_bytes()
+
+
+def _valid_specs(family, params):
+    for p in params:
+        try:
+            yield SetSpec(family, p)
+        except InvalidParams:
+            pass
+
+
+def test_sweep_counts_every_pair_of_the_parameter_range(capsys):
+    qb, cb = 12, 10
+    quad = [(n,) for n in range(-qb, qb + 1)]
+    cubic = [(m, n) for m in (0, -1, -2, -3) for n in range(-cb, cb + 1)]
+    want = {f: list(_valid_specs(f, quad if f in ("2r", "2i") else cubic))
+            for f in ("2r", "2i", "3ntr", "3tr")}
+    code, out, err = run(capsys, "sweep", "--quad-bound", str(qb),
+                         "--cubic-bound", str(cb))
+    assert code == 0
+    assert err == ""
+    payload = json.loads(out)
+    assert payload["independent"] is True
+    assert [f["family"] for f in payload["families"]] == list(want)
+    for fam in payload["families"]:
+        specs = want[fam["family"]]
+        assert fam["instances"] == len(specs)
+        assert fam["pairs_checked"] == sum(
+            s.cardinality() * (s.cardinality() - 1) // 2 for s in specs)
+        assert fam["collisions"] == []
+
+
+def test_sweep_output_is_byte_identical_across_runs(capsys):
+    argv = ("sweep", "--quad-bound", "15", "--cubic-bound", "12", "--format", "json")
+    first = run(capsys, *argv)
+    assert first[0] == 0
+    assert run(capsys, *argv) == first
+
+
+@pytest.mark.parametrize("flag", ("--quad-bound", "--cubic-bound"))
+def test_sweep_rejects_a_zero_bound(capsys, flag):
+    code, out, err = run(capsys, "sweep", flag, "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: bounds must be positive\n"
+
+
+def test_sweep_reports_a_collision_and_exits_one(capsys, monkeypatch):
+    known = independence_report(build_set(SetSpec("3ntr", (3, 3))))
+    monkeypatch.setattr("algseeds.cli.independence_report", lambda inst: known)
+    code, out, err = run(capsys, "sweep", "--quad-bound", "2", "--cubic-bound", "2")
+    assert code == 1
+    assert err == ""
+    payload = json.loads(out)
+    assert payload["independent"] is False
+    first = payload["families"][0]["collisions"][0]
+    assert first["spec"] == {"family": "2r", "params": [1]}
+    assert (first["i"], first["j"]) == (known.collisions[0].i, known.collisions[0].j)
+    assert first["certificate"] == known.collisions[0].certificate.to_json()
+
+
+def test_readme_cli_block_lists_every_subcommand():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    cli_section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    documented = re.findall(r"^algseeds (\S+)", cli_section, flags=re.MULTILINE)
+    subparsers, = (a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    assert sorted(documented) == sorted(subparsers.choices)
