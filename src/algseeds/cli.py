@@ -17,10 +17,8 @@ import functools
 import io
 import json
 import sys
-from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 from .algebraic import AffineValue, AlgebraicNumber, PrecisionExhausted, round_half_even
 from .bits import binary_expansion, bit_stats, complement_check
@@ -57,21 +55,20 @@ def _value_str(num: AlgebraicNumber) -> str:
 
 
 def _check(ns: argparse.Namespace) -> None:
-    """The input checks argparse cannot express, for every subcommand."""
-    family = getattr(ns, "family", None)
-    if family is not None and "n" in ns:  # the subcommands that name an instance
-        if family in ("3ntr", "3tr") and ns.m is None:
-            raise InvalidParams(f"family {family} needs --m")
-        if family in ("2r", "2i") and ns.m is not None:
-            raise InvalidParams(f"family {family} takes no --m")
+    """The bound and precision checks argparse cannot express."""
     if any(getattr(ns, key, 1) < 1 for key in
            ("bound", "coord_bound", "stream_bits", "quad_bound", "cubic_bound")):
         raise InvalidParams("bounds must be positive")
-    if ns.precision < 32:
+    if getattr(ns, "precision", 64) < 32:
         raise InvalidParams("precision must be at least 32 bits")
 
 
 def _spec(ns: argparse.Namespace) -> SetSpec:
+    """The instance named by --family, --m and --n; --m only for cubics."""
+    if ns.family in ("3ntr", "3tr") and ns.m is None:
+        raise InvalidParams(f"family {ns.family} needs --m")
+    if ns.family in ("2r", "2i") and ns.m is not None:
+        raise InvalidParams(f"family {ns.family} takes no --m")
     return SetSpec(ns.family, (ns.n,) if ns.m is None else (ns.m, ns.n))
 
 
@@ -209,24 +206,22 @@ def _cmd_layer(ns: argparse.Namespace) -> Outcome:
                    EXIT_OK if rep.ok else EXIT_VIOLATION)
 
 
-def _sweep_specs(qb: int, cb: int) -> tuple[tuple[str, Iterable[SetSpec]], ...]:
-    """The instances of the paper's independence claim, by family: |n| <= qb
-    for the quadratic families, |n| <= cb and m in CUBIC_RANGE_PARAMS for
-    the cubic ones, from the smallest admissible n of each m."""
-    return (
+def _cmd_sweep(ns: argparse.Namespace) -> Outcome:
+    """The instances of the paper's independence claim, by family: |n| <=
+    quad_bound for the quadratic families, |n| <= cubic_bound and m in
+    CUBIC_RANGE_PARAMS for the cubic ones, from each m's smallest admissible n."""
+    qb, cb = ns.quad_bound, ns.cubic_bound
+    sweep = (
         ("2r", (SetSpec("2r", (n,))
-                for n in chain(range(1, qb + 1), range(-3, -qb - 1, -1)))),
+                for n in [*range(1, qb + 1), *range(-3, -qb - 1, -1)])),
         ("2i", (SetSpec("2i", (n,)) for n in range(1, qb + 1))),
         ("3ntr", (SetSpec("3ntr", (m, n)) for m in CUBIC_RANGE_PARAMS
                   for n in range(1 - m, cb + 1))),
         ("3tr", (SetSpec("3tr", (m, n)) for m in CUBIC_RANGE_PARAMS
                  for n in range(-m - 3, -cb - 1, -1))),
     )
-
-
-def _cmd_sweep(ns: argparse.Namespace) -> Outcome:
     families = []
-    for family, specs in _sweep_specs(ns.quad_bound, ns.cubic_bound):
+    for family, specs in sweep:
         instances = pairs = 0
         collisions = []
         for spec in specs:
@@ -238,7 +233,7 @@ def _cmd_sweep(ns: argparse.Namespace) -> Outcome:
         families.append({"family": family, "instances": instances,
                          "pairs_checked": pairs, "collisions": collisions})
     independent = not any(f["collisions"] for f in families)
-    payload = {"quad_bound": ns.quad_bound, "cubic_bound": ns.cubic_bound,
+    payload = {"quad_bound": qb, "cubic_bound": cb,
                "families": families, "independent": independent}
     rows = tuple((f["family"], f["instances"], f["pairs_checked"],
                   len(f["collisions"])) for f in families)
@@ -274,8 +269,6 @@ def _add_common_flags(p: argparse.ArgumentParser, default_fmt="json"):
     p.add_argument("--format", choices=("json", "csv", "table"),
                    default=default_fmt, dest="fmt")
     p.add_argument("--out", default=None, help="write the report to this path")
-    p.add_argument("--precision", type=int, default=64,
-                   help="working precision in bits, at least 32")
 
 
 @functools.cache
@@ -294,6 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("uniformity", help="gap statistics, discrepancy, half split")
     p.set_defaults(handler=_cmd_uniformity)
     _add_family_flags(p)
+    p.add_argument("--precision", type=int, default=64,
+                   help="working precision in bits, at least 32")
     _add_common_flags(p)
 
     p = sub.add_parser("independence", help="pairwise field-membership audit")

@@ -92,6 +92,29 @@ def test_uniformity_precision_flag_validation(capsys):
     assert "precision" in err
 
 
+@pytest.mark.parametrize("subcommand", ("gen", "independence", "bits",
+                                        "complement-check", "tables", "sweep"))
+def test_precision_is_a_uniformity_option(capsys, subcommand):
+    """Only uniformity reads --precision, so no other subcommand takes it."""
+    args = ["1"] if subcommand == "tables" else (
+        [] if subcommand == "sweep" else ["--family", "2r", "--n", "2"])
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, *args, "--precision", "64"])
+    assert exc.value.code == 2
+    assert "--precision" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ("gen", "uniformity", "independence",
+                                        "bits", "complement-check"))
+def test_m_is_required_or_refused_by_family(capsys, subcommand):
+    code, out, err = run(capsys, subcommand, "--family", "3tr", "--n", "-8")
+    assert (code, out) == (2, "")
+    assert err == "error: family 3tr needs --m\n"
+    code, out, err = run(capsys, subcommand, "--family", "2r", "--m", "0", "--n", "4")
+    assert (code, out) == (2, "")
+    assert err == "error: family 2r takes no --m\n"
+
+
 def test_independence_collision_exit_code(capsys):
     code, out, _ = run(capsys, "independence", "--family", "3ntr",
                        "--m", "3", "--n", "3")
