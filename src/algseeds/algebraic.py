@@ -23,6 +23,20 @@ isolating interval, so it holds the number; at each level exactly one
 cell does, because the number is irrational and no grid point is a root.
 So the cell at level s* is the bisection cell, whatever path led to it.
 
+Refine from the finest cell known.  After each refinement a number keeps
+two ints, (level, j): the deepest level it has reached and the index of
+its cell there.  The level-s cell holding the number contains the
+level-s' cell holding it for every s' > s, and cell j at level s' lies
+inside cell j >> (s' - s) at level s.  So a request with s* <= level is
+answered by that shift, with no evaluation of p, and a deeper request
+continues quadratic interval refinement from the stored cell, which holds
+the number and lies on the grid; by the argument above it ends on the same
+cell as a refinement from (lo, hi).  The pair is stored in the instance's
+__dict__ and is not a dataclass field: it says nothing about which number
+is meant, so ``==``, ``hash``, ``repr`` and ``to_json`` ignore it, and a
+number refined to any depth stays equal to an unrefined copy and finds the
+same entries in the ``lru_cache`` tables of ``fields``.
+
 Validate once.  The public constructors (``AlgebraicNumber(...)``,
 ``real_root``, ``complex_root``, ``sqrt_of``) check everything: the minimal
 polynomial is irreducible, the interval endpoints have opposite signs, and
@@ -210,21 +224,30 @@ class AlgebraicNumber:
         if not self.is_real:
             raise RationalInput("only real numbers have refinable intervals")
         lo, hi = self.lo, self.hi
-        # the current cell is [left, left + w] / den, first (lo, hi) = (a/D, b/D);
-        # den doubles with each level and w stays
-        den = lo.denominator * hi.denominator // gcd(lo.denominator, hi.denominator)
-        left = lo.numerator * (den // lo.denominator)
-        w = hi.numerator * (den // hi.denominator) - left
+        # (lo, hi) = (a/D, (a + w)/D); the level-s cell j is
+        # [(a 2**s + j w), (a 2**s + (j+1) w)] / (D 2**s)
+        base = lo.denominator * hi.denominator // gcd(lo.denominator, hi.denominator)
+        a = lo.numerator * (base // lo.denominator)
+        w = hi.numerator * (base // hi.denominator) - a
         # last = s*, the first level with w / (D 2**s) <= 2**-bits
         goal = w << max(bits, 0)
-        last = max(0, goal.bit_length() - den.bit_length())
-        while den << last < goal:
+        last = max(0, goal.bit_length() - base.bit_length())
+        while base << last < goal:
             last += 1
         if last == 0:
             return self
         p = self.minpoly
+        # start from the finest cell known (module docstring); an ancestor of
+        # it is read off its index
+        level, j = self.__dict__.get("_cell", (0, 0))
+        if last <= level:
+            left, den = (a << last) + (j >> (level - last)) * w, base << last
+            return AlgebraicNumber._narrowed(p, Fraction(left, den), Fraction(left + w, den))
+        # the current cell is [left, left + w] / den; den doubles with each
+        # level and w stays
+        left, den = (a << level) + j * w, base << level
         v_left, v_right = p.scaled_value(left, den), p.scaled_value(left + w, den)
-        level, t = 0, 2
+        t = 2
         while level < last:
             step = min(t, last - level)
             if step > 1:
@@ -248,6 +271,7 @@ class AlgebraicNumber:
             else:
                 v_right = v_mid
             level += 1
+        self.__dict__["_cell"] = (last, (left - (a << last)) // w)
         return AlgebraicNumber._narrowed(p, Fraction(left, den), Fraction(left + w, den))
 
     def enclosure(self, bits: int) -> FracIv:

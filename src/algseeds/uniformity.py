@@ -114,9 +114,13 @@ def discrepancy(values, bits: int = 64) -> FracIv:
 def half_split(s: SetInstance) -> tuple[int, int]:
     """Exact (below 1/2, above 1/2) counts; elements are irrational, so no
     value can sit on the boundary."""
+    return _half_counts(instance_values(s))
+
+
+def _half_counts(values) -> tuple[int, int]:
     half = Fraction(1, 2)
-    below = sum(1 for v in instance_values(s) if v.cmp_rational(half) < 0)
-    return below, len(s.elements) - below
+    below = sum(1 for v in values if v.cmp_rational(half) < 0)
+    return below, len(values) - below
 
 
 def _gap_enclosures(values, bits: int) -> tuple[FracIv, ...]:
@@ -193,7 +197,7 @@ def uniformity_report(s: SetInstance, bits: int = 64) -> UniformityReport:
     values = instance_values(s)
     n = len(values)
     disc = discrepancy(values, bits)
-    halves = half_split(s)
+    halves = _half_counts(values)
     if n < 2:
         return UniformityReport(n, (), None, None, disc, halves, None)
     gaps = _gap_enclosures(values, bits)

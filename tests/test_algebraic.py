@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from algseeds import fields
 from algseeds.algebraic import (
     AffineValue,
     AlgebraicNumber,
@@ -132,6 +133,47 @@ def test_refine_returns_the_bisection_cell(p, index, den, below, above, bits):
     assert ((r.lo - x.lo) / width).denominator == 1
     assert x.cmp_rational(r.lo) == 1 and x.cmp_rational(r.hi) == -1
     assert_revalidates(r)
+
+
+@settings(max_examples=150)
+@given(p=IRREDUCIBLE_REAL, index=st.integers(0, 2), den=st.sampled_from((1, 3, 64)),
+       below=st.integers(0, 20), above=st.integers(0, 20),
+       calls=st.lists(st.tuples(st.integers(-1, 300), st.booleans()), min_size=1, max_size=8))
+@example(p=PLASTIC, index=0, den=1, below=2, above=2,
+         calls=[(b, False) for b in (0, 1, 2, 3, 7, 16, 33, 64, 128, 300)])   # ascending
+@example(p=PLASTIC, index=0, den=1, below=2, above=2,
+         calls=[(b, False) for b in (300, 128, 64, 33, 16, 7, 3, 2, 1, 0)])   # descending
+@example(p=MonicIntPoly.cubic(0, -7, 7), index=2, den=3, below=5, above=9,
+         calls=[(40, False), (40, False), (9, False), (90, True), (20, False), (200, False)])
+def test_refine_from_the_finest_known_cell_matches_a_fresh_refine(p, index, den, below, above, calls):
+    """Any sequence of refine(bits) calls on one number (ascending, descending,
+    repeated, or moving on to the cell a call returned when the flag is set)
+    returns at every step the cell that refine(bits) returns on a copy that
+    has never been refined."""
+    roots = irrational_real_roots(p)
+    x = grid_interval(roots[index % len(roots)], den, below, above)
+    for bits, descend in calls:
+        r = x.refine(bits)
+        assert r == AlgebraicNumber._narrowed(x.minpoly, x.lo, x.hi).refine(bits)
+        assert_revalidates(r)
+        if descend:
+            x = r
+
+
+def test_refinement_history_is_outside_equality_and_hash():
+    """A number refined to 300 bits equals, hashes and prints like an
+    unrefined copy, so the fields caches keyed on numbers still hit."""
+    p = MonicIntPoly.cubic(0, -7, 7)  # three real roots, so _alpha_matrix locates alpha
+    plain = irrational_real_roots(p)[1]
+    refined = irrational_real_roots(p)[1]
+    refined.refine(300)
+    assert vars(refined) != vars(plain)  # the refinement left its cell behind
+    assert refined == plain and hash(refined) == hash(plain)
+    assert repr(refined) == repr(plain) and refined.to_json() == plain.to_json()
+    rows = fields._alpha_matrix(plain, 64)
+    hits = fields._alpha_matrix.cache_info().hits
+    assert fields._alpha_matrix(refined, 64) is rows
+    assert fields._alpha_matrix.cache_info().hits == hits + 1
 
 
 @settings(max_examples=200)
