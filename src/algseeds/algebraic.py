@@ -224,12 +224,12 @@ class AlgebraicNumber:
         if not self.is_real:
             raise RationalInput("only real numbers have refinable intervals")
         lo, hi = self.lo, self.hi
-        # (lo, hi) = (a/D, (a + w)/D); the level-s cell j is
-        # [(a 2**s + j w), (a 2**s + (j+1) w)] / (D 2**s)
+        # (lo, hi) = (a, a + w) / base, and the level-s cell j is
+        # (a 2**s + j w, a 2**s + (j+1) w) / (base 2**s)
         base = lo.denominator * hi.denominator // gcd(lo.denominator, hi.denominator)
         a = lo.numerator * (base // lo.denominator)
         w = hi.numerator * (base // hi.denominator) - a
-        # last = s*, the first level with w / (D 2**s) <= 2**-bits
+        # last = s*, the first level with w / (base 2**s) <= 2**-bits
         goal = w << max(bits, 0)
         last = max(0, goal.bit_length() - base.bit_length())
         while base << last < goal:
