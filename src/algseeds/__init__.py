@@ -5,7 +5,7 @@ fractions, and certified interval refinement."""
 
 from .algebraic import (AffineValue, AlgebraicNumber, ComplexEnclosure,
                         PrecisionExhausted, complex_pair, irrational_real_roots,
-                        isolate_real_roots, same_number)
+                        same_number)
 from .bits import (BitStream, ComplementReport, RunStats, binary_expansion,
                    bit_stats, complement_check)
 from .coverage import (CommonIndexResult, GeneratorWitness, InvalidTarget,
@@ -17,14 +17,14 @@ from .coverage import (CommonIndexResult, GeneratorWitness, InvalidTarget,
 from .families import (FAMILIES, InvalidParams, QuadraticException,
                        RationalRoot, SetElement, SetInstance, SetSpec,
                        bc_root, bc_shift_params, build_set, classify_exception,
-                       quadratic_exception, reflect_set, reflect_spec)
+                       quadratic_exception, reflect_spec)
 from .fields import (Collision, FieldExpression, FieldId, IndependenceReport,
-                     express_in, independence_report, same_field,
-                     spec_in_guaranteed_range, squarefree_kernel, trace_and_norm)
+                     char_poly, express_in, independence_report, same_field,
+                     spec_in_guaranteed_range, squarefree_kernel)
 from .polynomials import MonicIntPoly
 from .tables import TABLES, render_table, table_rows
 from .uniformity import (BoundCheck, TooFewElements, UniformityReport,
-                         discrepancy, gap_stats, half_split, im_fractional,
+                         discrepancy, half_split, im_fractional,
                          uniformity_report)
 
 __all__ = [
@@ -37,13 +37,12 @@ __all__ = [
     "SearchResult", "SetElement", "SetInstance", "SetSpec", "TABLES",
     "TileIndex", "TilingReport", "TooFewElements", "UniformityReport",
     "WrongSignature", "bc_root", "bc_shift_params", "binary_expansion",
-    "bit_stats", "build_set", "classify_exception", "common_index_witnesses",
-    "complement_check", "complex_pair", "discrepancy", "express_in",
-    "find_common_index", "find_generator", "gap_stats", "half_split",
-    "im_fractional", "independence_report", "irrational_real_roots",
-    "isolate_real_roots", "quad_layer_report", "quadratic_exception",
-    "reflect_set", "reflect_spec", "render_table", "same_field", "same_number",
+    "bit_stats", "build_set", "char_poly", "classify_exception",
+    "common_index_witnesses", "complement_check", "complex_pair",
+    "discrepancy", "express_in", "find_common_index", "find_generator",
+    "half_split", "im_fractional", "independence_report",
+    "irrational_real_roots", "quad_layer_report", "quadratic_exception",
+    "reflect_spec", "render_table", "same_field", "same_number",
     "spec_in_guaranteed_range", "squarefree_kernel", "table_rows", "tile_locate",
-    "trace_and_norm", "trace_obstruction_demo", "uniformity_report",
-    "verify_tiling",
+    "trace_obstruction_demo", "uniformity_report", "verify_tiling",
 ]

@@ -400,18 +400,6 @@ def rounded(iv: FracIv, places: int) -> str | None:
 # Root isolation.
 
 
-@dataclass(frozen=True)
-class IsolationList:
-    """Disjoint, sorted isolating intervals for all real roots of one polynomial."""
-
-    poly: MonicIntPoly
-    intervals: tuple[FracIv, ...]
-    complex_pairs: int
-
-    def __post_init__(self):
-        assert len(self.intervals) + 2 * self.complex_pairs == self.poly.degree
-
-
 def _isolate_irreducible(p: MonicIntPoly) -> list[FracIv]:
     """Isolating intervals, ascending, of the real roots of an irreducible p,
     in closed form (module docstring)."""
@@ -443,33 +431,6 @@ def _isolate_irreducible(p: MonicIntPoly) -> list[FracIv]:
     return [(-bound, l1), (r1, l2), (r2, bound)]
 
 
-def isolate_real_roots(p: MonicIntPoly) -> IsolationList:
-    """Isolate every real root of a squarefree p (reducible inputs allowed)."""
-    if p.discriminant() == 0:
-        raise ZeroDiscriminant(f"{p} has a repeated root")
-    int_roots, rest = p.split_integer_roots()
-    irr: list[FracIv] = []
-    for lo, hi in _isolate_irreducible(rest) if rest is not None else ():
-        # shrink until no integer root of p lies in [lo, hi]
-        while any(lo <= r <= hi for r in int_roots):
-            mid = (lo + hi) / 2
-            if rest.sign_at(mid) == rest.sign_at(lo):
-                lo = mid
-            else:
-                hi = mid
-        irr.append((lo, hi))
-    # other integer roots are at least 1 away, so a radius below 1/2 that
-    # keeps clear of every irrational interval pins r alone
-    pins: list[FracIv] = []
-    for r in int_roots:
-        h = Fraction(1, 4)
-        while any(max(lo, r - h) < min(hi, r + h) for lo, hi in irr):
-            h /= 2
-        pins.append((r - h, r + h))
-    n_real = len(irr) + len(pins)
-    return IsolationList(p, tuple(sorted(irr + pins)), (p.degree - n_real) // 2)
-
-
 def irrational_real_roots(p: MonicIntPoly) -> list[AlgebraicNumber]:
     """Real roots of p that are irrational, as AlgebraicNumbers, ascending."""
     if p.discriminant() == 0:
@@ -490,19 +451,6 @@ class ComplexEnclosure:
 
     re: FracIv
     im: FracIv
-
-    def decimal_re(self, places: int = 5) -> str:
-        return _decimal_of_interval(self.re, places)
-
-    def decimal_im(self, places: int = 5) -> str:
-        return _decimal_of_interval(self.im, places)
-
-
-def _decimal_of_interval(iv: FracIv, places: int) -> str:
-    s = rounded(iv, places)
-    if s is None:
-        raise ValueError("interval too wide to round; refine further")
-    return s
 
 
 def complex_pair(p: MonicIntPoly, bits: int = 64) -> ComplexEnclosure:

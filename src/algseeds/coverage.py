@@ -17,7 +17,7 @@ from math import isqrt
 from .algebraic import AlgebraicNumber, horner_in, irrational_real_roots, same_number
 from .families import (InvalidParams, SetInstance, SetSpec, bc_root, bc_shift_params,
                        build_set, iter_elements, quadratic_exception)
-from .fields import FieldExpression, express_in, squarefree_kernel
+from .fields import FieldExpression, char_poly, express_in, squarefree_kernel
 from .polynomials import MonicIntPoly, is_perfect_square
 
 
@@ -322,27 +322,6 @@ class SearchResult:
                 "witness": self.witness.to_json() if self.witness else None}
 
 
-def _char_poly_coords(target: MonicIntPoly, a0: int, a1: int, a2: int) -> MonicIntPoly:
-    """Characteristic polynomial of a0 + a1*theta + a2*theta^2 acting on the
-    power basis of the target field: exact integer 3x3 determinant data."""
-    bt, ct, dt = target.coeffs
-    # columns of multiplication by theta reduce via theta^3 = -bt th^2 - ct th - dt
-    # M = a0 I + a1 C + a2 C^2 with C the companion matrix
-    c_mat = ((0, 0, -dt), (1, 0, -ct), (0, 1, -bt))
-    c2 = tuple(tuple(sum(c_mat[i][k] * c_mat[k][j] for k in range(3)) for j in range(3))
-               for i in range(3))
-    m = tuple(tuple(a0 * (1 if i == j else 0) + a1 * c_mat[i][j] + a2 * c2[i][j]
-                    for j in range(3)) for i in range(3))
-    tr = m[0][0] + m[1][1] + m[2][2]
-    s2 = (m[0][0] * m[1][1] - m[0][1] * m[1][0]
-          + m[0][0] * m[2][2] - m[0][2] * m[2][0]
-          + m[1][1] * m[2][2] - m[1][2] * m[2][1])
-    det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-           - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-           + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-    return MonicIntPoly.cubic(-tr, s2, -det)
-
-
 def _family_coeff_ok(family: str, c: int, d: int) -> bool:
     if family == "3ntr":
         return c >= 1 and -c <= d <= -1
@@ -370,7 +349,7 @@ def find_generator(target: MonicIntPoly, family: str, coord_bound: int = 50) -> 
                     if a1 == 0 and a2 == 0:
                         continue
                     coords = (a0, a1, a2)
-                    char = _char_poly_coords(target, *coords)
+                    char = MonicIntPoly(char_poly(target, coords))
                     if char.coeffs[0] != 0:
                         continue  # family polynomials have zero trace
                     _, c, d = char.coeffs

@@ -6,7 +6,7 @@ every result interval encloses the true value.  ``horner_scaled`` and
 ``isqrt_iv`` are exact on their integer inputs: the first is interval Horner
 over a cell [lo/den, hi/den] scaled by den**deg, the second encloses a square
 root by one ``isqrt`` each side.  Fraction endpoints enter only through
-``fp_from_fraction`` and leave only where a caller builds its public result.
+``fp_from_fractions`` and leave only where a caller builds its public result.
 """
 
 from __future__ import annotations
@@ -17,16 +17,9 @@ from math import isqrt
 IntIv = tuple[int, int]
 
 
-def fp_from_fraction(f: Fraction, s: int) -> IntIv:
-    num = f.numerator << s
-    den = f.denominator
-    lo = num // den
-    hi = -((-num) // den)
-    return (lo, hi)
-
-
 def fp_from_fractions(lo: Fraction, hi: Fraction, s: int) -> IntIv:
-    return (fp_from_fraction(lo, s)[0], fp_from_fraction(hi, s)[1])
+    """(floor(lo 2**s), ceil(hi 2**s)): [lo, hi] rounded outward to scale 2**s."""
+    return ((lo.numerator << s) // lo.denominator, -((-hi.numerator << s) // hi.denominator))
 
 
 def fp_add(a: IntIv, b: IntIv) -> IntIv:

@@ -112,13 +112,7 @@ class SetSpec:
         return range(1, -m - n - 1)
 
     def cardinality(self) -> int:
-        if self.family == "2r":
-            (n,) = self.params
-            return n if n >= 1 else -n - 2
-        if self.family == "2i":
-            return self.params[0]
-        m, n = self.params
-        return m + n if self.family == "3ntr" else -m - n - 2
+        return len(self.free_coeff_range())
 
     def defining_poly(self, coeff: int) -> MonicIntPoly:
         if self.family == "2r":
@@ -221,12 +215,6 @@ def bc_shift_params(b: int, c: int, n: int) -> tuple[int, int]:
 # Reflection x -> 1 - x.
 
 
-@dataclass(frozen=True)
-class ReflectionResult:
-    partner: SetSpec | None
-    pairs: tuple[tuple[SetElement, AlgebraicNumber], ...]
-
-
 def reflect_spec(spec: SetSpec) -> SetSpec | None:
     if spec.family == "2r":
         (n,) = spec.params
@@ -237,31 +225,13 @@ def reflect_spec(spec: SetSpec) -> SetSpec | None:
     return SetSpec(spec.family, (-m - 3, 2 * m + n + 3))
 
 
-def reflect_set(spec: SetSpec) -> ReflectionResult:
-    inst = build_set(spec)
-    pairs = tuple((e, e.number.reflected()) for e in inst.elements)
-    return ReflectionResult(reflect_spec(spec), pairs)
-
-
-def affine_image(numbers, eps: int, shift: int) -> list[AlgebraicNumber]:
-    """eps * alpha + shift for each alpha; eps in {1,-1}, integer shift."""
-    if eps not in (1, -1):
-        raise ValueError("eps must be +-1")
-    out = []
-    for a in numbers:
-        out.append((a if eps == 1 else a.negated()).plus_int(shift))
-    return out
-
-
 def half_shift_poly(spec: SetSpec, c: int) -> MonicIntPoly:
     """For even n, the minimal polynomial of alpha + n/2 with alpha in a 2r set:
-    x^2 - (n^2/4 - c).  Exact rational substitution, result still integral."""
+    x^2 - (n^2/4 - c).  The shift n/2 is an integer, so ``map_root`` builds it."""
     (n,) = spec.params
     if spec.family != "2r" or n % 2:
         raise InvalidParams("half shift applies to 2r sets with even n")
-    coeffs = spec.defining_poly(c).shifted_by_rational(Fraction(n, 2))
-    assert all(f.denominator == 1 for f in coeffs)
-    return MonicIntPoly(tuple(int(f) for f in coeffs))
+    return spec.defining_poly(c).map_root(1, n // 2)
 
 
 # ---------------------------------------------------------------------------

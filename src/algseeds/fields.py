@@ -188,29 +188,28 @@ def _compose_is_zero_mod(g: MonicIntPoly, h: tuple[Fraction, ...], f: MonicIntPo
     return not any(acc)
 
 
-def trace_and_norm(e: FieldExpression) -> tuple[Fraction, Fraction]:
-    """Trace and norm of the expressed element over Q, via the matrix of
-    multiplication by it in the power basis of the base field."""
-    f = e.base.minpoly
+def char_poly(f: MonicIntPoly, h) -> tuple:
+    """Coefficients, below the leading 1, of the characteristic polynomial of
+    h[0] + h[1] x + h[2] x^2 acting by multiplication on Q[x]/(f), for a
+    quadratic or cubic f: ints for int h, Fractions for Fraction h.  For the
+    result c, the trace is -c[0] and the norm (-1)^deg(f) c[-1]."""
     d = f.degree
-    f_asc = f.ascending()
-    if d == 2 and e.coeffs[2] != 0:
+    if d == 2 and h[2] != 0:
         raise ValueError("quadratic base cannot carry a square coefficient")
-    h = [Fraction(c) for c in e.coeffs[:d]]
-    cols = []
-    cur = _mulmod(h, [1], f_asc)
-    for _ in range(d):
-        cols.append(list(cur))
-        cur = _mulmod(cur, [0, 1], f_asc)
-    trace = sum(cols[j][j] for j in range(d))
+    f_asc = f.ascending()
+    # the matrix has columns h, h x, ... mod f; taken as rows it is the
+    # transpose, with the same trace, principal minors and determinant
+    m = [list(h[:d])]
+    for _ in range(d - 1):
+        m.append(_mulmod(m[-1], [0, 1], f_asc))
+    # every coefficient has a term in h[0], so it takes h's type
     if d == 2:
-        norm = cols[0][0] * cols[1][1] - cols[1][0] * cols[0][1]
-    else:
-        m = [[cols[j][i] for j in range(3)] for i in range(3)]
-        norm = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-    return Fraction(trace), Fraction(norm)  # an entry _mulmod never touched is the int 0
+        (a, b), (c, e) = m
+        return (-(a + e), a * e - b * c)
+    (a, b, c), (e, g, k), (p, q, r) = m
+    minors = a * g - b * e + a * r - c * p + g * r - k * q
+    det = a * (g * r - k * q) - b * (e * r - k * p) + c * (e * q - g * p)
+    return (-(a + g + r), minors, -det)
 
 
 # ---------------------------------------------------------------------------

@@ -92,9 +92,6 @@ class MonicIntPoly:
             - 27 * d * d
         )
 
-    def is_squarefree(self) -> bool:
-        return self.discriminant() != 0
-
     def integer_roots(self) -> list[int]:
         """Distinct integer roots, ascending.
 
@@ -150,19 +147,10 @@ class MonicIntPoly:
         more, _ = rest.split_integer_roots()
         return sorted(set(roots) | set(more)), None
 
-    def irreducible_factors(self) -> tuple[list[int], list["MonicIntPoly"]]:
-        """Full factorization of a squarefree p: (integer roots, irreducible factors)."""
-        roots, rest = self.split_integer_roots()
-        return roots, [rest] if rest is not None else []
-
-    def map_root(self, eps: int, shift: Fraction | int) -> "MonicIntPoly":
+    def map_root(self, eps: int, shift: int) -> "MonicIntPoly":
         """Monic polynomial whose roots are eps*alpha + shift (eps = +-1, shift in Z)."""
         if eps not in (1, -1):
             raise ValueError("eps must be +-1")
-        if not isinstance(shift, int):
-            if Fraction(shift).denominator != 1:
-                raise ValueError("integer shifts only; see shifted_by_rational")
-            shift = int(shift)
         if self.degree == 2:
             b, c = self.coeffs
             flipped = [c, eps * b, 1]
@@ -175,17 +163,6 @@ class MonicIntPoly:
     def reflected(self) -> "MonicIntPoly":
         """Roots alpha -> 1 - alpha."""
         return self.map_root(-1, 1)
-
-    def shifted_by_rational(self, shift: Fraction) -> "tuple[Fraction, ...]":
-        """Coefficients (descending, below the leading 1) of the monic polynomial
-        with roots alpha + shift; rational in general."""
-        asc = [Fraction(c) for c in self.ascending()]
-        n = len(asc) - 1
-        out = list(asc)
-        for i in range(n):
-            for j in range(n - 1, i - 1, -1):
-                out[j] += (-shift) * out[j + 1]
-        return tuple(reversed(out[:-1]))
 
     def __str__(self) -> str:
         return poly_str(self)

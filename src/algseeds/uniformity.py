@@ -180,18 +180,6 @@ def _check_bound(spec: SetSpec, values, bits: int) -> BoundCheck | None:
     return None
 
 
-def gap_stats(s: SetInstance, bits: int = 64) -> UniformityReport:
-    values = instance_values(s)
-    n = len(values)
-    if n < 2:
-        raise TooFewElements("gap statistics need at least two elements")
-    gaps = _gap_enclosures(values, bits)
-    dev = _max_dev(gaps, n)
-    constant = (dev[0] * n * n, dev[1] * n * n)
-    return UniformityReport(n, gaps, dev, constant, None, None,
-                            _check_bound(s.spec, values, bits))
-
-
 def uniformity_report(s: SetInstance, bits: int = 64) -> UniformityReport:
     """Everything at once: gaps, deviation constant, discrepancy, half split."""
     values = instance_values(s)

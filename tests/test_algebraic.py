@@ -16,8 +16,8 @@ from algseeds.algebraic import (
     ZeroDiscriminant,
     complex_pair,
     irrational_real_roots,
-    isolate_real_roots,
     round_half_even,
+    rounded,
     same_number,
     value_enclosure,
 )
@@ -286,22 +286,22 @@ def test_same_number_distinguishes_conjugates():
 def test_isolate_handles_reducible_input():
     # (x - 2)(x^2 + 2x - 2): integer root 2, irrational -1 +- sqrt(3)
     p = MonicIntPoly.cubic(0, -6, 4)
-    iso = isolate_real_roots(p)
-    assert len(iso.intervals) == 3
-    assert iso.complex_pairs == 0
+    assert p.integer_roots() == [2]
     irr = irrational_real_roots(p)
     assert [a.decimal(5) for a in irr] == ["-2.73205", "0.73205"]
+    assert count_real_roots(p) == 3
 
 
 def test_isolate_counts_complex_pairs():
-    iso = isolate_real_roots(PLASTIC)
-    assert len(iso.intervals) == 1
-    assert iso.complex_pairs == 1
+    (root,) = irrational_real_roots(PLASTIC)
+    assert root.decimal(5) == "1.32472"
+    assert count_real_roots(PLASTIC) == 1
+    assert complex_pair(PLASTIC).im[0] > 0  # the other two roots
 
 
 def test_isolate_rejects_repeated_roots():
     with pytest.raises(ZeroDiscriminant):
-        isolate_real_roots(MonicIntPoly.quadratic(-2, 1))  # (x-1)^2
+        irrational_real_roots(MonicIntPoly.quadratic(-2, 1))  # (x-1)^2
 
 
 def test_totally_real_cubic_roots_ascending():
@@ -322,17 +322,12 @@ def test_isolation_intervals_each_contain_one_sign_change(b, c, d):
     p = MonicIntPoly.cubic(b, c, d)
     if p.discriminant() == 0:
         return
-    iso = isolate_real_roots(p)
-    assert len(iso.intervals) + 2 * iso.complex_pairs == 3
-    assert len(iso.intervals) == count_real_roots(p)
-    for lo, hi in iso.intervals:
-        assert lo < hi
-        assert count_roots_between(p, lo, hi) == 1
-    for (a_lo, a_hi), (b_lo, b_hi) in zip(iso.intervals, iso.intervals[1:]):
-        assert a_hi <= b_lo
     irr = irrational_real_roots(p)
     assert len(irr) == count_real_roots(p) - len(p.integer_roots())
+    for x, y in zip(irr, irr[1:]):
+        assert x.hi <= y.lo
     for a in irr:
+        assert a.lo < a.hi
         assert count_roots_between(a.minpoly, a.lo, a.hi) == 1
         for r in (a, a.refine(40), a.negated(), a.plus_int(-4), a.fractional_part(),
                   a.negated().fractional_part()):
@@ -351,15 +346,15 @@ def test_irrational_roots_are_never_rational(b, c, d):
 
 def test_complex_pair_of_pure_cubic():
     enc = complex_pair(MonicIntPoly.cubic(0, 0, -2))  # x^3 - 2
-    assert enc.decimal_re(5) == "-0.62996"
-    assert enc.decimal_im(5) == "1.09112"
+    assert rounded(enc.re, 5) == "-0.62996"
+    assert rounded(enc.im, 5) == "1.09112"
 
 
 def test_complex_pair_reducible_cubic_exact_real_part():
     # (x - 1)(x^2 + x + 1): pair is -1/2 +- sqrt(3)/2 i
     enc = complex_pair(MonicIntPoly.cubic(0, 0, -1))
     assert enc.re[0] == enc.re[1] == Fraction(-1, 2)
-    assert enc.decimal_im(5) == "0.86603"
+    assert rounded(enc.im, 5) == "0.86603"
 
 
 def _product_range(x, y):
@@ -426,5 +421,4 @@ def test_value_enclosure_uniform_access():
 
 def test_complex_enclosure_rejects_wide_interval():
     wide = ComplexEnclosure((Fraction(0), Fraction(1)), (Fraction(0), Fraction(1)))
-    with pytest.raises(ValueError):
-        wide.decimal_re(5)
+    assert rounded(wide.re, 5) is None

@@ -11,7 +11,6 @@ from algseeds.families import (
     InvalidParams,
     RationalRoot,
     SetSpec,
-    affine_image,
     bc_root,
     bc_shift_params,
     build_set,
@@ -20,7 +19,6 @@ from algseeds.families import (
     iter_elements,
     quadratic_exception,
     reducible_free_coeffs,
-    reflect_set,
     reflect_spec,
 )
 from algseeds.polynomials import MonicIntPoly
@@ -75,6 +73,7 @@ def test_real_quadratic_cardinality(n):
 @given(n=IMAG_QUAD_N)
 def test_imaginary_quadratic_cardinality(n):
     spec = SetSpec("2i", (n,))
+    assert spec.cardinality() == n
     assert len(build_set(spec).elements) == n
 
 
@@ -82,6 +81,7 @@ def test_imaginary_quadratic_cardinality(n):
 def test_cubic_complex_pair_cardinality(mn):
     m, n = mn
     spec = SetSpec("3ntr", (m, n))
+    assert spec.cardinality() == m + n
     assert len(build_set(spec).elements) == m + n
 
 
@@ -89,6 +89,7 @@ def test_cubic_complex_pair_cardinality(mn):
 def test_cubic_totally_real_cardinality(mn):
     m, n = mn
     spec = SetSpec("3tr", (m, n))
+    assert spec.cardinality() == -m - n - 2
     assert len(build_set(spec).elements) == -m - n - 2
 
 
@@ -212,9 +213,9 @@ def test_reflection_is_an_involution_and_a_bijection(spec):
     assert reflect_spec(partner) == spec
     assert partner.cardinality() == spec.cardinality()
 
-    result = reflect_set(spec)
     mirror = build_set(partner)
-    for element, image in result.pairs:
+    for element in build_set(spec).elements:
+        image = element.number.reflected()
         hits = [m for m in mirror.numbers() if same_number(m, image)]
         assert len(hits) == 1, f"1 - alpha missing for {element}"
 
@@ -247,10 +248,11 @@ def test_bc_shift_matches_polynomial_transport(b, c, n):
 
 def test_affine_image():
     sqrt2 = bc_root(0, -2, 1)
-    (img,) = affine_image([sqrt2], -1, 2)
+    img = sqrt2.negated().plus_int(2)
     assert img.decimal(5) == "0.58579"
+    assert img.minpoly == sqrt2.minpoly.map_root(-1, 2)
     with pytest.raises(ValueError):
-        affine_image([sqrt2], 2, 0)
+        sqrt2.minpoly.map_root(2, 0)
 
 
 def test_half_shift_poly():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from algseeds.algebraic import (AlgebraicNumber, PrecisionExhausted, irrational_real_roots,
                                 same_number)
-from algseeds.coverage import _char_poly_coords
 from algseeds.families import SetSpec, bc_root, build_set
 from algseeds.fields import (
     FieldExpression,
@@ -22,12 +21,12 @@ from algseeds.fields import (
     _same_kernel,
     _split_apart,
     _value_is_beta,
+    char_poly,
     express_in,
     independence_report,
     same_field,
     spec_in_guaranteed_range,
     squarefree_kernel,
-    trace_and_norm,
 )
 from algseeds.polynomials import MonicIntPoly
 
@@ -238,25 +237,30 @@ def test_verify_root_of_rejects_wrong_claim():
     assert not bogus.verify_root_of(CBRT4_SHIFTED.minpoly)
 
 
-def test_trace_and_norm_quadratic():
-    sqrt2 = AlgebraicNumber.sqrt_of(2)
-    t, n = trace_and_norm(FieldExpression(sqrt2, (Fraction(0), Fraction(1), Fraction(0))))
+def _trace_and_norm(f: MonicIntPoly, h) -> tuple:
+    c = char_poly(f, h)
+    return -c[0], (-1) ** f.degree * c[-1]
+
+
+def test_char_poly_quadratic():
+    f = MonicIntPoly.quadratic(0, -2)  # sqrt(2)
+    t, n = _trace_and_norm(f, (Fraction(0), Fraction(1), Fraction(0)))
     assert (t, n) == (0, -2)
     assert type(t) is type(n) is Fraction
-    t, n = trace_and_norm(FieldExpression(sqrt2, (Fraction(2), Fraction(-1), Fraction(0))))
+    t, n = _trace_and_norm(f, (Fraction(2), Fraction(-1), Fraction(0)))
     assert (t, n) == (4, 2)  # 2 - sqrt(2) times its conjugate
+    assert char_poly(f, (2, -1, 0)) == (-4, 2)
     with pytest.raises(ValueError):
-        trace_and_norm(FieldExpression(sqrt2, (Fraction(0), Fraction(0), Fraction(1))))
+        char_poly(f, (Fraction(0), Fraction(0), Fraction(1)))
 
 
-def test_trace_and_norm_cubic():
-    theta = irrational_real_roots(MonicIntPoly.cubic(0, 0, -2))[0]  # 2^(1/3)
-    t, n = trace_and_norm(FieldExpression(theta, (Fraction(0), Fraction(1), Fraction(0))))
-    assert (t, n) == (0, 2)
-    t, n = trace_and_norm(FieldExpression(theta, (Fraction(1), Fraction(1), Fraction(1))))
+def test_char_poly_cubic():
+    f = MonicIntPoly.cubic(0, 0, -2)  # 2^(1/3)
+    assert _trace_and_norm(f, (Fraction(0), Fraction(1), Fraction(0))) == (0, 2)
+    assert char_poly(f, (0, 1, 0)) == f.coeffs
     # 1 + t + t^2 = (t^3 - 1)/(t - 1), so the norm telescopes to
     # N(theta^3 - 1)/N(theta - 1) = 1/1
-    assert (t, n) == (3, 1)
+    assert _trace_and_norm(f, (Fraction(1), Fraction(1), Fraction(1))) == (3, 1)
 
 
 def test_same_field():
@@ -395,17 +399,21 @@ def test_integer_composition_matches_rational_composition():
                 assert expr.verify_root_of(g) == _composes_over_q(g, bent, f)
 
 
-@given(f=st.tuples(*[st.integers(-6, 6)] * 3), g=st.tuples(*[st.integers(-20, 20)] * 3),
+@given(degree=st.sampled_from((2, 3)), f=st.tuples(*[st.integers(-6, 6)] * 3),
+       g=st.tuples(*[st.integers(-20, 20)] * 3),
        h=st.tuples(*[st.fractions(-4, 4, max_denominator=9)] * 3),
        coords=st.tuples(*[st.integers(-3, 3)] * 3))
-def test_integer_composition_matches_rational_composition_at_random(f, g, h, coords):
-    """The same on random cubic bases: a random g and rational h, and the
-    characteristic polynomial of an integer h, which must pass."""
-    base = MonicIntPoly.cubic(*f)
+def test_integer_composition_matches_rational_composition_at_random(degree, f, g, h, coords):
+    """The same on random quadratic and cubic bases: a random g and rational
+    h, and the characteristic polynomial of an integer h, which must pass."""
+    base = MonicIntPoly(f[:degree])
     assume(base.is_irreducible())
-    alpha = irrational_real_roots(base)[0]
+    alpha = bc_root(*f[:2], 1) if degree == 2 else irrational_real_roots(base)[0]
     g = MonicIntPoly.cubic(*g)
     assert FieldExpression(alpha, h).verify_root_of(g) == _composes_over_q(g, h, base)
-    char = _char_poly_coords(base, *coords)
+    coords = coords[:degree] + (0,) * (3 - degree)
+    coeffs = char_poly(base, coords)
+    assert all(type(c) is int for c in coeffs)
+    char = MonicIntPoly(coeffs)
     assert FieldExpression(alpha, coords).verify_root_of(char)
     assert _composes_over_q(char, coords, base)

@@ -101,14 +101,10 @@ def test_split_integer_roots():
 
 def test_irreducible_factors():
     fully_split = MonicIntPoly.cubic(0, -7, 6)  # roots 1, 2, -3
-    roots, rest = fully_split.irreducible_factors()
-    assert roots == [-3, 1, 2]
-    assert rest == []
+    assert fully_split.split_integer_roots() == ([-3, 1, 2], None)
 
     mixed = MonicIntPoly.cubic(-1, -2, 2)  # (x - 1)(x^2 - 2)
-    roots, rest = mixed.irreducible_factors()
-    assert roots == [1]
-    assert rest == [MonicIntPoly.quadratic(0, -2)]
+    assert mixed.split_integer_roots() == ([1], MonicIntPoly.quadratic(0, -2))
 
 
 @given(b=COEFF, c=COEFF, eps=st.sampled_from((1, -1)), k=st.integers(-8, 8))
@@ -134,13 +130,6 @@ def test_reflected_maps_root_to_one_minus_root():
 def test_reflected_involution():
     p = MonicIntPoly.cubic(0, 6, -2)
     assert p.reflected().reflected() == p
-
-
-def test_shifted_by_rational():
-    p = MonicIntPoly.quadratic(0, -2)
-    shifted = p.shifted_by_rational(Fraction(1, 2))
-    # roots +-sqrt(2) + 1/2, so (y - 1/2)^2 - 2 = y^2 - y - 7/4
-    assert shifted == (Fraction(-1), Fraction(-7, 4))
 
 
 def test_sign_at_matches_evaluate():
@@ -214,7 +203,7 @@ def test_integer_sturm_count_matches_true_count(roots, ends):
 @given(b=COEFF, c=COEFF, d=COEFF)
 def test_root_bound_contains_all_real_roots(b, c, d):
     p = MonicIntPoly.cubic(b, c, d)
-    if not p.is_squarefree():
+    if p.discriminant() == 0:
         return
     bound = root_bound_pow2(p)
     assert bound >= 1

@@ -11,7 +11,6 @@ from algseeds.families import SetSpec, build_set
 from algseeds.uniformity import (
     TooFewElements,
     discrepancy,
-    gap_stats,
     half_split,
     im_fractional,
     instance_values,
@@ -25,7 +24,7 @@ def _dec5(iv):
 
 
 def test_two_element_gap_and_deviation():
-    report = gap_stats(build_set(SetSpec("2r", (2,))))
+    report = uniformity_report(build_set(SetSpec("2r", (2,))))
     assert report.n == 2
     assert len(report.gaps) == 1
     g_lo, g_hi = report.gaps[0]
@@ -35,11 +34,6 @@ def test_two_element_gap_and_deviation():
     assert Fraction(18216, 100000) < d_lo < d_hi < Fraction(18217, 100000)
     c_lo, c_hi = report.constant
     assert c_lo == 4 * d_lo and c_hi == 4 * d_hi
-
-
-def test_gap_stats_needs_two_elements():
-    with pytest.raises(TooFewElements):
-        gap_stats(build_set(SetSpec("2r", (1,))))
 
 
 def test_singleton_report_still_carries_discrepancy_and_halves():
@@ -146,8 +140,8 @@ def test_half_counts_near_balance(spec):
 @given(n=st.integers(min_value=2, max_value=10))
 def test_gaps_tighten_with_precision(n):
     inst = build_set(SetSpec("2r", (n,)))
-    coarse = gap_stats(inst, bits=16)
-    fine = gap_stats(inst, bits=128)
+    coarse = uniformity_report(inst, bits=16)
+    fine = uniformity_report(inst, bits=128)
     for (c_lo, c_hi), (f_lo, f_hi) in zip(coarse.gaps, fine.gaps):
         assert c_lo <= f_lo <= f_hi <= c_hi
         assert f_hi - f_lo <= Fraction(1, 2**120)
