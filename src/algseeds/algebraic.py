@@ -63,7 +63,11 @@ by construction:
   * ``irrational_real_roots`` builds each root of ``rest``, the factor of
     p that ``split_integer_roots`` returns only when it is irreducible, on
     an interval isolated in closed form (below), with p's signs opposite
-    at its ends.
+    at its ends;
+  * a root selected by a half-plane needs only an irreducible quadratic
+    with disc < 0; ``families.iter_elements`` builds the 2i elements this
+    way, whose polynomials have disc < 0 over the whole range (the
+    ``families`` docstring).
 
 Isolation in closed form.  The real roots of an irreducible rest of
 degree <= 3 are isolated without bisection, by critical points (Rolle's
@@ -181,11 +185,13 @@ class AlgebraicNumber:
                 raise ValueError("interval must isolate exactly one root")
 
     @classmethod
-    def _narrowed(cls, p: MonicIntPoly, lo: Fraction, hi: Fraction) -> "AlgebraicNumber":
-        """Trusted: a real root of the validated p isolated by (lo, hi), built
-        without re-validation (see the module docstring for when that holds)."""
+    def _narrowed(cls, p: MonicIntPoly, lo: Fraction | None = None, hi: Fraction | None = None,
+                  half_plane: int = 0) -> "AlgebraicNumber":
+        """Trusted: the real root of the validated p isolated by (lo, hi), or
+        for an imaginary quadratic p the root in half_plane, built without
+        re-validation (see the module docstring for when that holds)."""
         a = object.__new__(cls)
-        a.__dict__.update(minpoly=p, lo=lo, hi=hi, half_plane=0)
+        a.__dict__.update(minpoly=p, lo=lo, hi=hi, half_plane=half_plane)
         return a
 
     @classmethod

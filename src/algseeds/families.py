@@ -36,10 +36,22 @@ irreducible, and ``split_integer_roots`` finds any integer root once and
 keeps the irreducible quadratic factor of a reducible cubic (it checks that
 factor itself).  A quadratic whose signs at 0 and 1 are opposite and
 nonzero has a root in (0,1), which is no integer, so it is irreducible.
-``build_set`` therefore checks only the signs at 0 and 1 and builds each
-element through the trusted ``AlgebraicNumber._narrowed``; the validating
-constructor would decide irreducibility a second time.  ``AlgebraicNumber.less_than`` remains the exact order, and the
-tests check the two against each other.
+``build_set`` therefore checks only the signs at 0 and 1, on integers:
+p(0) is the constant coefficient and p(1) is 1 plus the sum of the
+coefficients, so the test is p(0) p(1) < 0.  It builds each element
+through the trusted ``AlgebraicNumber._narrowed``; the validating
+constructor would decide irreducibility a second time.
+``AlgebraicNumber.less_than`` remains the exact order, and the tests check
+the two against each other.
+
+Imaginary instances.  2i(n) takes x^2 + b x + c with b = -1 for odd n and
+b = 0 for even n, and c >= floor(n/2)^2 + 1 over its whole range.  So disc
+= b^2 - 4c <= 1 - 4 < 0: the quadratic has no real root, so no rational
+one, and is irreducible over Q.  ``iter_elements`` builds each element
+through ``_narrowed`` with half-plane +1, which selects the upper root
+(-b + i sqrt(-disc)) / 2, with no second irreducibility decision.  Its
+imaginary part sqrt(4c - b^2) / 2 increases with c, so range order is
+ascending by imaginary part.
 """
 
 from __future__ import annotations
@@ -151,6 +163,10 @@ class SetInstance:
                 "elements": [e.to_json() for e in self.elements]}
 
 
+# the ends of the isolating interval (0, 1) of every real element
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 def _unit_interval_root(p: MonicIntPoly) -> AlgebraicNumber:
     """The unique root of p in (0,1); p may be a reducible cubic.  Built
     trusted, after one irreducibility decision (module docstring)."""
@@ -158,10 +174,10 @@ def _unit_interval_root(p: MonicIntPoly) -> AlgebraicNumber:
         _, rest = p.split_integer_roots()
         assert rest is not None, f"{p} should keep a quadratic factor"
         p = rest
-    zero, one = Fraction(0), Fraction(1)
-    if p.sign_at(zero) * p.sign_at(one) >= 0:
+    # p(0) is the constant term and p(1) the sum of the coefficients
+    if p.coeffs[-1] * (1 + sum(p.coeffs)) >= 0:
         raise ValueError(f"{p} has no sign change on (0,1)")
-    return AlgebraicNumber._narrowed(p, zero, one)
+    return AlgebraicNumber._narrowed(p, _ZERO, _ONE)
 
 
 def iter_elements(spec: SetSpec) -> Iterator[SetElement]:
@@ -170,9 +186,10 @@ def iter_elements(spec: SetSpec) -> Iterator[SetElement]:
     once keeps only that one alive."""
     coeffs = spec.free_coeff_range()
     if spec.family == "2i":
-        # imaginary part sqrt(-disc)/2 increases with c; range order is sorted
+        # imaginary part sqrt(-disc)/2 increases with c; range order is
+        # sorted, and each element is built trusted (module docstring)
         for c in coeffs:
-            yield SetElement(c, AlgebraicNumber.complex_root(spec.defining_poly(c), upper=True))
+            yield SetElement(c, AlgebraicNumber._narrowed(spec.defining_poly(c), half_plane=1))
         return
     if coeffs.start < 0:
         coeffs = reversed(coeffs)   # c < 0: elements fall as c rises (module docstring)

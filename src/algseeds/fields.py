@@ -43,6 +43,27 @@ solve, and independence_report buckets the elements of an instance by
 (degree, kernel) and decides only pairs inside a bucket exactly; every
 other pair is settled by this invariant.
 
+The kernels of a quadratic instance are sieved, not factored one by one.
+``build_set`` lists the elements of 2r(n) and 2i(n) as the roots of
+x^2 + b x + c for one b, with c in range order or reversed range order
+(the order theorem in the ``families`` docstring).  disc = b^2 - 4c is
+affine in c with slope -4, so the listed discriminants are d0 + 4i or
+d0 - 4i, i = 0, 1, ...: an arithmetic progression d0 + i s.
+``_progression_kernels`` sieves it by prime squares (Crandall and
+Pomerance, Prime Numbers: A Computational Perspective, ch. 3).  For each
+prime p <= sqrt(max |term|) that does not divide s, p^2 divides d0 + i s
+exactly when i = -d0 s^-1 (mod p^2), so only those indices are visited, in
+strides of p^2; a prime dividing s (here only 2) is tried at every index.
+At each visited index p^2 is divided out while it divides.  The sieve is
+exact: each term is divided by squares only, so its kernel stays the same,
+and after the pass no p^2 with p <= sqrt(max |term|) divides what remains,
+while a larger prime has p^2 > |term|; so what remains is squarefree, and
+is the kernel.  ``independence_report`` checks that the minimal
+polynomials of a quadratic instance have this form before it reads the
+kernels off the sieve, and refuses any other list with a ValueError.
+``squarefree_kernel`` stays the kernel of a single value, for cubics,
+``FieldId.of_number``, ``same_field`` and ``express_in``.
+
 Cubic pairs with equal kernels meet one more invariant before the solve.
 For a prime p not dividing disc(f), p does not divide the index either,
 so f mod p factors as p splits in O_K (Dedekind-Kummer; Neukirch,
@@ -59,7 +80,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from math import isqrt, lcm
 
 from .algebraic import (MAX_BITS, AlgebraicNumber, complex_pair, horner_in, refine_until,
@@ -96,6 +117,30 @@ def squarefree_kernel(d: int) -> int:
     if isqrt(d) ** 2 != d:
         kernel *= d
     return sign * kernel
+
+
+def _progression_kernels(first: int, step: int, count: int) -> list[int]:
+    """The signed squarefree kernels of first + i*step for i < count, with
+    step != 0 and no term 0, sieved by p^2 (module docstring)."""
+    rest = list(range(first, first + count * step, step))
+    if not rest:
+        return rest
+    top = isqrt(max(abs(rest[0]), abs(rest[-1])))
+    is_prime = bytearray([0, 0]) + bytearray([1]) * (top - 1)
+    for p in range(2, isqrt(top) + 1):
+        if is_prime[p]:
+            is_prime[p * p::p] = bytes(len(range(p * p, top + 1, p)))
+    for p in range(2, top + 1):
+        if not is_prime[p]:
+            continue
+        q = p * p
+        # p^2 divides term i exactly when i = -first / step mod p^2; step
+        # has no inverse mod p^2 when p divides it, and then every term is tried
+        start, stride = (-first * pow(step, -1, q) % q, q) if step % p else (0, 1)
+        for i in range(start, count, stride):
+            while rest[i] % q == 0:
+                rest[i] //= q
+    return rest
 
 
 def _same_kernel(d: int, e: int) -> bool:
@@ -519,6 +564,22 @@ def spec_in_guaranteed_range(spec) -> bool:
     return spec.params[0] in CUBIC_RANGE_PARAMS
 
 
+def _progression_field_ids(elems: list[AlgebraicNumber]) -> tuple[FieldId, ...]:
+    """The FieldIds of the elements of a quadratic instance, which must be
+    the roots of x^2 + b x + c for one b and c in range order or reversed:
+    their discriminants then run along a progression (module docstring)."""
+    polys = [a.minpoly.coeffs for a in elems]
+    if not polys:
+        return ()
+    b, c = polys[0][0], polys[0][1]
+    dc = polys[1][1] - c if len(polys) > 1 else 1
+    if not dc or polys != list(zip(repeat(b), range(c, c + len(polys) * dc, dc))):
+        raise ValueError("a quadratic instance must list x^2 + b x + c for one b, "
+                         "with c in range order or reversed")
+    kernels = _progression_kernels(b * b - 4 * c, -4 * dc, len(polys))
+    return tuple(FieldId(2, kernel=k) for k in kernels)
+
+
 def independence_report(inst: SetInstance) -> IndependenceReport:
     """Decide every pair of elements of inst.  Elements are bucketed by
     degree and discriminant kernel; pairs in different buckets generate
@@ -526,7 +587,10 @@ def independence_report(inst: SetInstance) -> IndependenceReport:
     decided exactly.  pairs_checked still counts every pair."""
     elems = inst.numbers()
     n = len(elems)
-    fids = tuple(FieldId.of_number(a) for a in elems)
+    if inst.spec.family in ("2r", "2i"):
+        fids = _progression_field_ids(elems)
+    else:
+        fids = tuple(FieldId.of_number(a) for a in elems)
     buckets: dict[tuple[int, int], list[int]] = {}
     for i, (a, fid) in enumerate(zip(elems, fids)):
         kernel = fid.kernel if fid.degree == 2 else squarefree_kernel(a.minpoly.discriminant())

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from algseeds.algebraic import AlgebraicNumber, same_number
+from algseeds.algebraic import same_number
 from algseeds.bits import binary_expansion, complement_check
 from algseeds.cli import main
 from algseeds.coverage import (EXCLUDED_INDICES, common_index_witnesses,

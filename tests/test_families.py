@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from algseeds.algebraic import AlgebraicNumber, same_number
@@ -11,6 +11,7 @@ from algseeds.families import (
     InvalidParams,
     RationalRoot,
     SetSpec,
+    _unit_interval_root,
     bc_root,
     bc_shift_params,
     build_set,
@@ -106,6 +107,39 @@ def assert_ascending_in_unit_interval(inst):
         assert AlgebraicNumber(a.minpoly, a.lo, a.hi) == a
     for x, y in zip(values, values[1:]):
         assert x.less_than(y)
+
+
+def test_imaginary_elements_ascend_and_match_the_validating_constructor():
+    """The 2i counterpart of the check above, for n <= 200: build_set lists
+    imaginary quadratics in range order, built trusted (families
+    docstring).  Each must equal, hash and serialize like the validated
+    upper root, and the squared imaginary parts -disc/4 must ascend."""
+    for n in range(1, 201):
+        spec = SetSpec("2i", (n,))
+        inst = build_set(spec)
+        assert [e.free_coeff for e in inst.elements] == list(spec.free_coeff_range())
+        for e in inst.elements:
+            twin = AlgebraicNumber.complex_root(spec.defining_poly(e.free_coeff), upper=True)
+            assert e.number == twin
+            assert hash(e.number) == hash(twin)
+            assert e.number.to_json() == twin.to_json()
+        squares = [-a.minpoly.discriminant() for a in inst.numbers()]
+        assert all(0 < x < y for x, y in zip(squares, squares[1:]))
+
+
+@given(coeffs=st.one_of(st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
+                        st.tuples(*[st.integers(-12, 12)] * 3)))
+def test_unit_interval_sign_test_matches_sign_at(coeffs):
+    """The integer product p(0) p(1) decides like the Fraction sign tests."""
+    p = MonicIntPoly(coeffs)
+    assume(p.discriminant() != 0)
+    rest = p.split_integer_roots()[1] if p.degree == 3 else p
+    assume(rest is not None)
+    if rest.sign_at(Fraction(0)) * rest.sign_at(Fraction(1)) >= 0:
+        with pytest.raises(ValueError):
+            _unit_interval_root(p)
+    else:
+        assert _unit_interval_root(p) == AlgebraicNumber.real_root(rest, 0, 1)
 
 
 @given(n=REAL_QUAD_N)

@@ -4,18 +4,19 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from algseeds.algebraic import (AlgebraicNumber, PrecisionExhausted, irrational_real_roots,
                                 same_number)
-from algseeds.families import SetSpec, bc_root, build_set
+from algseeds.families import SetInstance, SetSpec, bc_root, build_set
 from algseeds.fields import (
     FieldExpression,
     FieldId,
     _express_cubic,
     _locate,
     _mulmod,
+    _progression_kernels,
     _real_root_enclosures,
     _reconstruct,
     _same_kernel,
@@ -278,6 +279,52 @@ def test_independence_of_quadratic_instance():
     assert rep.in_guaranteed_range
     kernels = [fid.kernel for fid in rep.field_ids]
     assert kernels == [5, 6, 7, 2]
+
+
+# the sieve against squarefree_kernel, on positive and negative terms: steps
+# divisible by p or p^2 for p = 2, 3, 5, 7 and 11 (so that p is tried at
+# every term), and first terms carrying p^4 and p^6, so that p^2 has to be
+# divided out more than once
+@given(first=st.integers(-3000, 3000),
+       power=st.sampled_from((1, 2**4, 3**4, 5**4, 7**4, 2**6, 3**6)),
+       step=st.sampled_from((1, 4, 12, 9, 25, 49, 121)),
+       sign=st.sampled_from((1, -1)), count=st.integers(0, 80))
+@example(first=121, power=1, step=4, sign=-1, count=3)    # the largest term is 11^2
+@example(first=-9, power=1, step=4, sign=-1, count=5)     # 2i-like terms, all negative
+def test_progression_kernels_match_squarefree_kernel(first, power, step, sign, count):
+    first, step = first * power, step * sign
+    terms = [first + i * step for i in range(count)]
+    assume(0 not in terms)
+    assert _progression_kernels(first, step, count) == [squarefree_kernel(t) for t in terms]
+
+
+def test_quadratic_field_ids_match_of_number():
+    """independence_report reads quadratic kernels off the sieve; they are
+    the kernels of each element's own discriminant, for 2r with
+    1 <= |n| <= 300 (the one-element 2r(1) and 2r(-3) among them) and 2i
+    with n <= 300."""
+    specs = ([SetSpec("2r", (n,)) for n in (*range(1, 301), *range(-3, -301, -1))]
+             + [SetSpec("2i", (n,)) for n in range(1, 301)])
+    for spec in specs:
+        inst = build_set(spec)
+        assert independence_report(inst).field_ids == tuple(map(FieldId.of_number, inst.numbers()))
+    empty = SetInstance(SetSpec("2r", (5,)), ())
+    assert independence_report(empty).field_ids == ()
+
+
+@pytest.mark.parametrize("order", ((1, 0, 2, 3, 4), (0, 1, 3, 2, 4), (4, 0, 1, 2, 3),
+                                   (0, 2, 4, 1, 3), (0, 0, 1, 2, 3)))
+def test_independence_refuses_quadratics_out_of_range_order(order):
+    """A hand-built instance whose elements are not in build_set order (or
+    reversed) is refused, not misreported: also when only the middle moves."""
+    for spec in (SetSpec("2r", (5,)), SetSpec("2r", (-7,)), SetSpec("2i", (5,))):
+        elements = build_set(spec).elements
+        shuffled = SetInstance(spec, tuple(elements[i] for i in order))
+        with pytest.raises(ValueError):
+            independence_report(shuffled)
+        backwards = SetInstance(spec, elements[::-1])
+        assert independence_report(backwards).field_ids == \
+            independence_report(build_set(spec)).field_ids[::-1]
 
 
 def test_independence_finds_known_cubic_collision():

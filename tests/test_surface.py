@@ -1,5 +1,6 @@
 """The public surface and the private helpers: every exported name exists
-once, and every ``_``-prefixed helper has a caller in the library."""
+once, every ``_``-prefixed helper has a caller in the library, and every
+imported name is used in the file that imports it."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import algseeds
 
 SRC = Path(algseeds.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def test_every_export_resolves_once():
@@ -72,3 +74,54 @@ def test_every_private_helper_has_a_caller():
              for path in sorted(SRC.glob("*.py"))}
     assert "algebraic.py" in trees
     assert _uncalled_helpers(trees) == []
+
+
+def _unused_imports(trees: dict) -> list[str]:
+    """file:name of each name bound by an import in trees that its own file
+    never reads.  ``from __future__`` imports and the names a file lists in
+    ``__all__`` (the re-exports of ``__init__.py``) are exempt."""
+    found = []
+    for fname, tree in trees.items():
+        bound: list[str] = []
+        used: set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                # import a.b binds a
+                bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound += [alias.asname or alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif (isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                used.update(elt.value for elt in node.value.elts)
+        found += [f"{fname}:{name}" for name in bound if name not in used]
+    return sorted(found)
+
+
+UNUSED = """
+from __future__ import annotations
+
+import os
+import json as js
+import xml.dom
+from math import gcd, isqrt
+from fractions import Fraction
+
+__all__ = ["gcd"]
+
+
+def half(x: Fraction) -> int:
+    return isqrt(4) + len(xml.dom.Node.__name__)
+"""
+
+
+def test_guard_catches_imports_that_nothing_reads():
+    assert _unused_imports({"mod.py": ast.parse(UNUSED)}) == ["mod.py:js", "mod.py:os"]
+
+
+def test_every_imported_name_is_used():
+    trees = {f"{path.parent.name}/{path.name}": ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))}
+    assert "algseeds/__init__.py" in trees and "tests/test_surface.py" in trees
+    assert _unused_imports(trees) == []
