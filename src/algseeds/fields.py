@@ -584,7 +584,8 @@ def independence_report(inst: SetInstance) -> IndependenceReport:
     """Decide every pair of elements of inst.  Elements are bucketed by
     degree and discriminant kernel; pairs in different buckets generate
     different fields (module docstring), so only pairs inside a bucket are
-    decided exactly.  pairs_checked still counts every pair."""
+    decided exactly; a 2r or 2i instance takes its kernels from one sieve
+    (module docstring).  pairs_checked still counts every pair."""
     elems = inst.numbers()
     n = len(elems)
     if inst.spec.family in ("2r", "2i"):
