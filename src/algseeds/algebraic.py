@@ -61,9 +61,9 @@ by construction:
   * a sub-interval of an isolating interval on whose ends p changes sign
     (every cell ``refine`` keeps) still holds exactly one root;
   * ``irrational_real_roots`` builds each root of ``rest``, the factor of
-    p that ``split_integer_roots`` returns only when it is irreducible, on
-    an interval isolated in closed form (below), with p's signs opposite
-    at its ends;
+    the squarefree p that ``split_integer_roots`` returns only when it is
+    irreducible, on an interval isolated in closed form (below), with p's
+    signs opposite at its ends;
   * a root selected by a half-plane needs only an irreducible quadratic
     with disc < 0; ``families.iter_elements`` builds the 2i elements this
     way, whose polynomials have disc < 0 over the whole range (the
@@ -75,7 +75,8 @@ theorem; compare isolation by differentiation, Collins and Loos, SYMSAC
 1976, and by Descartes' rule, Collins and Akritas, same proceedings):
 
   * a quadratic x^2 + bx + c has its roots (-b -+ sqrt(disc)) / 2, and with
-    s = isqrt(disc), sqrt(disc) lies in (s, s + 1), as in families.bc_root;
+    s = isqrt(disc), sqrt(disc) lies in (s, s + 1); families.bc_root
+    selects its (b, c)_- and (b, c)_+ roots from these two intervals;
   * a cubic with disc < 0 has one real root, inside (-B, B) for the Cauchy
     bound B = root_bound_pow2;
   * a cubic with disc > 0 has three, and p' = 3x^2 + 2bx + c vanishes at
@@ -387,6 +388,8 @@ def same_number(a: AlgebraicNumber, b: AlgebraicNumber) -> bool:
 
 
 def round_half_even(x: Fraction, places: int) -> str:
+    if places < 0:
+        raise ValueError("places must be nonnegative")
     scale = 10**places
     q, r = divmod(x.numerator * scale, x.denominator)
     if 2 * r > x.denominator or (2 * r == x.denominator and q % 2):
@@ -414,7 +417,7 @@ def _isolate_irreducible(p: MonicIntPoly) -> list[FracIv]:
         if disc < 0:
             return []
         b, s = p.coeffs[0], isqrt(disc)
-        # sqrt(disc) lies in (s, s + 1), as in families.bc_root
+        # sqrt(disc) lies in (s, s + 1); families.bc_root reads these two
         return [(Fraction(-b - s - 1, 2), Fraction(-b - s, 2)),
                 (Fraction(-b + s, 2), Fraction(-b + s + 1, 2))]
     bound = Fraction(root_bound_pow2(p))
@@ -460,25 +463,18 @@ class ComplexEnclosure:
 
 
 def complex_pair(p: MonicIntPoly, bits: int = 64) -> ComplexEnclosure:
-    """Upper complex root of a cubic with one real root, to 2**-bits."""
+    """Upper complex root of an irreducible cubic with one real root, to 2**-bits."""
     if p.degree != 3:
         raise ValueError("complex_pair needs a cubic")
-    disc = p.discriminant()
-    if disc == 0:
-        raise ZeroDiscriminant(f"{p} has a repeated root")
-    if disc > 0:
+    if p.discriminant() > 0:
         raise PositiveDiscriminant(f"{p} is totally real")
-    b, c = p.coeffs[0], p.coeffs[1]
-    _, rest = p.split_integer_roots()
-    if rest is not None and rest.degree == 2:
-        # exact real root; the pair (-qb +- i sqrt(4 qc - qb^2)) / 2 comes
-        # from the quadratic factor
-        qb, qc = rest.coeffs
-        re = Fraction(-qb, 2)
-        sq = (4 * qc - qb * qb) << 2 * (bits + 1)
-        im_lo, im_hi = isqrt_iv(sq, sq)
-        return ComplexEnclosure((re, re), (Fraction(im_lo, 4 << bits), Fraction(im_hi, 4 << bits)))
-    root = irrational_real_roots(p)[0]
+    # raises ZeroDiscriminant for disc = 0; for disc < 0, the one real root
+    # is irrational exactly when p is irreducible
+    roots = irrational_real_roots(p)
+    if not roots:
+        raise RationalInput(f"{p} is reducible")
+    root = roots[0]
+    b, c, _ = p.coeffs
 
     def decide(work):
         # p = (x - a1)(x^2 + (b + a1) x + (a1^2 + b a1 + c)), so the pair has

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from .algebraic import AlgebraicNumber, refine_until, same_number
 from .families import SetInstance, SetSpec
@@ -21,28 +22,28 @@ class NotInUnitInterval(ValueError):
 
 @dataclass(frozen=True)
 class BitStream:
+    """The first length binary digits of source, as the integer value they
+    spell, most significant digit first."""
+
     source: AlgebraicNumber
-    bits: tuple[int, ...]
+    value: int
+    length: int
 
     @property
-    def length(self) -> int:
-        return len(self.bits)
+    def bits(self) -> tuple[int, ...]:
+        return tuple(map(int, self.as_text()))
 
     def as_text(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return format(self.value, f"0{self.length}b")
 
     def as_hex(self) -> str:
         """Nibble-packed, most significant bit first, zero-padded on the right."""
-        padded = self.bits + (0,) * (-len(self.bits) % 4)
-        return "".join(format(int("".join(map(str, padded[i:i + 4])), 2), "x")
-                       for i in range(0, len(padded), 4)) if padded else ""
+        pad = -self.length % 4
+        return format(self.value << pad, f"0{(self.length + pad) // 4}x")
 
     def fraction(self) -> Fraction:
         """The dyadic approximation j / 2^L; within 2^-L of the source."""
-        j = 0
-        for b in self.bits:
-            j = (j << 1) | b
-        return Fraction(j, 1 << len(self.bits))
+        return Fraction(self.value, 1 << self.length)
 
     def complemented(self) -> tuple[int, ...]:
         return tuple(1 - b for b in self.bits)
@@ -69,7 +70,7 @@ def binary_expansion(a: AlgebraicNumber, length: int) -> BitStream:
         return j_lo if j_lo == j_hi else None
     j = refine_until(cell, length + 2)
     assert 0 <= j < scale
-    return BitStream(a, tuple((j >> (length - 1 - i)) & 1 for i in range(length)))
+    return BitStream(a, j, length)
 
 
 @dataclass(frozen=True)
@@ -85,19 +86,10 @@ class RunStats:
 
 
 def bit_stats(stream: BitStream) -> RunStats:
-    bits = stream.bits
-    ones = sum(bits)
-    longest = run = runs = 0
-    prev = None
-    for b in bits:
-        if b == prev:
-            run += 1
-        else:
-            runs += 1
-            run = 1
-            prev = b
-        longest = max(longest, run)
-    return RunStats(ones, len(bits) - ones, longest, runs)
+    text = stream.as_text()
+    ones = text.count("1")
+    runs = [len(list(run)) for _, run in groupby(text)]
+    return RunStats(ones, len(text) - ones, max(runs, default=0), len(runs))
 
 
 @dataclass(frozen=True)

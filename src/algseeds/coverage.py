@@ -15,8 +15,8 @@ from functools import lru_cache
 from math import isqrt
 
 from .algebraic import AlgebraicNumber, horner_in, irrational_real_roots, same_number
-from .families import (InvalidParams, SetInstance, SetSpec, bc_root, bc_shift_params,
-                       build_set, iter_elements, quadratic_exception)
+from .families import (InvalidParams, SetInstance, SetSpec, _unit_interval_root, bc_root,
+                       bc_shift_params, build_set, iter_elements, quadratic_exception)
 from .fields import FieldExpression, char_poly, express_in, squarefree_kernel
 from .polynomials import MonicIntPoly, is_perfect_square
 
@@ -281,14 +281,9 @@ def find_common_index(targets, domain: str = "real") -> CommonIndexResult:
 def common_index_witnesses(res: CommonIndexResult) -> list[AlgebraicNumber]:
     """The certified set elements: -n + sqrt(c) in I_{2n}^{2,r} for the real
     domain, sqrt(-c) in I_{2n}^{2,i} for the imaginary one."""
-    out = []
-    n = res.n
-    for _, _, c in res.certificate:
-        if res.domain == "real":
-            out.append(bc_root(2 * n, n * n - c, 1))
-        else:
-            out.append(AlgebraicNumber.complex_root(MonicIntPoly.quadratic(0, c), upper=True))
-    return out
+    n, real = res.n, res.domain == "real"
+    return [bc_root(2 * n, n * n - c, 1) if real else bc_root(0, c, 1)
+            for _, _, c in res.certificate]
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +325,13 @@ def _family_coeff_ok(family: str, c: int, d: int) -> bool:
 
 def find_generator(target: MonicIntPoly, family: str, coord_bound: int = 50) -> SearchResult:
     """First element of S_0^{family} (shells by max coordinate, then
-    lexicographic) that generates the field of the target polynomial."""
+    lexicographic) that generates the field of the target polynomial.
+
+    A witness polynomial char is irreducible with family coefficients, so
+    char(0) = d and char(1) = 1 + c + d differ in sign, and (0,1) holds one
+    root only: three would have product |d| < 1 (the uniqueness argument of
+    the ``families`` docstring).  ``families._unit_interval_root``, the
+    builder of every set element, builds it with no Sturm count."""
     if target.degree != 3 or not target.is_irreducible():
         raise InvalidTarget(f"{target} is not an irreducible cubic")
     if family not in ("3ntr", "3tr"):
@@ -360,7 +361,7 @@ def find_generator(target: MonicIntPoly, family: str, coord_bound: int = 50) -> 
                     if not horner_in(theta, coords, 0, 1, 64):
                         continue  # the value, a root of char, is irrational
                     spec = SetSpec(family, (0, c))
-                    elem = AlgebraicNumber.real_root(char, 0, 1)
+                    elem = _unit_interval_root(char)
                     cert = FieldExpression(theta, tuple(Fraction(x) for x in coords))
                     assert cert.verify_root_of(char)
                     return SearchResult(True, GeneratorWitness(

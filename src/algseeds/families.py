@@ -31,18 +31,24 @@ So the elements ascend in range order when c > 0 and in reverse range order
 when c < 0.
 
 One irreducibility decision per element.  A rational root of a monic
-integer polynomial is an integer.  So a cubic with no integer root is
-irreducible, and ``split_integer_roots`` finds any integer root once and
-keeps the irreducible quadratic factor of a reducible cubic (it checks that
-factor itself).  A quadratic whose signs at 0 and 1 are opposite and
-nonzero has a root in (0,1), which is no integer, so it is irreducible.
-``build_set`` therefore checks only the signs at 0 and 1, on integers:
-p(0) is the constant coefficient and p(1) is 1 plus the sum of the
-coefficients, so the test is p(0) p(1) < 0.  It builds each element
+integer polynomial is an integer.  A quadratic whose signs at 0 and 1 are
+opposite and nonzero has a root in (0,1), which is no integer, so it is
+irreducible.  A cubic with no integer root is irreducible.  A reducible
+cubic with p(0) p(1) < 0 is (x - r) q with r not 0 or 1, so q changes sign
+on (0,1) and is irreducible, and r is its one integer root:
+``split_integer_roots`` finds r in one divisor scan and returns q without
+deciding again.  ``build_set`` therefore checks only the signs at 0 and 1,
+on integers: p(0) is the constant coefficient and p(1) is 1 plus the sum of
+the coefficients, so the test is p(0) p(1) < 0.  It builds each element
 through the trusted ``AlgebraicNumber._narrowed``; the validating
 constructor would decide irreducibility a second time.
 ``AlgebraicNumber.less_than`` remains the exact order, and the tests check
 the two against each other.
+
+Shared builders.  ``_unit_interval_root`` builds every real element on
+(0,1): the set elements, the element of ``quadratic_exception`` and the
+witness of ``coverage.find_generator``.  ``bc_root`` takes its real roots
+from ``irrational_real_roots`` (closed form, ``algebraic`` docstring).
 
 Imaginary instances.  2i(n) takes x^2 + b x + c with b = -1 for odd n and
 b = 0 for even n, and c >= floor(n/2)^2 + 1 over its whole range.  So disc
@@ -61,7 +67,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .algebraic import AlgebraicNumber
+from .algebraic import AlgebraicNumber, irrational_real_roots
 from .polynomials import MonicIntPoly, is_perfect_square
 
 FAMILIES = ("2r", "2i", "3ntr", "3tr")
@@ -216,11 +222,8 @@ def bc_root(b: int, c: int, sign: int) -> AlgebraicNumber:
         return AlgebraicNumber.complex_root(p, upper=sign > 0)
     if is_perfect_square(disc):
         raise RationalRoot(f"{p} has rational roots")
-    s = isqrt(disc)
-    # sqrt(disc) lies in (s, s+1); halves keep the endpoints dyadic
-    if sign > 0:
-        return AlgebraicNumber.real_root(p, Fraction(-b + s, 2), Fraction(-b + s + 1, 2))
-    return AlgebraicNumber.real_root(p, Fraction(-b - s - 1, 2), Fraction(-b - s, 2))
+    # the two roots, ascending, isolated in closed form (algebraic docstring)
+    return irrational_real_roots(p)[sign > 0]
 
 
 def bc_shift_params(b: int, c: int, n: int) -> tuple[int, int]:
@@ -312,13 +315,10 @@ def quadratic_exception(b: int, c: int) -> QuadraticException | None:
     n = rule.n
     cq = c + n * n - b * n
     d = -(n - b) * cq
-    cubic = MonicIntPoly.cubic(b, c, d)
     quad = MonicIntPoly.quadratic(n, cq)
     # (x - (n - b)) * quad must reproduce the cubic exactly
-    root = n - b
-    assert cubic.deflate(root) == quad
-    element = AlgebraicNumber.real_root(quad, 0, 1)
-    return QuadraticException(n, d, quad, element)
+    assert MonicIntPoly.cubic(b, c, d).deflate(n - b) == quad
+    return QuadraticException(n, d, quad, _unit_interval_root(quad))
 
 
 def reducible_free_coeffs(b: int, c: int) -> list[int]:

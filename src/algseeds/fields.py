@@ -64,6 +64,14 @@ kernels off the sieve, and refuses any other list with a ValueError.
 ``squarefree_kernel`` stays the kernel of a single value, for cubics,
 ``FieldId.of_number``, ``same_field`` and ``express_in``.
 
+The solve reads a cubic's conjugates in one place, ``_conjugates(a, bits)``:
+fixed-point enclosures at scale 2^bits of a and of its two conjugates,
+flagged real when they are the other two real roots, ascending, and not
+when they are the real and imaginary parts of the upper complex root.  They
+come from the cached ``_real_root_enclosures`` (a's own found by
+``_locate``) and ``_complex_enclosure``.  ``_alpha_matrix`` builds the rows
+of the solve from them, and ``_beta_rhs_variants`` its two right-hand sides.
+
 Cubic pairs with equal kernels meet one more invariant before the solve.
 For a prime p not dividing disc(f), p does not divide the index either,
 so f mod p factors as p splits in O_K (Dedekind-Kummer; Neukirch,
@@ -83,8 +91,8 @@ from fractions import Fraction
 from itertools import combinations, repeat
 from math import isqrt, lcm
 
-from .algebraic import (MAX_BITS, AlgebraicNumber, complex_pair, horner_in, refine_until,
-                        same_number)
+from .algebraic import (MAX_BITS, AlgebraicNumber, ComplexEnclosure, complex_pair, horner_in,
+                        irrational_real_roots, refine_until, same_number)
 from .dyadic import fp_add, fp_div, fp_from_fractions, fp_mul, fp_neg, fp_sub
 from .families import SetInstance
 from .polynomials import MonicIntPoly
@@ -312,15 +320,12 @@ def _reconstruct(lo: int, hi: int, prec: int, qmax: int) -> Fraction | None:
 
 @functools.lru_cache(maxsize=4096)
 def _real_root_enclosures(p: MonicIntPoly, bits: int) -> tuple[tuple[Fraction, Fraction], ...]:
-    from .algebraic import irrational_real_roots
-    roots = [r.refine(bits) for r in irrational_real_roots(p)]
-    return tuple((r.lo, r.hi) for r in roots)
+    return tuple(r.enclosure(bits) for r in irrational_real_roots(p))
 
 
 @functools.lru_cache(maxsize=4096)
-def _complex_enclosure(p: MonicIntPoly, bits: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    enc = complex_pair(p, bits)
-    return (enc.re[0], enc.re[1], enc.im[0], enc.im[1])
+def _complex_enclosure(p: MonicIntPoly, bits: int) -> ComplexEnclosure:
+    return complex_pair(p, bits)
 
 
 def _locate(a: AlgebraicNumber, enclosures) -> int:
@@ -373,47 +378,37 @@ def _solve(a_rows, rhs, prec):
     return out
 
 
+def _conjugates(a: AlgebraicNumber, bits: int):
+    """(own, (u, v), real): a and its conjugates at scale 2**bits (module
+    docstring)."""
+    f = a.minpoly
+    if f.discriminant() > 0:
+        encs = _real_root_enclosures(f, bits)
+        fps = [fp_from_fractions(lo, hi, bits) for lo, hi in encs]
+        own = fps.pop(_locate(a, encs))
+        return own, tuple(fps), True
+    pair = _complex_enclosure(f, bits)
+    return (fp_from_fractions(*a.enclosure(bits), bits),
+            (fp_from_fractions(*pair.re, bits), fp_from_fractions(*pair.im, bits)), False)
+
+
 @functools.lru_cache(maxsize=4096)
 def _alpha_matrix(alpha: AlgebraicNumber, bits: int):
     """Interval matrix of the conjugate system, alpha's own row first."""
-    f = alpha.minpoly
-    prec = bits
-    one = (1 << prec, 1 << prec)
-    if f.discriminant() > 0:
-        encs = _real_root_enclosures(f, bits)
-        k = _locate(alpha, encs)
-        ordered = (encs[k],) + tuple(e for i, e in enumerate(encs) if i != k)
-        rows = []
-        for lo, hi in ordered:
-            x = fp_from_fractions(lo, hi, prec)
-            rows.append((one, x, fp_mul(x, x, prec)))
-        return tuple(rows)
-    a1 = alpha.refine(bits)
-    x = fp_from_fractions(a1.lo, a1.hi, prec)
-    re_lo, re_hi, im_lo, im_hi = _complex_enclosure(f, bits)
-    u = fp_from_fractions(re_lo, re_hi, prec)
-    v = fp_from_fractions(im_lo, im_hi, prec)
-    zero = (0, 0)
-    return ((one, x, fp_mul(x, x, prec)),
-            (one, u, fp_sub(fp_mul(u, u, prec), fp_mul(v, v, prec))),
-            (zero, v, fp_add(fp_mul(u, v, prec), fp_mul(u, v, prec))))
+    x, (u, v), real = _conjugates(alpha, bits)
+    one = (1 << bits, 1 << bits)
+    if real:
+        return tuple((one, y, fp_mul(y, y, bits)) for y in (x, u, v))
+    return ((one, x, fp_mul(x, x, bits)),
+            (one, u, fp_sub(fp_mul(u, u, bits), fp_mul(v, v, bits))),
+            ((0, 0), v, fp_add(fp_mul(u, v, bits), fp_mul(u, v, bits))))
 
 
 def _beta_rhs_variants(beta: AlgebraicNumber, bits: int):
-    """The two admissible conjugate assignments for the right-hand side."""
-    g = beta.minpoly
-    prec = bits
-    b1 = beta.refine(bits)
-    r1 = fp_from_fractions(b1.lo, b1.hi, prec)
-    if g.discriminant() > 0:
-        encs = _real_root_enclosures(g, bits)
-        k = _locate(beta, encs)
-        others = [fp_from_fractions(lo, hi, prec) for i, (lo, hi) in enumerate(encs) if i != k]
-        return ((r1, others[0], others[1]), (r1, others[1], others[0]))
-    re_lo, re_hi, im_lo, im_hi = _complex_enclosure(g, bits)
-    u = fp_from_fractions(re_lo, re_hi, prec)
-    v = fp_from_fractions(im_lo, im_hi, prec)
-    return ((r1, u, v), (r1, u, fp_neg(v)))
+    """The two admissible conjugate assignments for the right-hand side:
+    swap the other two real roots, or flip the sign of the imaginary part."""
+    x, (u, v), real = _conjugates(beta, bits)
+    return ((x, u, v), (x, v, u) if real else (x, u, fp_neg(v)))
 
 
 def _value_is_beta(expr: FieldExpression, beta: AlgebraicNumber, max_bits: int) -> bool:

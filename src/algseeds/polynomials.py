@@ -96,29 +96,25 @@ class MonicIntPoly:
         """Distinct integer roots, ascending.
 
         A monic integer polynomial has all its rational roots in Z, and for
-        degree 3 reducibility is equivalent to having such a root.
+        degree 3 reducibility is equivalent to having such a root.  A
+        quadratic's are (-b -+ s) / 2 when disc = s^2, integers because
+        disc = b^2 (mod 4).  A cubic's are the first root r that one scan of
+        the divisors of d finds (r = 0 when d = 0) and those of p / (x - r).
         """
-        const = self.coeffs[-1]
-        if const == 0:
-            shifted = self.coeffs[:-1]
-            roots = {0}
-            if len(shifted) == 1:
-                roots.add(-shifted[0])
-            else:
-                roots.update(MonicIntPoly(shifted).integer_roots())
-            return sorted(roots)
-        roots = set()
-        a = abs(const)
-        for r in range(1, isqrt(a) + 1):
-            if a % r == 0:
-                for cand in (r, -r, a // r, -(a // r)):
-                    if self.evaluate(cand) == 0:
-                        roots.add(cand)
-        return sorted(roots)
+        if self.degree == 2:
+            b, disc = self.coeffs[0], self.discriminant()
+            s = isqrt(max(disc, 0))
+            return sorted({(-b - s) // 2, (-b + s) // 2}) if s * s == disc else []
+        d = self.coeffs[2]
+        a = abs(d)
+        for k in range(1, isqrt(a) + 1):
+            if a % k == 0:
+                for r in (k, -k, a // k, -(a // k)):
+                    if self.evaluate(r) == 0:
+                        return sorted({r, *self.deflate(r).integer_roots()})
+        return [] if d else sorted({0, *self.deflate(0).integer_roots()})
 
     def is_irreducible(self) -> bool:
-        if self.degree == 2:
-            return not is_perfect_square(self.discriminant())
         return not self.integer_roots()
 
     def deflate(self, r: int) -> "MonicIntPoly":
@@ -135,17 +131,11 @@ class MonicIntPoly:
     def split_integer_roots(self) -> tuple[list[int], "MonicIntPoly | None"]:
         """(integer roots, irrational-root factor or None); p must be squarefree."""
         roots = self.integer_roots()
-        if not roots:
-            return [], self
-        if self.degree == 2:
-            # monic quadratic with one integer root has two
-            b, _ = self.coeffs
-            return sorted({roots[0], -b - roots[0]}), None
-        rest = self.deflate(roots[0])
-        if rest.is_irreducible():
-            return roots, rest
-        more, _ = rest.split_integer_roots()
-        return sorted(set(roots) | set(more)), None
+        # a squarefree cubic with one integer root keeps an irreducible
+        # quadratic factor; with two, its third root is an integer too
+        if self.degree == 3 and len(roots) == 1:
+            return roots, self.deflate(roots[0])
+        return roots, (None if roots else self)
 
     def map_root(self, eps: int, shift: int) -> "MonicIntPoly":
         """Monic polynomial whose roots are eps*alpha + shift (eps = +-1, shift in Z)."""

@@ -25,6 +25,9 @@ class TooFewElements(ValueError):
     pass
 
 
+_ZERO = Fraction(0)
+
+
 def _iv_json(iv: FracIv, places: int = 8) -> dict:
     lo, hi = iv
     return {"lo": [str(lo.numerator), str(lo.denominator)],
@@ -130,21 +133,13 @@ def _gap_enclosures(values, bits: int) -> tuple[FracIv, ...]:
 
 
 def _max_dev(gaps: tuple[FracIv, ...], n: int) -> FracIv:
+    """Enclosure of max |gap - 1/n|: over a gap [g_lo, g_hi], with d = g - 1/n,
+    |d| runs from max(d_lo, -d_hi, 0) to max(d_hi, -d_lo)."""
     inv = Fraction(1, n)
-    lo = hi = Fraction(0)
-    first = True
+    lo = hi = _ZERO
     for g_lo, g_hi in gaps:
         d_lo, d_hi = g_lo - inv, g_hi - inv
-        if d_lo >= 0:
-            a_lo, a_hi = d_lo, d_hi
-        elif d_hi <= 0:
-            a_lo, a_hi = -d_hi, -d_lo
-        else:
-            a_lo, a_hi = Fraction(0), max(-d_lo, d_hi)
-        if first:
-            lo, hi, first = a_lo, a_hi, False
-        else:
-            lo, hi = max(lo, a_lo), max(hi, a_hi)
+        lo, hi = max(lo, d_lo, -d_hi), max(hi, d_hi, -d_lo)
     return (lo, hi)
 
 

@@ -13,6 +13,7 @@ from algseeds.algebraic import (
     AlgebraicNumber,
     ComplexEnclosure,
     PositiveDiscriminant,
+    RationalInput,
     ZeroDiscriminant,
     complex_pair,
     irrational_real_roots,
@@ -277,6 +278,17 @@ def test_round_half_even_matches_decimal_module(num, den, places):
     assert decimal.Decimal(ours) == ref
 
 
+def test_negative_places_are_refused():
+    """round_half_even is the one renderer, and both decimal methods reach
+    it through the ladder."""
+    with pytest.raises(ValueError, match="places"):
+        round_half_even(Fraction(1, 3), -1)
+    with pytest.raises(ValueError, match="places"):
+        SQRT2.decimal(-1)
+    with pytest.raises(ValueError, match="places"):
+        AffineValue(SQRT2, Fraction(1, 2), Fraction(0)).decimal(-2)
+
+
 def test_same_number_distinguishes_conjugates():
     r1, r2 = irrational_real_roots(MonicIntPoly.quadratic(0, -2))
     assert not same_number(r1, r2)
@@ -350,11 +362,13 @@ def test_complex_pair_of_pure_cubic():
     assert rounded(enc.im, 5) == "1.09112"
 
 
-def test_complex_pair_reducible_cubic_exact_real_part():
-    # (x - 1)(x^2 + x + 1): pair is -1/2 +- sqrt(3)/2 i
-    enc = complex_pair(MonicIntPoly.cubic(0, 0, -1))
-    assert enc.re[0] == enc.re[1] == Fraction(-1, 2)
-    assert rounded(enc.im, 5) == "0.86603"
+def test_complex_pair_refuses_reducible_cubic():
+    for p in (MonicIntPoly.cubic(0, 0, -1),     # (x - 1)(x^2 + x + 1)
+              MonicIntPoly.cubic(0, 1, 0),      # x (x^2 + 1)
+              MonicIntPoly.cubic(-3, 4, -4)):   # (x - 2)(x^2 - x + 2)
+        assert p.discriminant() < 0 and not p.is_irreducible()
+        with pytest.raises(RationalInput):
+            complex_pair(p)
 
 
 def _product_range(x, y):
@@ -369,13 +383,13 @@ def test_complex_pair_rectangles_nest_across_precisions(b, c, d, bits):
     their width; with the real root a1 they satisfy Vieta's a1 |z|^2 = -d."""
     p = MonicIntPoly.cubic(b, c, d)
     assume(p.discriminant() < 0)
+    assume(p.is_irreducible())
     coarse, fine = complex_pair(p, bits), complex_pair(p, 2 * bits)
     for enc, k in ((coarse, bits), (fine, 2 * bits)):
         for lo, hi in (enc.re, enc.im):
             assert 0 <= hi - lo <= Fraction(1, 2**k)
         re2, im2 = _product_range(enc.re, enc.re), _product_range(enc.im, enc.im)
-        a1 = irrational_real_roots(p)[0].enclosure(k) if p.is_irreducible() else (
-            (Fraction(p.integer_roots()[0]),) * 2)
+        a1 = irrational_real_roots(p)[0].enclosure(k)
         n_lo, n_hi = _product_range(a1, (re2[0] + im2[0], re2[1] + im2[1]))
         assert n_lo <= -d <= n_hi
     for x, y in ((coarse.re, fine.re), (coarse.im, fine.im)):
@@ -385,6 +399,8 @@ def test_complex_pair_rectangles_nest_across_precisions(b, c, d, bits):
 def test_complex_pair_rejects_totally_real():
     with pytest.raises(PositiveDiscriminant):
         complex_pair(MonicIntPoly.cubic(0, -3, 1))
+    with pytest.raises(ZeroDiscriminant):
+        complex_pair(MonicIntPoly.cubic(0, -3, 2))   # (x - 1)^2 (x + 2)
 
 
 def test_complex_root_json_shape():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from algseeds.algebraic import AlgebraicNumber
 from algseeds.bits import (
+    BitStream,
     NotInUnitInterval,
     binary_expansion,
     bit_stats,
@@ -92,6 +93,32 @@ def test_stats_are_consistent(n, length):
     assert stats.ones + stats.zeros == length
     assert 1 <= stats.runs_count <= length
     assert stats.longest_run <= length
+
+
+def test_stream_value_matches_digit_oracle():
+    """A stream holds the integer its digits spell; bits, text, hex and
+    fraction are read off it with the leading zeros kept."""
+    s = binary_expansion(SQRT2_FRAC, 12)
+    assert (s.value, s.length) == (isqrt(2 * 4**12) - 2**12, 12)   # floor(2^12 (sqrt 2 - 1))
+    assert s.as_text() == "011010100000"
+    assert s.bits == tuple(int(ch) for ch in s.as_text())
+    assert s.as_hex() == "6a0"
+    assert s.fraction() == Fraction(s.value, 1 << 12)
+    assert BitStream(SQRT2_FRAC, 1, 6).as_text() == "000001"
+
+
+@given(value=st.integers(min_value=0), length=st.integers(min_value=1, max_value=64))
+def test_bit_stats_match_a_scan_of_the_bits(value, length):
+    stream = BitStream(GOLDEN, value % (1 << length), length)
+    bits = stream.bits
+    changes = sum(a != b for a, b in zip(bits, bits[1:]))
+    longest = run = 1
+    for a, b in zip(bits, bits[1:]):
+        run = run + 1 if a == b else 1
+        longest = max(longest, run)
+    stats = bit_stats(stream)
+    assert (stats.ones, stats.zeros) == (sum(bits), length - sum(bits))
+    assert (stats.longest_run, stats.runs_count) == (longest, changes + 1)
 
 
 def test_hex_padding():

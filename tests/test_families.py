@@ -1,6 +1,7 @@
 """Unit tests for the four parametric set families."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import assume, example, given
@@ -22,7 +23,7 @@ from algseeds.families import (
     reducible_free_coeffs,
     reflect_spec,
 )
-from algseeds.polynomials import MonicIntPoly
+from algseeds.polynomials import MonicIntPoly, is_perfect_square
 
 # valid parameter strategies, kept small so instances stay cheap
 REAL_QUAD_N = st.one_of(
@@ -267,6 +268,29 @@ def test_bc_root_real_and_complex():
 
     with pytest.raises(RationalRoot):
         bc_root(-3, 2, 1)  # (x-1)(x-2)
+
+
+def test_bc_root_matches_the_validating_constructor():
+    """bc_root reads its interval off irrational_real_roots; the slow path
+    builds it from the closed form through the validating constructor."""
+    for b in range(-40, 41):
+        for c in range(-40, 41):
+            disc = b * b - 4 * c
+            p = MonicIntPoly.quadratic(b, c)
+            for sign in (1, -1):
+                if disc >= 0 and is_perfect_square(disc):
+                    with pytest.raises(RationalRoot):
+                        bc_root(b, c, sign)
+                    continue
+                if disc < 0:
+                    slow = AlgebraicNumber.complex_root(p, upper=sign > 0)
+                else:
+                    s = isqrt(disc)
+                    lo = Fraction(-b + s, 2) if sign > 0 else Fraction(-b - s - 1, 2)
+                    slow = AlgebraicNumber.real_root(p, lo, lo + Fraction(1, 2))
+                fast = bc_root(b, c, sign)
+                assert fast == slow and hash(fast) == hash(slow)
+                assert fast.to_json() == slow.to_json()
 
 
 @given(

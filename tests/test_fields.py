@@ -13,6 +13,8 @@ from algseeds.families import SetInstance, SetSpec, bc_root, build_set
 from algseeds.fields import (
     FieldExpression,
     FieldId,
+    _alpha_matrix,
+    _beta_rhs_variants,
     _express_cubic,
     _locate,
     _mulmod,
@@ -391,6 +393,26 @@ def test_locate_falls_back_when_two_enclosures_meet():
         assert meets == [1, 2]
         assert _locate(alpha, encs) == want
         assert same_number(alpha, AlgebraicNumber(p, *encs[want]))
+
+
+@pytest.mark.parametrize("coeffs", [(0, -3, 1), (0, -7, 7), (0, 0, -2), (0, -1, -1)])
+def test_alpha_matrix_and_beta_rows_read_the_same_conjugates(coeffs):
+    """The x column of _alpha_matrix is the first right-hand side of
+    _beta_rhs_variants, for every real root of totally real and complex
+    cubics; each real entry encloses its own root, checked exactly."""
+    p = MonicIntPoly.cubic(*coeffs)
+    roots = irrational_real_roots(p)
+    alphas = list(roots)
+    if p.sign_at(Fraction(0)) != p.sign_at(Fraction(1)):
+        alphas.append(AlgebraicNumber.real_root(p, 0, 1))  # as build_set holds it
+    for alpha in alphas:
+        column = tuple(row[1] for row in _alpha_matrix(alpha, 128))
+        assert column == _beta_rhs_variants(alpha, 128)[0]
+        own = [a for a in roots if same_number(a, alpha)]
+        reals = own + [a for a in roots if a not in own] if p.discriminant() > 0 else own
+        for root, (lo, hi) in zip(reals, column):
+            assert root.cmp_rational(Fraction(lo, 1 << 128)) > 0
+            assert root.cmp_rational(Fraction(hi, 1 << 128)) < 0
 
 
 @given(qmax=st.integers(1, 12), prec=st.integers(10, 40), h=st.integers(-60, 60),

@@ -84,6 +84,34 @@ def test_cubic_integer_roots_are_roots(b, c, d):
         assert p.evaluate(r) == p.evaluate(Fraction(r))
 
 
+def _brute_integer_roots(p):
+    bound = root_bound_pow2(p)
+    return [r for r in range(-bound, bound + 1) if p.evaluate(r) == 0]
+
+
+@given(b=COEFF, c=COEFF, r=st.integers(-20, 20))
+def test_quadratic_integer_roots_match_brute_force(b, c, r):
+    """The closed form (-b -+ s) / 2 against a scan of the Cauchy bound, on
+    drawn quadratics and on (x - r)^2."""
+    for p in (MonicIntPoly.quadratic(b, c), MonicIntPoly.quadratic(-2 * r, r * r)):
+        assert p.integer_roots() == _brute_integer_roots(p)
+
+
+@given(b=COEFF, c=COEFF, d=COEFF, r=st.integers(-8, 8), s=st.integers(-8, 8))
+def test_cubic_integer_roots_match_brute_force(b, c, d, r, s):
+    """The stop-at-first-root scan against a scan of the Cauchy bound, on
+    drawn cubics, on d = 0 and on (x - r)^2 (x - s), r = s included."""
+    for p in (MonicIntPoly.cubic(b, c, d), MonicIntPoly.cubic(b, c, 0),
+              MonicIntPoly.cubic(-2 * r - s, r * r + 2 * r * s, -r * r * s)):
+        roots = p.integer_roots()
+        assert roots == _brute_integer_roots(p)
+        if p.discriminant():
+            # squarefree: the factor kept is exactly the irreducible one
+            _, rest = p.split_integer_roots()
+            want = p if not roots else p.deflate(roots[0]) if len(roots) == 1 else None
+            assert rest == want and (rest is None or rest.is_irreducible())
+
+
 def test_deflate_exact_division():
     p = MonicIntPoly.cubic(-1, -1, 1)  # (x - 1)(x^2 - 1) = x^3 - x^2 - x + 1
     q = p.deflate(1)

@@ -1,8 +1,11 @@
 """The public surface and the private helpers: every exported name exists
-once, every ``_``-prefixed helper has a caller in the library, and every
-imported name is used in the file that imports it."""
+once, every ``_``-prefixed helper has a caller in the library, every
+imported name is used in the file that imports it, and the benchmark,
+which patches and reads library names from outside, still runs."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import algseeds
@@ -125,3 +128,13 @@ def test_every_imported_name_is_used():
              for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))}
     assert "algseeds/__init__.py" in trees and "tests/test_surface.py" in trees
     assert _unused_imports(trees) == []
+
+
+def test_benchmark_smoke_run_passes():
+    """perfbench wraps the functions it times through their module
+    attributes and reads the ``cache_info()`` of the enclosure caches of
+    ``fields``; a rename or deletion there makes every benchmark run fail."""
+    run = subprocess.run([sys.executable, "perfbench/run.py", "--smoke"], cwd=TESTS.parent,
+                         capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout.splitlines()[-1] == "smoke: ok"
