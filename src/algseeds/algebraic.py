@@ -52,7 +52,10 @@ by construction:
     irreducible.  The image polynomial is p(x - k) or +-p(-x), and the
     endpoints move with the root, so at the new endpoints it takes p's old
     signs, or all of them flipped: still opposite, around the image of the
-    one root inside;
+    one root inside.  The map keeps the discriminant of a quadratic, so an
+    imaginary one stays imaginary; x -> -x moves a root to the other half
+    plane and x -> x + k keeps it in its own, so ``negated`` flips the
+    half-plane tag and ``plus_int`` keeps it;
   * a split point inside the interval (grid points in ``refine``, integers
     in ``_narrow_to_unit_cell``) is never a root, because an irreducible
     polynomial of degree >= 2 has no rational root.  So its sign is nonzero
@@ -65,7 +68,7 @@ by construction:
     irreducible, on an interval isolated in closed form (below), with p's
     signs opposite at its ends;
   * a root selected by a half-plane needs only an irreducible quadratic
-    with disc < 0; ``families.iter_elements`` builds the 2i elements this
+    with disc < 0; ``families._upper_root`` builds the 2i elements this
     way, whose polynomials have disc < 0 over the whole range (the
     ``families`` docstring).
 
@@ -339,13 +342,13 @@ class AlgebraicNumber:
     def negated(self) -> "AlgebraicNumber":
         p = self.minpoly.map_root(-1, 0)
         if not self.is_real:
-            return AlgebraicNumber.complex_root(p, upper=self.half_plane < 0)
+            return AlgebraicNumber._narrowed(p, half_plane=-self.half_plane)
         return AlgebraicNumber._narrowed(p, -self.hi, -self.lo)
 
     def plus_int(self, k: int) -> "AlgebraicNumber":
         p = self.minpoly.map_root(1, k)
         if not self.is_real:
-            return AlgebraicNumber.complex_root(p, upper=self.half_plane > 0)
+            return AlgebraicNumber._narrowed(p, half_plane=self.half_plane)
         return AlgebraicNumber._narrowed(p, self.lo + k, self.hi + k)
 
     def reflected(self) -> "AlgebraicNumber":

@@ -29,6 +29,12 @@ class BitStream:
     value: int
     length: int
 
+    def __post_init__(self):
+        if self.length < 1:
+            raise ValueError("length must be positive")
+        if not 0 <= self.value < 1 << self.length:
+            raise ValueError(f"value {self.value} does not fit in {self.length} bits")
+
     @property
     def bits(self) -> tuple[int, ...]:
         return tuple(map(int, self.as_text()))
@@ -55,7 +61,7 @@ class BitStream:
 
 def binary_expansion(a: AlgebraicNumber, length: int) -> BitStream:
     if length < 1:
-        raise ValueError("length must be positive")
+        raise ValueError("length must be positive")  # before any refinement
     if not a.is_real:
         raise NotInUnitInterval("bit streams need a real number")
     if a.cmp_rational(Fraction(0)) < 0 or a.cmp_rational(Fraction(1)) > 0:
@@ -68,9 +74,7 @@ def binary_expansion(a: AlgebraicNumber, length: int) -> BitStream:
         # the last cell that starts below hi: the number is strictly below hi
         j_hi = -(-hi.numerator * scale // hi.denominator) - 1
         return j_lo if j_lo == j_hi else None
-    j = refine_until(cell, length + 2)
-    assert 0 <= j < scale
-    return BitStream(a, j, length)
+    return BitStream(a, refine_until(cell, length + 2), length)
 
 
 @dataclass(frozen=True)

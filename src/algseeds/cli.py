@@ -209,7 +209,9 @@ def _cmd_layer(ns: argparse.Namespace) -> Outcome:
 def _cmd_sweep(ns: argparse.Namespace) -> Outcome:
     """The instances of the paper's independence claim, by family: |n| <=
     quad_bound for the quadratic families, |n| <= cubic_bound and m in
-    CUBIC_RANGE_PARAMS for the cubic ones, from each m's smallest admissible n."""
+    CUBIC_RANGE_PARAMS for the cubic ones, from each m's smallest admissible n.
+    Each is decided from its spec: a 2r or 2i one from its kernels, with no
+    element built (``fields`` docstring)."""
     qb, cb = ns.quad_bound, ns.cubic_bound
     sweep = (
         ("2r", (SetSpec("2r", (n,))
@@ -225,7 +227,7 @@ def _cmd_sweep(ns: argparse.Namespace) -> Outcome:
         instances = pairs = 0
         collisions = []
         for spec in specs:
-            rep = independence_report(build_set(spec))
+            rep = independence_report(spec)
             instances += 1
             pairs += rep.pairs_checked
             collisions += [{"spec": spec.to_json(), **c.to_json()}

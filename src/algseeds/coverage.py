@@ -327,11 +327,14 @@ def find_generator(target: MonicIntPoly, family: str, coord_bound: int = 50) -> 
     """First element of S_0^{family} (shells by max coordinate, then
     lexicographic) that generates the field of the target polynomial.
 
-    A witness polynomial char is irreducible with family coefficients, so
-    char(0) = d and char(1) = 1 + c + d differ in sign, and (0,1) holds one
-    root only: three would have product |d| < 1 (the uniqueness argument of
-    the ``families`` docstring).  ``families._unit_interval_root``, the
-    builder of every set element, builds it with no Sturm count."""
+    A candidate polynomial char with family coefficients has char(0) = d and
+    char(1) = 1 + c + d of opposite signs, and (0,1) holds one root only:
+    three would have product |d| < 1 (the uniqueness argument of the
+    ``families`` docstring).  ``families._unit_interval_root``, the builder
+    of every set element, builds that root with no Sturm count, after one
+    divisor scan of d; if char is reducible, the root it returns is that of
+    the quadratic factor, so a cubic minimal polynomial of the root is the
+    one irreducibility decision per candidate."""
     if target.degree != 3 or not target.is_irreducible():
         raise InvalidTarget(f"{target} is not an irreducible cubic")
     if family not in ("3ntr", "3tr"):
@@ -356,12 +359,12 @@ def find_generator(target: MonicIntPoly, family: str, coord_bound: int = 50) -> 
                     _, c, d = char.coeffs
                     if not _family_coeff_ok(family, c, d):
                         continue
-                    if not char.is_irreducible():
-                        continue
+                    elem = _unit_interval_root(char)
+                    if elem.minpoly.degree != 3:
+                        continue  # char has an integer root
                     if not horner_in(theta, coords, 0, 1, 64):
                         continue  # the value, a root of char, is irrational
                     spec = SetSpec(family, (0, c))
-                    elem = _unit_interval_root(char)
                     cert = FieldExpression(theta, tuple(Fraction(x) for x in coords))
                     assert cert.verify_root_of(char)
                     return SearchResult(True, GeneratorWitness(

@@ -47,13 +47,27 @@ the two against each other.
 
 Shared builders.  ``_unit_interval_root`` builds every real element on
 (0,1): the set elements, the element of ``quadratic_exception`` and the
-witness of ``coverage.find_generator``.  ``bc_root`` takes its real roots
-from ``irrational_real_roots`` (closed form, ``algebraic`` docstring).
+witness of ``coverage.find_generator``.  ``element(spec, c)`` builds one
+set element, ``iter_elements`` every one in the order of
+``SetSpec.free_coeffs``, and ``fields`` the two of an equal-kernel pair
+when it decides a quadratic spec.  ``bc_root`` takes its real roots from
+``irrational_real_roots`` (closed form, ``algebraic`` docstring).
+
+Trusted polynomials.  ``defining_poly`` builds through
+``MonicIntPoly._trusted``, which skips the checks of ``__post_init__``:
+that the coefficients are two or three ints.  They hold by construction.
+``SetSpec.__post_init__`` refuses a params tuple of the wrong length or
+with a non-int entry, so b (or m and n) are ints; ``defining_poly`` refuses
+a non-int free coefficient, and the tuple it builds has one or two params
+plus that coefficient.  A frozen dataclass compares, hashes and serializes
+by its fields alone, so the trusted polynomial is ``==`` to the validated
+one, hashes alike and gives the same ``to_json``; the tests check this on
+every 2r and 2i instance with |n| <= 300.
 
 Imaginary instances.  2i(n) takes x^2 + b x + c with b = -1 for odd n and
 b = 0 for even n, and c >= floor(n/2)^2 + 1 over its whole range.  So disc
 = b^2 - 4c <= 1 - 4 < 0: the quadratic has no real root, so no rational
-one, and is irreducible over Q.  ``iter_elements`` builds each element
+one, and is irreducible over Q.  ``_upper_root`` builds each element
 through ``_narrowed`` with half-plane +1, which selects the upper root
 (-b + i sqrt(-disc)) / 2, with no second irreducibility decision.  Its
 imaginary part sqrt(4c - b^2) / 2 increases with c, so range order is
@@ -92,6 +106,8 @@ class SetSpec:
         n_params = 1 if self.family in ("2r", "2i") else 2
         if len(self.params) != n_params:
             raise InvalidParams(f"family {self.family} takes {n_params} parameter(s)")
+        if not all(isinstance(p, int) for p in self.params):
+            raise InvalidParams(f"parameters must be ints, got {self.params!r}")
         self.validate()
 
     def validate(self):
@@ -129,18 +145,25 @@ class SetSpec:
             return range(-(m + n), 0)
         return range(1, -m - n - 1)
 
+    def free_coeffs(self) -> range:
+        """The free coefficients in ``build_set`` order: range order, reversed
+        when they are negative (module docstring)."""
+        coeffs = self.free_coeff_range()
+        return coeffs[::-1] if coeffs.start < 0 else coeffs
+
     def cardinality(self) -> int:
         return len(self.free_coeff_range())
 
     def defining_poly(self, coeff: int) -> MonicIntPoly:
+        """The polynomial with free coefficient coeff, built trusted (module
+        docstring)."""
+        if not isinstance(coeff, int):
+            raise TypeError("coefficients must be ints")
         if self.family == "2r":
-            return MonicIntPoly.quadratic(self.params[0], coeff)
+            return MonicIntPoly._trusted((self.params[0], coeff))
         if self.family == "2i":
-            (n,) = self.params
-            return (MonicIntPoly.quadratic(-1, coeff) if n % 2
-                    else MonicIntPoly.quadratic(0, coeff))
-        m, n = self.params
-        return MonicIntPoly.cubic(m, n, coeff)
+            return MonicIntPoly._trusted((-(self.params[0] % 2), coeff))
+        return MonicIntPoly._trusted((*self.params, coeff))
 
     def to_json(self) -> dict:
         return {"family": self.family, "params": list(self.params)}
@@ -186,21 +209,30 @@ def _unit_interval_root(p: MonicIntPoly) -> AlgebraicNumber:
     return AlgebraicNumber._narrowed(p, _ZERO, _ONE)
 
 
+def _upper_root(p: MonicIntPoly) -> AlgebraicNumber:
+    """The root of the imaginary quadratic p in the upper half plane, built
+    trusted (module docstring)."""
+    return AlgebraicNumber._narrowed(p, half_plane=1)
+
+
+def _root_builder(spec: SetSpec):
+    """The builder of spec's elements from their defining polynomials."""
+    return _upper_root if spec.family == "2i" else _unit_interval_root
+
+
+def element(spec: SetSpec, coeff: int) -> AlgebraicNumber:
+    """The element of spec with free coefficient coeff, which must lie in
+    spec's range."""
+    return _root_builder(spec)(spec.defining_poly(coeff))
+
+
 def iter_elements(spec: SetSpec) -> Iterator[SetElement]:
     """The elements of one instance, one at a time, in ``build_set`` order:
     ascending (2i: by imaginary part).  A caller that looks at each element
     once keeps only that one alive."""
-    coeffs = spec.free_coeff_range()
-    if spec.family == "2i":
-        # imaginary part sqrt(-disc)/2 increases with c; range order is
-        # sorted, and each element is built trusted (module docstring)
-        for c in coeffs:
-            yield SetElement(c, AlgebraicNumber._narrowed(spec.defining_poly(c), half_plane=1))
-        return
-    if coeffs.start < 0:
-        coeffs = reversed(coeffs)   # c < 0: elements fall as c rises (module docstring)
-    for c in coeffs:
-        yield SetElement(c, _unit_interval_root(spec.defining_poly(c)))
+    poly, root = spec.defining_poly, _root_builder(spec)
+    for c in spec.free_coeffs():
+        yield SetElement(c, root(poly(c)))
 
 
 def build_set(spec: SetSpec) -> SetInstance:

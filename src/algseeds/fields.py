@@ -64,6 +64,20 @@ kernels off the sieve, and refuses any other list with a ValueError.
 ``squarefree_kernel`` stays the kernel of a single value, for cubics,
 ``FieldId.of_number``, ``same_field`` and ``express_in``.
 
+Deciding a quadratic instance from its kernels.  Distinct kernels settle
+every pair, so ``_progression_report`` buckets the elements only when a
+kernel repeats (no 2r or 2i instance has such a repeat, but the code does
+not assume it), and sends each pair of a bucket to ``express_in``, which
+certifies the one field.  The progression needs only b and the range of c:
+for a 2r or 2i spec they come from ``SetSpec.free_coeffs`` and
+``defining_poly``, so ``independence_report(spec)``, which ``algseeds
+sweep`` calls, builds no element unless a kernel repeats, and then only
+the elements of that bucket, through ``families.element``.  Given the
+instance, the same function runs on b and the c range read off the checked
+minimal polynomials.  Either way the report keeps each element's kernel as
+an int in ``field_keys`` and builds the ``FieldId`` tuple ``field_ids``
+from them on first read: ``to_json`` reads it, and the sweep never does.
+
 The solve reads a cubic's conjugates in one place, ``_conjugates(a, bits)``:
 fixed-point enclosures at scale 2^bits of a and of its two conjugates,
 flagged real when they are the other two real roots, ascending, and not
@@ -94,7 +108,7 @@ from math import isqrt, lcm
 from .algebraic import (MAX_BITS, AlgebraicNumber, ComplexEnclosure, complex_pair, horner_in,
                         irrational_real_roots, refine_until, same_number)
 from .dyadic import fp_add, fp_div, fp_from_fractions, fp_mul, fp_neg, fp_sub
-from .families import SetInstance
+from .families import SetInstance, SetSpec, build_set, element
 from .polynomials import MonicIntPoly
 
 CUBIC_RANGE_PARAMS = (0, -1, -2, -3)
@@ -532,12 +546,20 @@ class Collision:
 
 @dataclass(frozen=True)
 class IndependenceReport:
+    """field_keys holds, per element, the kernel of its field (an int) or,
+    for a cubic element, its minimal polynomial; field_ids is built from
+    them on first read (module docstring)."""
     spec_json: dict
-    field_ids: tuple[FieldId, ...]
+    field_keys: tuple[int | MonicIntPoly, ...]
     pairs_checked: int
     collisions: tuple[Collision, ...]
     in_guaranteed_range: bool
     kernel_note: tuple[tuple[int, int], ...]  # cubic pairs sent to express_in
+
+    @functools.cached_property
+    def field_ids(self) -> tuple[FieldId, ...]:
+        return tuple(FieldId(2, kernel=k) if isinstance(k, int) else FieldId(3, representative=k)
+                     for k in self.field_keys)
 
     @property
     def independent(self) -> bool:
@@ -559,38 +581,62 @@ def spec_in_guaranteed_range(spec) -> bool:
     return spec.params[0] in CUBIC_RANGE_PARAMS
 
 
-def _progression_field_ids(elems: list[AlgebraicNumber]) -> tuple[FieldId, ...]:
-    """The FieldIds of the elements of a quadratic instance, which must be
-    the roots of x^2 + b x + c for one b and c in range order or reversed:
-    their discriminants then run along a progression (module docstring)."""
-    polys = [a.minpoly.coeffs for a in elems]
-    if not polys:
-        return ()
-    b, c = polys[0][0], polys[0][1]
-    dc = polys[1][1] - c if len(polys) > 1 else 1
-    if not dc or polys != list(zip(repeat(b), range(c, c + len(polys) * dc, dc))):
-        raise ValueError("a quadratic instance must list x^2 + b x + c for one b, "
-                         "with c in range order or reversed")
-    kernels = _progression_kernels(b * b - 4 * c, -4 * dc, len(polys))
-    return tuple(FieldId(2, kernel=k) for k in kernels)
+def _progression_report(spec: SetSpec, b: int, coeffs: range, elem) -> IndependenceReport:
+    """The report on the roots of x^2 + b x + c, c in coeffs (step +-1), the
+    elements of the 2r or 2i instance spec; elem(i) is the i-th.  Kernels
+    come off one sieve, and elements are built only for pairs whose kernels
+    are equal (module docstring)."""
+    n = len(coeffs)
+    kernels = tuple(_progression_kernels(b * b - 4 * coeffs.start, -4 * coeffs.step, n))
+    collisions = []
+    if len(set(kernels)) < n:
+        buckets: dict[int, list[int]] = {}
+        for i, k in enumerate(kernels):
+            buckets.setdefault(k, []).append(i)
+        for i, j in sorted(p for idx in buckets.values() for p in combinations(idx, 2)):
+            alpha, beta = elem(i), elem(j)
+            cert = express_in(beta, alpha)
+            # equal quadratic kernels: one field, so a certificate exists
+            assert cert is not None and cert.verify_root_of(beta.minpoly)
+            collisions.append(Collision(i, j, cert))
+    return IndependenceReport(spec.to_json(), kernels, n * (n - 1) // 2, tuple(collisions),
+                              spec_in_guaranteed_range(spec), ())
 
 
-def independence_report(inst: SetInstance) -> IndependenceReport:
-    """Decide every pair of elements of inst.  Elements are bucketed by
-    degree and discriminant kernel; pairs in different buckets generate
-    different fields (module docstring), so only pairs inside a bucket are
-    decided exactly; a 2r or 2i instance takes its kernels from one sieve
-    (module docstring).  pairs_checked still counts every pair."""
+def independence_report(inst: SetInstance | SetSpec) -> IndependenceReport:
+    """Decide every pair of elements of inst, an instance or the spec of one.
+    Elements are bucketed by degree and discriminant kernel; pairs in
+    different buckets generate different fields (module docstring), so only
+    pairs inside a bucket are decided exactly.  A 2r or 2i instance takes its
+    kernels from one sieve, and a 2r or 2i spec is decided from its b and c
+    range with no element built (module docstring); a cubic spec is built.
+    pairs_checked still counts every pair."""
+    if isinstance(inst, SetSpec):
+        if inst.family in ("2r", "2i"):
+            coeffs = inst.free_coeffs()
+            b = inst.defining_poly(coeffs[0]).coeffs[0] if coeffs else 0
+            return _progression_report(inst, b, coeffs, lambda i: element(inst, coeffs[i]))
+        inst = build_set(inst)
     elems = inst.numbers()
     n = len(elems)
     if inst.spec.family in ("2r", "2i"):
-        fids = _progression_field_ids(elems)
-    else:
-        fids = tuple(FieldId.of_number(a) for a in elems)
+        # the minimal polynomials must be x^2 + b x + c for one b, with c in
+        # range order or reversed (module docstring)
+        polys = [a.minpoly.coeffs for a in elems]
+        b, c = polys[0] if polys else (0, 0)
+        dc = polys[1][1] - c if n > 1 else 1
+        coeffs = range(c, c + n * dc, dc) if dc in (1, -1) else None
+        if coeffs is None or polys != list(zip(repeat(b), coeffs)):
+            raise ValueError("a quadratic instance must list x^2 + b x + c for one b, "
+                             "with c in range order or reversed")
+        return _progression_report(inst.spec, b, coeffs, elems.__getitem__)
+    keys = []
     buckets: dict[tuple[int, int], list[int]] = {}
-    for i, (a, fid) in enumerate(zip(elems, fids)):
-        kernel = fid.kernel if fid.degree == 2 else squarefree_kernel(a.minpoly.discriminant())
-        buckets.setdefault((fid.degree, kernel), []).append(i)
+    for i, a in enumerate(elems):
+        p = a.minpoly
+        kernel = squarefree_kernel(p.discriminant())
+        keys.append(kernel if p.degree == 2 else p)
+        buckets.setdefault((p.degree, kernel), []).append(i)
     collisions = []
     kernel_note = []
     for i, j in sorted(p for idx in buckets.values() for p in combinations(idx, 2)):
@@ -605,6 +651,6 @@ def independence_report(inst: SetInstance) -> IndependenceReport:
             continue
         assert cert.verify_root_of(b.minpoly)
         collisions.append(Collision(i, j, cert))
-    return IndependenceReport(inst.spec.to_json(), fids, n * (n - 1) // 2,
+    return IndependenceReport(inst.spec.to_json(), tuple(keys), n * (n - 1) // 2,
                               tuple(collisions), spec_in_guaranteed_range(inst.spec),
                               tuple(kernel_note))

@@ -48,6 +48,17 @@ class MonicIntPoly:
                 raise TypeError("coefficients must be ints")
 
     @classmethod
+    def _trusted(cls, coeffs: tuple[int, ...]) -> "MonicIntPoly":
+        """Trusted: coeffs is a tuple of two or three ints already, so the
+        checks of ``__post_init__`` are skipped (the ``families`` docstring
+        states when that holds).  The one field is stored as the dataclass
+        ``__init__`` stores it, so ``==``, ``hash`` and ``to_json`` are those
+        of the validated polynomial."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", coeffs)
+        return p
+
+    @classmethod
     def quadratic(cls, b: int, c: int) -> "MonicIntPoly":
         return cls((b, c))
 

@@ -22,6 +22,7 @@ from algseeds.algebraic import (
     same_number,
     value_enclosure,
 )
+from algseeds.families import SetSpec, build_set
 from algseeds.polynomials import MonicIntPoly, count_real_roots, count_roots_between
 
 SQRT2 = AlgebraicNumber.sqrt_of(2)
@@ -252,6 +253,21 @@ def test_negated_plus_int_reflected():
         for image in (b.negated(), b.plus_int(3), b.plus_int(-5), b.reflected(),
                       b.reflected().reflected()):
             assert_revalidates(image)
+
+
+def test_complex_affine_images_match_the_validating_constructor():
+    """negated and plus_int build a complex image trusted (module
+    docstring): x -> -x + k moves the upper root to the lower half plane
+    and x -> x + k keeps it.  Checked against complex_root for every 2i
+    element with n <= 60 and k in -3..3."""
+    for n in range(1, 61):
+        for a in build_set(SetSpec("2i", (n,))).numbers():
+            assert a.negated() == AlgebraicNumber.complex_root(a.minpoly.map_root(-1, 0), upper=False)
+            for k in range(-3, 4):
+                for image, eps in ((a.plus_int(k), 1), (a.negated().plus_int(k), -1)):
+                    twin = AlgebraicNumber.complex_root(a.minpoly.map_root(eps, k), upper=eps > 0)
+                    assert image == twin and hash(image) == hash(twin)
+                    assert image.to_json() == twin.to_json()
 
 
 def test_decimal_round_half_even_certified():

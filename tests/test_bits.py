@@ -107,6 +107,16 @@ def test_stream_value_matches_digit_oracle():
     assert BitStream(SQRT2_FRAC, 1, 6).as_text() == "000001"
 
 
+def test_stream_refuses_an_empty_length_and_a_value_that_does_not_fit():
+    """length 0 would render "0"; a value outside [0, 2^length) spells more
+    digits than length, or none."""
+    for value, length in ((0, 0), (0, -3), (64, 6), (-1, 6), (1, 0)):
+        with pytest.raises(ValueError):
+            BitStream(GOLDEN, value, length)
+    assert BitStream(GOLDEN, 63, 6).as_text() == "111111"
+    assert BitStream(GOLDEN, 0, 1).as_text() == "0"
+
+
 @given(value=st.integers(min_value=0), length=st.integers(min_value=1, max_value=64))
 def test_bit_stats_match_a_scan_of_the_bits(value, length):
     stream = BitStream(GOLDEN, value % (1 << length), length)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line front end."""
 
 import argparse
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -393,6 +394,15 @@ def test_sweep_output_is_byte_identical_across_runs(capsys):
     first = run(capsys, *argv)
     assert first[0] == 0
     assert run(capsys, *argv) == first
+
+
+def test_default_sweep_json_is_pinned(capsys):
+    """The default sweep (2r, 2i to |n| = 200 decided from their kernels;
+    3ntr, 3tr to |n| = 60) must not change a byte."""
+    code, out, err = run(capsys, "sweep")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        "e5137b9ecf568282a838fd2d1567fed0458f05bff200d1aa25cece856b839413"
 
 
 @pytest.mark.parametrize("flag", ("--quad-bound", "--cubic-bound"))

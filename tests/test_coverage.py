@@ -199,6 +199,23 @@ def test_generator_search_pure_cubic():
     assert w.certificate.verify_root_of(w.minpoly)
 
 
+def test_generator_search_scans_each_candidate_once(monkeypatch):
+    """Irreducibility of a candidate is decided by the one divisor scan of
+    families._unit_interval_root.  For x^3 - 2 the first candidate with
+    family coefficients is the witness, scanned once."""
+    scanned = []
+    integer_roots = MonicIntPoly.integer_roots
+
+    def recording(p):
+        scanned.append(p)
+        return integer_roots(p)
+
+    monkeypatch.setattr(MonicIntPoly, "integer_roots", recording)
+    target = MonicIntPoly.cubic(0, 0, -2)
+    w = find_generator(target, "3ntr").witness
+    assert [p for p in scanned if p.degree == 3 and p != target] == [w.minpoly]
+
+
 def test_generator_search_totally_real():
     res = find_generator(MonicIntPoly.cubic(0, -3, 1), "3tr")
     assert res.found

@@ -63,6 +63,42 @@ def test_invalid_params_rejected():
         SetSpec("2r", (1, 2))
 
 
+@pytest.mark.parametrize("family,params", (("2r", (4.0,)), ("2r", ("5",)), ("2i", (None,)),
+                                           ("2i", (Fraction(3),)), ("3ntr", (0, 6.0)),
+                                           ("3tr", (Fraction(-1), -8))))
+def test_non_int_params_are_refused(family, params):
+    """Params are checked ints, so defining_poly may build trusted."""
+    with pytest.raises(InvalidParams):
+        SetSpec(family, params)
+
+
+def test_defining_poly_refuses_a_non_int_coefficient():
+    for coeff in (-2.0, Fraction(-2), "-2"):
+        with pytest.raises(TypeError):
+            SetSpec("2r", (4,)).defining_poly(coeff)
+
+
+def test_trusted_defining_poly_matches_the_validated_one():
+    """defining_poly builds without __post_init__ (module docstring); for
+    every 2r and 2i instance with |n| <= 300 and a few cubic ones, each of
+    its polynomials must equal, hash and serialize like the validated
+    x^2 + b x + c (b = n for 2r; -1 for odd and 0 for even n for 2i) or
+    x^3 + m x^2 + n x + d."""
+    cases = ([(SetSpec("2r", (n,)), lambda c, n=n: MonicIntPoly.quadratic(n, c))
+              for n in (*range(1, 301), *range(-3, -301, -1))]
+             + [(SetSpec("2i", (n,)), lambda c, n=n: MonicIntPoly.quadratic(-1 if n % 2 else 0, c))
+                for n in range(1, 301)]
+             + [(SetSpec(f, mn), lambda d, mn=mn: MonicIntPoly.cubic(*mn, d))
+                for f, mn in (("3ntr", (0, 6)), ("3ntr", (-3, 9)), ("3tr", (-1, -8)))])
+    for spec, validated in cases:
+        for c in spec.free_coeff_range():
+            trusted, twin = spec.defining_poly(c), validated(c)
+            assert type(trusted) is MonicIntPoly
+            assert trusted == twin and hash(trusted) == hash(twin)
+            assert trusted.to_json() == twin.to_json()
+            assert all(type(x) is int for x in trusted.coeffs)
+
+
 @given(n=REAL_QUAD_N)
 def test_real_quadratic_cardinality(n):
     spec = SetSpec("2r", (n,))

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from algseeds.algebraic import (AlgebraicNumber, PrecisionExhausted, irrational_real_roots,
                                 same_number)
-from algseeds.families import SetInstance, SetSpec, bc_root, build_set
+from algseeds import fields
+from algseeds.families import SetElement, SetInstance, SetSpec, bc_root, build_set
 from algseeds.fields import (
     FieldExpression,
     FieldId,
@@ -327,6 +328,75 @@ def test_independence_refuses_quadratics_out_of_range_order(order):
         backwards = SetInstance(spec, elements[::-1])
         assert independence_report(backwards).field_ids == \
             independence_report(build_set(spec)).field_ids[::-1]
+
+
+def test_spec_decision_matches_the_built_instance():
+    """independence_report(spec) decides a 2r or 2i instance from its b and c
+    range without building it; for 2r with 1 <= |n| <= 300 and 2i with
+    n <= 300 it must agree with the report on build_set(spec): kernels,
+    pairs_checked, collisions and JSON."""
+    specs = ([SetSpec("2r", (n,)) for n in (*range(1, 301), *range(-3, -301, -1))]
+             + [SetSpec("2i", (n,)) for n in range(1, 301)])
+    for spec in specs:
+        from_spec, built = independence_report(spec), independence_report(build_set(spec))
+        assert from_spec.field_keys == built.field_keys
+        assert from_spec.pairs_checked == built.pairs_checked == \
+            spec.cardinality() * (spec.cardinality() - 1) // 2
+        assert from_spec.collisions == built.collisions == ()
+        assert from_spec.to_json() == built.to_json()
+
+
+def test_cubic_spec_is_decided_on_its_built_instance():
+    spec = SetSpec("3ntr", (3, 3))
+    assert independence_report(spec).to_json() == independence_report(build_set(spec)).to_json()
+
+
+def _upper(c):
+    return AlgebraicNumber.complex_root(MonicIntPoly.quadratic(0, c), upper=True)
+
+
+def test_repeated_kernel_is_certified_through_express_in():
+    """x^2 + c for c = 1..4 has discriminants -4, -8, -12, -16, with kernels
+    -1, -2, -3, -1: i and 2i share Q(i).  The pair goes to express_in and
+    is reported with its certificate, in either order."""
+    spec = SetSpec("2i", (2,))
+    elements = tuple(SetElement(c, _upper(c)) for c in range(1, 5))
+    for inst, coeffs in ((SetInstance(spec, elements), (0, 2, 0)),
+                         (SetInstance(spec, elements[::-1]), (0, Fraction(1, 2), 0))):
+        rep = independence_report(inst)
+        assert [fid.kernel for fid in rep.field_ids] == \
+            [squarefree_kernel(a.minpoly.discriminant()) for a in inst.numbers()]
+        (col,) = rep.collisions
+        assert (col.i, col.j) == (0, 3)
+        assert col.certificate.coeffs == tuple(map(Fraction, coeffs))
+        assert col.certificate.verify_root_of(inst.numbers()[3].minpoly)
+        assert not rep.independent and rep.pairs_checked == 6
+
+
+@pytest.mark.parametrize("spec", (SetSpec("2r", (7,)), SetSpec("2r", (-9,)), SetSpec("2i", (9,))))
+def test_spec_decision_builds_the_right_elements_for_a_repeated_kernel(spec, monkeypatch):
+    """No 2r or 2i spec has a repeated kernel, so the repeat branch of the
+    spec decision is reached here through a sieve that reports one: it must
+    send elements i and j of build_set(spec) to express_in, and nothing
+    else."""
+    sieve = fields._progression_kernels
+    calls = []
+
+    def repeated(first, step, count):
+        kernels = sieve(first, step, count)
+        kernels[5] = kernels[2]
+        return kernels
+
+    def express(beta, alpha):
+        calls.append((beta, alpha))
+        return FieldExpression(beta, (Fraction(0), Fraction(1), Fraction(0)))
+
+    monkeypatch.setattr(fields, "_progression_kernels", repeated)
+    monkeypatch.setattr(fields, "express_in", express)
+    rep = independence_report(spec)
+    elems = build_set(spec).numbers()
+    assert calls == [(elems[5], elems[2])]
+    assert [(c.i, c.j) for c in rep.collisions] == [(2, 5)]
 
 
 def test_independence_finds_known_cubic_collision():
