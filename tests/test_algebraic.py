@@ -262,7 +262,8 @@ def test_complex_affine_images_match_the_validating_constructor():
     element with n <= 60 and k in -3..3."""
     for n in range(1, 61):
         for a in build_set(SetSpec("2i", (n,))).numbers():
-            assert a.negated() == AlgebraicNumber.complex_root(a.minpoly.map_root(-1, 0), upper=False)
+            lower = AlgebraicNumber.complex_root(a.minpoly.map_root(-1, 0), upper=False)
+            assert a.negated() == lower
             for k in range(-3, 4):
                 for image, eps in ((a.plus_int(k), 1), (a.negated().plus_int(k), -1)):
                     twin = AlgebraicNumber.complex_root(a.minpoly.map_root(eps, k), upper=eps > 0)

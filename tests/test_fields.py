@@ -351,16 +351,13 @@ def test_cubic_spec_is_decided_on_its_built_instance():
     assert independence_report(spec).to_json() == independence_report(build_set(spec)).to_json()
 
 
-def _upper(c):
-    return AlgebraicNumber.complex_root(MonicIntPoly.quadratic(0, c), upper=True)
-
-
 def test_repeated_kernel_is_certified_through_express_in():
     """x^2 + c for c = 1..4 has discriminants -4, -8, -12, -16, with kernels
     -1, -2, -3, -1: i and 2i share Q(i).  The pair goes to express_in and
     is reported with its certificate, in either order."""
     spec = SetSpec("2i", (2,))
-    elements = tuple(SetElement(c, _upper(c)) for c in range(1, 5))
+    elements = tuple(SetElement(c, AlgebraicNumber.complex_root(MonicIntPoly.quadratic(0, c)))
+                     for c in range(1, 5))
     for inst, coeffs in ((SetInstance(spec, elements), (0, 2, 0)),
                          (SetInstance(spec, elements[::-1]), (0, Fraction(1, 2), 0))):
         rep = independence_report(inst)
