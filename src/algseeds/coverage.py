@@ -330,19 +330,29 @@ def find_generator(target: MonicIntPoly, family: str, coord_bound: int = 50) -> 
     A candidate polynomial char with family coefficients has char(0) = d and
     char(1) = 1 + c + d of opposite signs, and (0,1) holds one root only:
     three would have product |d| < 1 (the uniqueness argument of the
-    ``families`` docstring).  ``families._unit_interval_root``, the builder
-    of every set element, builds that root with no Sturm count, after one
-    divisor scan of d; if char is reducible, the root it returns is that of
-    the quadratic factor, so a cubic minimal polynomial of the root is the
-    one irreducibility decision per candidate."""
-    if target.degree != 3 or not target.is_irreducible():
+    ``families`` docstring).  ``families._unit_interval_root`` builds that
+    root with no Sturm count, after one divisor scan of d; if char is
+    reducible, the root it returns is that of the quadratic factor, so a
+    cubic minimal polynomial of the root is the one irreducibility decision
+    per candidate.
+
+    The target is scanned once too.  disc = 0 means a repeated root, so a
+    reducible target.  Otherwise ``irrational_real_roots`` splits off the
+    integer roots in one scan, and the target is irreducible exactly when
+    it keeps a real root whose minimal polynomial is the target itself: a
+    cubic has a real root, and a reducible one leaves its quadratic factor
+    or nothing."""
+    if target.degree != 3:
+        raise InvalidTarget(f"{target} is not an irreducible cubic")
+    disc = target.discriminant()
+    roots = irrational_real_roots(target) if disc else []
+    if not roots or roots[0].minpoly != target:
         raise InvalidTarget(f"{target} is not an irreducible cubic")
     if family not in ("3ntr", "3tr"):
         raise ValueError(f"unknown family {family!r}")
-    disc = target.discriminant()
     if (disc < 0) != (family == "3ntr"):
         raise WrongSignature(f"disc({target}) = {disc} does not fit {family}")
-    theta = irrational_real_roots(target)[0]
+    theta = roots[0]
     for shell in range(1, coord_bound + 1):
         rng = range(-shell, shell + 1)
         for a0 in rng:

@@ -30,25 +30,48 @@ ascending order without comparing any two of them, by this argument:
 So the elements ascend in range order when c > 0 and in reverse range order
 when c < 0.
 
-One irreducibility decision per element.  A rational root of a monic
+Integer roots, by one walk per cubic instance.  A rational root of a monic
 integer polynomial is an integer.  A quadratic whose signs at 0 and 1 are
 opposite and nonzero has a root in (0,1), which is no integer, so it is
 irreducible.  A cubic with no integer root is irreducible.  A reducible
 cubic with p(0) p(1) < 0 is (x - r) q with r not 0 or 1, so q changes sign
-on (0,1) and is irreducible, and r is its one integer root:
-``split_integer_roots`` finds r in one divisor scan and returns q without
-deciding again.  ``build_set`` therefore checks only the signs at 0 and 1,
-on integers: p(0) is the constant coefficient and p(1) is 1 plus the sum of
-the coefficients, so the test is p(0) p(1) < 0.  It builds each element
-through the trusted ``AlgebraicNumber._narrowed``; the validating
-constructor would decide irreducibility a second time.
-``AlgebraicNumber.less_than`` remains the exact order, and the tests check
-the two against each other.
+on (0,1) and is irreducible.  x^3 + m x^2 + n x + d has the integer root r
+exactly when d = -r(r^2 + m r + n), so ``iter_elements`` finds every
+reducible d of a cubic instance in one walk over r,
+``_integer_roots_by_coeff``, instead of one divisor scan per element:
 
-Shared builders.  ``_unit_interval_root`` builds every real element on
-(0,1): the set elements, the element of ``quadratic_exception`` and the
-witness of ``coverage.find_generator``.  ``element(spec, c)`` builds one
-set element, ``iter_elements`` every one in the order of
+  * Each d of the range has at most one r, and r is a simple root.  The
+    element's root in (0,1) is irrational, so the cubic cannot split
+    completely, and two integer roots (or a double one) would make the
+    third, -m minus their sum, an integer too.
+  * The walk covers every r that lands in the range.  By Fujiwara's bound
+    (M. Fujiwara, Tohoku Math. J. 10, 1916) every complex root z of
+    x^3 + a x^2 + b x + c has |z| <= 2 max(|a|, |b|^(1/2), |c/2|^(1/3)).
+    So an integer root of the cubic for any d of the range has |r| <= R
+    for every integer R with R >= 2|m|, R^2 >= 4|n| and R^3 >= 4 max |d|,
+    and the walk runs r over -R..R.
+  * 3ntr never has an integer root, so it takes no walk.  m^2 <= 3n makes
+    p' = 3x^2 + 2m x + n >= 0, so p is increasing and has one real root,
+    and that root lies in (0,1).
+
+Each element is built from the polynomial x^3 + m x^2 + n x + d, or from
+the quotient x^2 + (m + r) x + n + r(m + r) when d has the root r.
+``_sign_checked_root`` checks only the signs of that polynomial at 0 and
+1, on integers: p(0) is the constant coefficient and p(1) is 1 plus the
+sum of the coefficients, so the test is p(0) p(1) < 0.  It builds the
+element through the trusted ``AlgebraicNumber._narrowed``; the validating
+constructor would decide irreducibility a second time.
+``AlgebraicNumber.less_than`` remains the exact order.  The tests check
+the two against each other, and the walk against a brute-force scan of r,
+``reducible_free_coeffs``, ``quadratic_exception`` and the per-element
+``_unit_interval_root``.
+
+Shared builders.  ``_unit_interval_root`` builds the root in (0,1) of one
+polynomial, a reducible cubic included: ``split_integer_roots`` finds r in
+one divisor scan and returns q without deciding again.  It builds the 2r
+elements, the element of ``quadratic_exception``, the candidates of
+``coverage.find_generator`` and ``element(spec, c)``, one set element.
+``iter_elements`` builds every element in the order of
 ``SetSpec.free_coeffs``, and ``fields`` the two of an equal-kernel pair
 when it decides a quadratic spec.  ``bc_root`` takes its real roots from
 ``irrational_real_roots`` (closed form, ``algebraic`` docstring).
@@ -59,10 +82,12 @@ that the coefficients are two or three ints.  They hold by construction.
 ``SetSpec.__post_init__`` refuses a params tuple of the wrong length or
 with a non-int entry, so b (or m and n) are ints; ``defining_poly`` refuses
 a non-int free coefficient, and the tuple it builds has one or two params
-plus that coefficient.  A frozen dataclass compares, hashes and serializes
-by its fields alone, so the trusted polynomial is ``==`` to the validated
-one, hashes alike and gives the same ``to_json``; the tests check this on
-every 2r and 2i instance with |n| <= 300.
+plus that coefficient.  ``iter_elements`` builds the same tuple for a
+cubic instance, and the quotient (m + r, n + r(m + r)), from the int
+params and the ints d and r.  A frozen dataclass compares, hashes and
+serializes by its fields alone, so the trusted polynomial is ``==`` to the
+validated one, hashes alike and gives the same ``to_json``; the tests
+check this on every 2r and 2i instance with |n| <= 300.
 
 Imaginary instances.  2i(n) takes x^2 + b x + c with b = -1 for odd n and
 b = 0 for even n, and c >= floor(n/2)^2 + 1 over its whole range.  So disc
@@ -196,6 +221,15 @@ class SetInstance:
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
+def _sign_checked_root(p: MonicIntPoly) -> AlgebraicNumber:
+    """The unique root in (0,1) of the irreducible p, built trusted after
+    the sign test p(0) p(1) < 0 (module docstring)."""
+    # p(0) is the constant term and p(1) the sum of the coefficients
+    if p.coeffs[-1] * (1 + sum(p.coeffs)) >= 0:
+        raise ValueError(f"{p} has no sign change on (0,1)")
+    return AlgebraicNumber._narrowed(p, _ZERO, _ONE)
+
+
 def _unit_interval_root(p: MonicIntPoly) -> AlgebraicNumber:
     """The unique root of p in (0,1); p may be a reducible cubic.  Built
     trusted, after one irreducibility decision (module docstring)."""
@@ -203,10 +237,41 @@ def _unit_interval_root(p: MonicIntPoly) -> AlgebraicNumber:
         _, rest = p.split_integer_roots()
         assert rest is not None, f"{p} should keep a quadratic factor"
         p = rest
-    # p(0) is the constant term and p(1) the sum of the coefficients
-    if p.coeffs[-1] * (1 + sum(p.coeffs)) >= 0:
-        raise ValueError(f"{p} has no sign change on (0,1)")
-    return AlgebraicNumber._narrowed(p, _ZERO, _ONE)
+    return _sign_checked_root(p)
+
+
+def _integer_roots_by_coeff(m: int, n: int, coeffs: range) -> dict[int, int]:
+    """{d: r} for each d in coeffs whose x^3 + m x^2 + n x + d has the
+    integer root r, found by one walk over r (module docstring).  coeffs is
+    a nonempty range of d on which p(0) p(1) < 0, as in a 3ntr or 3tr
+    instance."""
+    top = max(abs(coeffs[0]), abs(coeffs[-1]))
+    # Fujiwara's bound: R >= 2|m|, R^2 >= 4|n| and R^3 >= 4 top
+    bound = max(2 * abs(m), isqrt(4 * abs(n) - 1) + 1 if n else 0)
+    while bound ** 3 < 4 * top:
+        bound += 1
+    roots = {}
+    for r in range(-bound, bound + 1):
+        d = -r * (r * (r + m) + n)
+        if d in coeffs:
+            assert d not in roots, f"x^3{m:+}x^2{n:+}x{d:+} has two integer roots"
+            roots[d] = r
+    return roots
+
+
+def _cubic_elements(spec: SetSpec) -> Iterator[SetElement]:
+    """The elements of a 3ntr or 3tr instance in ``build_set`` order, with
+    the integer roots of the whole instance found in one walk (module
+    docstring)."""
+    m, n = spec.params
+    # a 3ntr cubic has no integer root (module docstring)
+    roots = _integer_roots_by_coeff(m, n, spec.free_coeff_range()) if spec.family == "3tr" else {}
+    for d in spec.free_coeffs():
+        r = roots.get(d)
+        # x^3 + m x^2 + n x + d, or its quotient by x - r; ints, so trusted
+        p = (MonicIntPoly._trusted((m, n, d)) if r is None
+             else MonicIntPoly._trusted((m + r, n + r * (m + r))))
+        yield SetElement(d, _sign_checked_root(p))
 
 
 def _upper_root(p: MonicIntPoly) -> AlgebraicNumber:
@@ -230,9 +295,10 @@ def iter_elements(spec: SetSpec) -> Iterator[SetElement]:
     """The elements of one instance, one at a time, in ``build_set`` order:
     ascending (2i: by imaginary part).  A caller that looks at each element
     once keeps only that one alive."""
+    if spec.family in ("3ntr", "3tr"):
+        return _cubic_elements(spec)
     poly, root = spec.defining_poly, _root_builder(spec)
-    for c in spec.free_coeffs():
-        yield SetElement(c, root(poly(c)))
+    return (SetElement(c, root(poly(c))) for c in spec.free_coeffs())
 
 
 def build_set(spec: SetSpec) -> SetInstance:

@@ -76,7 +76,9 @@ the elements of that bucket, through ``families.element``.  Given the
 instance, the same function runs on b and the c range read off the checked
 minimal polynomials.  Either way the report keeps each element's kernel as
 an int in ``field_keys`` and builds the ``FieldId`` tuple ``field_ids``
-from them on first read: ``to_json`` reads it, and the sweep never does.
+from them on first read.  Neither ``to_json`` nor the sweep reads it:
+``to_json`` renders each key through ``_field_json``, the renderer that
+``FieldId.to_json`` calls too, so the two give the same JSON.
 
 The solve reads a cubic's conjugates in one place, ``_conjugates(a, bits)``:
 fixed-point enclosures at scale 2^bits of a and of its two conjugates,
@@ -190,9 +192,15 @@ class FieldId:
         return cls(3, representative=p)
 
     def to_json(self) -> dict:
-        if self.degree == 2:
-            return {"degree": 2, "kernel": self.kernel}
-        return {"degree": 3, "representative": self.representative.to_json()}
+        return _field_json(self.kernel if self.degree == 2 else self.representative)
+
+
+def _field_json(key: int | MonicIntPoly) -> dict:
+    """The JSON of a field given by its key: a quadratic field's kernel (an
+    int) or a cubic field's representative minimal polynomial."""
+    if isinstance(key, int):
+        return {"degree": 2, "kernel": key}
+    return {"degree": 3, "representative": key.to_json()}
 
 
 def _frac_json(q: Fraction) -> list[str]:
@@ -548,7 +556,8 @@ class Collision:
 class IndependenceReport:
     """field_keys holds, per element, the kernel of its field (an int) or,
     for a cubic element, its minimal polynomial; field_ids is built from
-    them on first read (module docstring)."""
+    them on first read, and to_json renders them with no FieldId built
+    (module docstring)."""
     spec_json: dict
     field_keys: tuple[int | MonicIntPoly, ...]
     pairs_checked: int
@@ -567,7 +576,7 @@ class IndependenceReport:
 
     def to_json(self) -> dict:
         return {"spec": self.spec_json,
-                "field_ids": [fid.to_json() for fid in self.field_ids],
+                "field_ids": [_field_json(k) for k in self.field_keys],
                 "pairs_checked": self.pairs_checked,
                 "collisions": [c.to_json() for c in self.collisions],
                 "independent": self.independent,

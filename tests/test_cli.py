@@ -405,6 +405,16 @@ def test_default_sweep_json_is_pinned(capsys):
         "e5137b9ecf568282a838fd2d1567fed0458f05bff200d1aa25cece856b839413"
 
 
+def test_cubic_bound_120_sweep_json_is_pinned(capsys):
+    """3ntr and 3tr to |n| = 120, twice the paper's cubic range, built from
+    one integer-root walk per instance (families docstring), must not
+    change a byte."""
+    code, out, err = run(capsys, "sweep", "--quad-bound", "1", "--cubic-bound", "120")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        "672e22c9fe382692c45dbc4be55bdd8b4183f9f52f2e82271ba7569ba473381f"
+
+
 @pytest.mark.parametrize("flag", ("--quad-bound", "--cubic-bound"))
 def test_sweep_rejects_a_zero_bound(capsys, flag):
     code, out, err = run(capsys, "sweep", flag, "0")

@@ -202,7 +202,9 @@ def test_generator_search_pure_cubic():
 def test_generator_search_scans_each_candidate_once(monkeypatch):
     """Irreducibility of a candidate is decided by the one divisor scan of
     families._unit_interval_root.  For x^3 - 2 the first candidate with
-    family coefficients is the witness, scanned once."""
+    family coefficients is the witness, scanned once.  The target's own
+    irreducibility is read off its one irrational_real_roots call, so it is
+    scanned once too."""
     scanned = []
     integer_roots = MonicIntPoly.integer_roots
 
@@ -214,6 +216,28 @@ def test_generator_search_scans_each_candidate_once(monkeypatch):
     target = MonicIntPoly.cubic(0, 0, -2)
     w = find_generator(target, "3ntr").witness
     assert [p for p in scanned if p.degree == 3 and p != target] == [w.minpoly]
+    assert scanned.count(target) == 1
+
+
+@pytest.mark.parametrize("family", ("3ntr", "3tr"))
+def test_generator_search_rejects_a_repeated_root(family):
+    """x^3 - 3x + 2 = (x - 1)^2 (x + 2) has disc 0."""
+    target = MonicIntPoly.cubic(0, -3, 2)
+    assert target.discriminant() == 0
+    with pytest.raises(InvalidTarget):
+        find_generator(target, family)
+
+
+@pytest.mark.parametrize("family", ("3ntr", "3tr"))
+@pytest.mark.parametrize("coeffs,disc", (((-1, 1, -1), -16), ((-1, -2, 2), 8)))
+def test_generator_search_rejects_a_target_with_one_integer_root(family, coeffs, disc):
+    """x^3 - x^2 + x - 1 = (x - 1)(x^2 + 1) keeps no irrational real root,
+    and x^3 - x^2 - 2x + 2 = (x - 1)(x^2 - 2) keeps two of degree 2.  The
+    irreducibility decision refuses both before the signature is read."""
+    target = MonicIntPoly.cubic(*coeffs)
+    assert target.discriminant() == disc
+    with pytest.raises(InvalidTarget):
+        find_generator(target, family)
 
 
 def test_generator_search_totally_real():

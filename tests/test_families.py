@@ -11,7 +11,9 @@ from algseeds.algebraic import AlgebraicNumber, same_number
 from algseeds.families import (
     InvalidParams,
     RationalRoot,
+    SetElement,
     SetSpec,
+    _integer_roots_by_coeff,
     _unit_interval_root,
     bc_root,
     bc_shift_params,
@@ -199,6 +201,66 @@ def test_totally_real_cubic_elements_sorted_inside_unit_interval(spec):
         exc = quadratic_exception(m, n)
         quadratic = [e.number for e in inst.elements if e.number.minpoly.degree == 2]
         assert quadratic == ([] if exc is None else [exc.element])
+
+
+def _cubic_ranges(m, n):
+    """The nonempty 3tr-shaped and 3ntr-shaped ranges of d for (m, n), valid
+    specs or not.  p(0) p(1) < 0 holds on both: d >= 1 and p(1) <= -1 on the
+    first, d <= -1 and p(1) >= 1 on the second."""
+    return [rng for rng in (range(1, -m - n - 1), range(-(m + n), 0)) if rng]
+
+
+def test_integer_root_walk_matches_a_brute_force_scan():
+    """The walk over Fujiwara's bound (families docstring) finds the same
+    (d, r) pairs as a scan of every r with |r| <= max |d|: an integer root
+    of a cubic with d != 0 divides d."""
+    for m in range(-20, 21):
+        for n in range(-200, 201):
+            for rng in _cubic_ranges(m, n):
+                top = max(abs(rng[0]), abs(rng[-1]))
+                brute = [(d, r) for r in range(-top, top + 1)
+                         if (d := -r * (r * (r + m) + n)) in rng]
+                assert sorted(_integer_roots_by_coeff(m, n, rng).items()) == sorted(brute)
+
+
+def _valid_cubic_specs():
+    """Every valid 3ntr and 3tr spec with m in -6..3 and |n| <= 120."""
+    specs = []
+    for m in range(-6, 4):
+        for n in range(-120, 121):
+            for family in ("3ntr", "3tr"):
+                try:
+                    specs.append(SetSpec(family, (m, n)))
+                except InvalidParams:
+                    pass
+    return specs
+
+
+def test_cubic_build_set_matches_the_per_element_builder():
+    """build_set builds a cubic instance from one walk over its integer
+    roots; the reference builds each element after its own divisor scan."""
+    specs = _valid_cubic_specs()
+    assert len(specs) == 2362
+    for spec in specs:
+        reference = tuple(SetElement(d, _unit_interval_root(spec.defining_poly(d)))
+                          for d in spec.free_coeffs())
+        assert build_set(spec).elements == reference
+
+
+def test_walk_marks_the_reducible_coeffs_and_the_quadratic_exception():
+    """The marked d are reducible_free_coeffs(m, n) for 3tr, none for 3ntr
+    (families docstring), and for m in {0, -1, -2, -3} the d of
+    quadratic_exception(m, n) with r = n_exc - m, or none on a boundary."""
+    for spec in _valid_cubic_specs():
+        m, n = spec.params
+        marked = _integer_roots_by_coeff(m, n, spec.free_coeff_range())
+        if spec.family == "3ntr":
+            assert marked == {}
+            continue
+        assert sorted(marked) == reducible_free_coeffs(m, n)
+        if m in (0, -1, -2, -3):
+            exc = quadratic_exception(m, n)
+            assert marked == ({} if exc is None else {exc.d: exc.n - m})
 
 
 def test_known_instance_values():

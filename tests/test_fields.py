@@ -315,6 +315,18 @@ def test_quadratic_field_ids_match_of_number():
     assert independence_report(empty).field_ids == ()
 
 
+@pytest.mark.parametrize("spec", (SetSpec("2r", (60,)), SetSpec("2i", (50,)),
+                                  SetSpec("3ntr", (3, 3)), SetSpec("3tr", (0, -6))))
+def test_report_json_renders_field_keys_without_field_ids(spec):
+    """to_json renders field_keys through the renderer of FieldId.to_json,
+    building no FieldId; the JSON equals the one rendered from field_ids."""
+    for rep in (independence_report(spec), independence_report(build_set(spec))):
+        js = rep.to_json()
+        assert "field_ids" not in vars(rep)
+        assert js["field_ids"] == [fid.to_json() for fid in rep.field_ids]
+        assert any(f["degree"] == 2 for f in js["field_ids"]) == (spec.family != "3ntr")
+
+
 @pytest.mark.parametrize("order", ((1, 0, 2, 3, 4), (0, 1, 3, 2, 4), (4, 0, 1, 2, 3),
                                    (0, 2, 4, 1, 3), (0, 0, 1, 2, 3)))
 def test_independence_refuses_quadratics_out_of_range_order(order):
