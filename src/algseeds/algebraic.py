@@ -68,9 +68,9 @@ by construction:
     irreducible, on an interval isolated in closed form (below), with p's
     signs opposite at its ends;
   * a root selected by a half-plane needs only an irreducible quadratic
-    with disc < 0; ``families._upper_root`` builds the 2i elements this
-    way, whose polynomials have disc < 0 over the whole range (the
-    ``families`` docstring).
+    with disc < 0; ``families`` builds the 2i elements this way, whose
+    polynomials have disc < 0 over the whole range (the ``families``
+    docstring).
 
 Isolation in closed form.  The real roots of an irreducible rest of
 degree <= 3 are isolated without bisection, by critical points (Rolle's

@@ -15,7 +15,7 @@ with free coefficient c, so q(0) = 0.  ``build_set`` lists the elements in
 ascending order without comparing any two of them, by this argument:
 
   * The element for c is a root in (0,1) of p_c: p_c(0) = c and p_c(1) have
-    opposite signs over every range (the validating constructor checks it).
+    opposite signs over every range (checked once per range, below).
   * That root is unique.  A quadratic with a sign change on [0,1] has exactly
     one root there.  A cubic has one or three, and three roots in (0,1)
     would give |c| = |product of the roots| < 1, which no nonzero integer c
@@ -54,49 +54,78 @@ reducible d of a cubic instance in one walk over r,
     p' = 3x^2 + 2m x + n >= 0, so p is increasing and has one real root,
     and that root lies in (0,1).
 
-Each element is built from the polynomial x^3 + m x^2 + n x + d, or from
-the quotient x^2 + (m + r) x + n + r(m + r) when d has the root r.
-``_sign_checked_root`` checks only the signs of that polynomial at 0 and
-1, on integers: p(0) is the constant coefficient and p(1) is 1 plus the
-sum of the coefficients, so the test is p(0) p(1) < 0.  It builds the
-element through the trusted ``AlgebraicNumber._narrowed``; the validating
-constructor would decide irreducibility a second time.
-``AlgebraicNumber.less_than`` remains the exact order.  The tests check
-the two against each other, and the walk against a brute-force scan of r,
-``reducible_free_coeffs``, ``quadratic_exception`` and the per-element
-``_unit_interval_root``.
+One sign test per range.  p(0) is the constant coefficient k and p(1) is
+s + k, with s = 1 + b for x^2 + b x + k and s = 1 + m + n for
+x^3 + m x^2 + n x + k.  Both are linear in k, and the free coefficients of
+an instance form a range with step +-1, so each keeps over the whole range
+the strict sign it has at both ends.  ``_elements`` checks each factor at
+the two ends of the range, k and s + k each of one strict sign and the two
+of opposite signs, and so decides p(0) p(1) < 0 for every k at once; it
+raises ``ValueError`` before the first element otherwise.  The root's
+polynomial needs no test of its own:
+
+  * A real quadratic or irreducible cubic is p itself.
+  * A reducible 3tr cubic p = (x - r) q gives p(0) = -r q(0) and
+    p(1) = (1 - r) q(1), so p(0) p(1) = r(r - 1) q(0) q(1).  p(0) and p(1)
+    are nonzero, so r is neither 0 nor 1, and r(r - 1) > 0 for every other
+    integer r.  So q(0) q(1) < 0 as well, and q's root in (0,1) is p's.
+  * 2i takes no sign test: its element is selected by half-plane (below).
+
+So every element is built trusted; the validating constructor would decide
+irreducibility a second time.  ``AlgebraicNumber.less_than`` remains the
+exact order.  The tests check the two against each other, the walk against
+a brute-force scan of r, ``reducible_free_coeffs`` and
+``quadratic_exception``, and the range-end test against a brute force over
+drawn ranges, ranges on which k or s + k crosses 0 included.
+
+One loop per instance.  ``_elements`` builds every ``MonicIntPoly``,
+``AlgebraicNumber`` and ``SetElement`` of an instance inline, with
+``object.__new__`` and one ``object.__setattr__`` per field in field order,
+as a dataclass ``__init__`` stores them.  These are the fields and values,
+in the same order, that ``MonicIntPoly._trusted``,
+``AlgebraicNumber._narrowed`` and ``SetElement(...)`` store, without a call
+per element, and the loop never touches ``__dict__``.  The polynomial is
+x^2 + b x + k or x^3 + m x^2 + n x + k, or the quotient
+x^2 + (m + r) x + n + r(m + r) when k has the root r; a real element has
+the interval (0, 1) and a 2i element half-plane +1.  The tests check that
+``build_set`` equals the per-element builders on ``==``, ``hash``,
+``to_json`` and ``vars()`` of each number and its minimal polynomial, for
+every 2r and 2i instance with |n| <= 300 and every cubic instance with m
+in -6..3 and |n| <= 120.
 
 Shared builders.  ``_unit_interval_root`` builds the root in (0,1) of one
 polynomial, a reducible cubic included: ``split_integer_roots`` finds r in
-one divisor scan and returns q without deciding again.  It builds the 2r
-elements, the element of ``quadratic_exception``, the candidates of
-``coverage.find_generator`` and ``element(spec, c)``, one set element.
-``iter_elements`` builds every element in the order of
-``SetSpec.free_coeffs``, and ``fields`` the two of an equal-kernel pair
-when it decides a quadratic spec.  ``bc_root`` takes its real roots from
+one divisor scan and returns q without deciding again, and
+``_sign_checked_root`` tests p(0) p(1) < 0 on that one polynomial and
+builds through ``_narrowed``.  It builds the element of
+``quadratic_exception``, the candidates of ``coverage.find_generator`` and
+``element(spec, c)``, one set element, which ``fields`` builds for the two
+of an equal-kernel pair when it decides a quadratic spec.
+``iter_elements`` builds every element, in the order of
+``SetSpec.free_coeffs``.  ``bc_root`` takes its real roots from
 ``irrational_real_roots`` (closed form, ``algebraic`` docstring).
 
-Trusted polynomials.  ``defining_poly`` builds through
-``MonicIntPoly._trusted``, which skips the checks of ``__post_init__``:
-that the coefficients are two or three ints.  They hold by construction.
-``SetSpec.__post_init__`` refuses a params tuple of the wrong length or
-with a non-int entry, so b (or m and n) are ints; ``defining_poly`` refuses
-a non-int free coefficient, and the tuple it builds has one or two params
-plus that coefficient.  ``iter_elements`` builds the same tuple for a
-cubic instance, and the quotient (m + r, n + r(m + r)), from the int
-params and the ints d and r.  A frozen dataclass compares, hashes and
-serializes by its fields alone, so the trusted polynomial is ``==`` to the
-validated one, hashes alike and gives the same ``to_json``; the tests
-check this on every 2r and 2i instance with |n| <= 300.
+Trusted polynomials.  ``defining_poly`` and ``_elements`` build without
+``__post_init__``, which checks that the coefficients are two or three
+ints.  They hold by construction.  ``SetSpec.__post_init__`` refuses a
+params tuple of the wrong length or with a non-int entry, so b (or m and
+n) are ints; ``defining_poly`` refuses a non-int free coefficient, and the
+tuple it builds has one or two params plus that coefficient.
+``_elements`` builds the same tuple from the int params and the ints of a
+range, and the quotient (m + r, n + r(m + r)) from those and the int r.
+A frozen dataclass compares, hashes and serializes by its fields alone, so
+the trusted polynomial is ``==`` to the validated one, hashes alike and
+gives the same ``to_json``; the tests check this on every 2r and 2i
+instance with |n| <= 300.
 
 Imaginary instances.  2i(n) takes x^2 + b x + c with b = -1 for odd n and
 b = 0 for even n, and c >= floor(n/2)^2 + 1 over its whole range.  So disc
 = b^2 - 4c <= 1 - 4 < 0: the quadratic has no real root, so no rational
-one, and is irreducible over Q.  ``_upper_root`` builds each element
-through ``_narrowed`` with half-plane +1, which selects the upper root
-(-b + i sqrt(-disc)) / 2, with no second irreducibility decision.  Its
-imaginary part sqrt(4c - b^2) / 2 increases with c, so range order is
-ascending by imaginary part.
+one, and is irreducible over Q.  Each element is stored with half-plane +1
+(``_elements``, and ``_upper_root`` through ``_narrowed`` for one element),
+which selects the upper root (-b + i sqrt(-disc)) / 2, with no second
+irreducibility decision.  Its imaginary part sqrt(4c - b^2) / 2 increases
+with c, so range order is ascending by imaginary part.
 """
 
 from __future__ import annotations
@@ -259,19 +288,44 @@ def _integer_roots_by_coeff(m: int, n: int, coeffs: range) -> dict[int, int]:
     return roots
 
 
-def _cubic_elements(spec: SetSpec) -> Iterator[SetElement]:
-    """The elements of a 3ntr or 3tr instance in ``build_set`` order, with
-    the integer roots of the whole instance found in one walk (module
-    docstring)."""
-    m, n = spec.params
-    # a 3ntr cubic has no integer root (module docstring)
-    roots = _integer_roots_by_coeff(m, n, spec.free_coeff_range()) if spec.family == "3tr" else {}
-    for d in spec.free_coeffs():
-        r = roots.get(d)
-        # x^3 + m x^2 + n x + d, or its quotient by x - r; ints, so trusted
-        p = (MonicIntPoly._trusted((m, n, d)) if r is None
-             else MonicIntPoly._trusted((m + r, n + r * (m + r))))
-        yield SetElement(d, _sign_checked_root(p))
+def _elements(spec: SetSpec, coeffs: range) -> Iterator[SetElement]:
+    """The elements of spec's family and params with free coefficients
+    coeffs, in that order, after one sign test for the whole range, each
+    built inline (module docstring).  Raises ValueError before the first
+    element when p(0) p(1) < 0 fails anywhere in a real range."""
+    family = spec.family
+    head = (-(spec.params[0] % 2),) if family == "2i" else spec.params
+    roots = {}
+    if family != "2i" and coeffs:
+        # p(0) = k and p(1) = s + k are linear in k, so each keeps over the
+        # range the strict sign it has at both ends
+        s, first, last = 1 + sum(head), coeffs[0], coeffs[-1]
+        if first * last <= 0 or (s + first) * (s + last) <= 0 or first * (s + first) >= 0:
+            raise ValueError(f"{family}{spec.params}: p(0) p(1) < 0 fails on {coeffs}")
+        # a 3ntr cubic has no integer root (module docstring)
+        if family == "3tr":
+            roots = _integer_roots_by_coeff(*head, coeffs)
+    lo, hi, half_plane = (None, None, 1) if family == "2i" else (_ZERO, _ONE, 0)
+    new, store = object.__new__, object.__setattr__
+    for k in coeffs:
+        # the fields of MonicIntPoly._trusted, AlgebraicNumber._narrowed and
+        # SetElement(...), stored one by one as a dataclass __init__ does
+        p = new(MonicIntPoly)
+        if k in roots:
+            # the quotient of x^3 + m x^2 + n x + k by x - r
+            (m, n), r = head, roots[k]
+            store(p, "coeffs", (m + r, n + r * (m + r)))
+        else:
+            store(p, "coeffs", head + (k,))
+        a = new(AlgebraicNumber)
+        store(a, "minpoly", p)
+        store(a, "lo", lo)
+        store(a, "hi", hi)
+        store(a, "half_plane", half_plane)
+        e = new(SetElement)
+        store(e, "free_coeff", k)
+        store(e, "number", a)
+        yield e
 
 
 def _upper_root(p: MonicIntPoly) -> AlgebraicNumber:
@@ -280,25 +334,18 @@ def _upper_root(p: MonicIntPoly) -> AlgebraicNumber:
     return AlgebraicNumber._narrowed(p, half_plane=1)
 
 
-def _root_builder(spec: SetSpec):
-    """The builder of spec's elements from their defining polynomials."""
-    return _upper_root if spec.family == "2i" else _unit_interval_root
-
-
 def element(spec: SetSpec, coeff: int) -> AlgebraicNumber:
     """The element of spec with free coefficient coeff, which must lie in
     spec's range."""
-    return _root_builder(spec)(spec.defining_poly(coeff))
+    root = _upper_root if spec.family == "2i" else _unit_interval_root
+    return root(spec.defining_poly(coeff))
 
 
 def iter_elements(spec: SetSpec) -> Iterator[SetElement]:
     """The elements of one instance, one at a time, in ``build_set`` order:
     ascending (2i: by imaginary part).  A caller that looks at each element
     once keeps only that one alive."""
-    if spec.family in ("3ntr", "3tr"):
-        return _cubic_elements(spec)
-    poly, root = spec.defining_poly, _root_builder(spec)
-    return (SetElement(c, root(poly(c))) for c in spec.free_coeffs())
+    return _elements(spec, spec.free_coeffs())
 
 
 def build_set(spec: SetSpec) -> SetInstance:

@@ -643,20 +643,23 @@ def independence_report(inst: SetInstance | SetSpec) -> IndependenceReport:
     buckets: dict[tuple[int, int], list[int]] = {}
     for i, a in enumerate(elems):
         p = a.minpoly
+        degree = len(p.coeffs)
         kernel = squarefree_kernel(p.discriminant())
-        keys.append(kernel if p.degree == 2 else p)
-        buckets.setdefault((p.degree, kernel), []).append(i)
+        keys.append(kernel if degree == 2 else p)
+        buckets.setdefault((degree, kernel), []).append(i)
     collisions = []
     kernel_note = []
-    for i, j in sorted(p for idx in buckets.values() for p in combinations(idx, 2)):
+    # a bucket's pairs share the degree of its key
+    for i, j, degree in sorted((i, j, degree) for (degree, _), idx in buckets.items()
+                               for i, j in combinations(idx, 2)):
         a, b = elems[i], elems[j]
-        if a.minpoly.degree == 3:
+        if degree == 3:
             if a.minpoly == b.minpoly and same_number(a, b):
                 continue  # same element listed twice can't witness a collision
             kernel_note.append((i, j))
         cert = express_in(b, a)
         if cert is None:
-            assert a.minpoly.degree == 3  # equal quadratic kernels: one field
+            assert degree == 3  # equal quadratic kernels: one field
             continue
         assert cert.verify_root_of(b.minpoly)
         collisions.append(Collision(i, j, cert))

@@ -91,7 +91,7 @@ class MonicIntPoly:
         return (v > 0) - (v < 0)
 
     def discriminant(self) -> int:
-        if self.degree == 2:
+        if len(self.coeffs) == 2:
             b, c = self.coeffs
             return b * b - 4 * c
         b, c, d = self.coeffs

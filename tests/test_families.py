@@ -13,12 +13,14 @@ from algseeds.families import (
     RationalRoot,
     SetElement,
     SetSpec,
+    _elements,
     _integer_roots_by_coeff,
     _unit_interval_root,
     bc_root,
     bc_shift_params,
     build_set,
     classify_exception,
+    element,
     half_shift_poly,
     iter_elements,
     quadratic_exception,
@@ -236,15 +238,63 @@ def _valid_cubic_specs():
     return specs
 
 
+def assert_built_like_the_per_element_builder(spec):
+    """build_set stores each element inline (families docstring); every
+    number and minimal polynomial must equal, hash, serialize and hold the
+    same attributes, in the same order, as element(spec, c) builds them."""
+    inst = build_set(spec)
+    reference = tuple(SetElement(c, element(spec, c)) for c in spec.free_coeffs())
+    assert inst.elements == reference
+    for e, twin in zip(inst.elements, reference):
+        for x, y in ((e.number, twin.number), (e.number.minpoly, twin.number.minpoly)):
+            assert type(x) is type(y)
+            assert x == y and hash(x) == hash(y) and x.to_json() == y.to_json()
+            assert list(vars(x).items()) == list(vars(y).items())
+
+
 def test_cubic_build_set_matches_the_per_element_builder():
     """build_set builds a cubic instance from one walk over its integer
     roots; the reference builds each element after its own divisor scan."""
     specs = _valid_cubic_specs()
     assert len(specs) == 2362
     for spec in specs:
-        reference = tuple(SetElement(d, _unit_interval_root(spec.defining_poly(d)))
-                          for d in spec.free_coeffs())
-        assert build_set(spec).elements == reference
+        assert_built_like_the_per_element_builder(spec)
+
+
+def test_quadratic_build_set_matches_the_per_element_builder():
+    """The same for every 2r and 2i instance with |n| <= 300; the reference
+    builds each element through _unit_interval_root or _upper_root."""
+    for n in (*range(1, 301), *range(-3, -301, -1)):
+        assert_built_like_the_per_element_builder(SetSpec("2r", (n,)))
+    for n in range(1, 301):
+        assert_built_like_the_per_element_builder(SetSpec("2i", (n,)))
+
+
+@given(spec=st.one_of(REAL_QUAD_N.map(lambda n: SetSpec("2r", (n,))),
+                      ntr_params(-6, 4).map(lambda mn: SetSpec("3ntr", mn)),
+                      tr_params(-6, 4).map(lambda mn: SetSpec("3tr", mn))),
+       ends=st.tuples(st.integers(-45, 45), st.integers(-45, 45)))
+@example(spec=SetSpec("2r", (5,)), ends=(-5, 0))     # p(0) = 0 at k = 0
+@example(spec=SetSpec("2r", (5,)), ends=(-6, -1))    # p(1) = 0 at k = -6
+@example(spec=SetSpec("2r", (-5,)), ends=(4, 1))     # p(1) = 0 at k = 4, reversed
+@example(spec=SetSpec("3tr", (0, -6)), ends=(1, 6))  # p(1) = 0 at k = 5
+@example(spec=SetSpec("3tr", (0, -6)), ends=(1, 4))  # d = 4 has the root r = 2
+@example(spec=SetSpec("3ntr", (-3, 9)), ends=(-7, -1))  # p(1) = 0 at k = -7
+def test_range_end_sign_test_matches_a_brute_force(spec, ends):
+    """_elements decides p(0) p(1) < 0 for a whole range from its two ends
+    (families docstring).  On a range where it holds at every k it builds
+    what the per-element builder builds; on any other, k or s + k reaching
+    or crossing 0 included, it raises ValueError before the first element."""
+    first, last = ends
+    coeffs = range(first, last + 1) if first <= last else range(first, last - 1, -1)
+    s = 1 + sum(spec.params)
+    stream = _elements(spec, coeffs)
+    if all(k * (s + k) < 0 for k in coeffs):
+        assert tuple(stream) == tuple(SetElement(k, _unit_interval_root(spec.defining_poly(k)))
+                                      for k in coeffs)
+    else:
+        with pytest.raises(ValueError):
+            next(stream)
 
 
 def test_walk_marks_the_reducible_coeffs_and_the_quadratic_exception():
