@@ -5,13 +5,35 @@ endpoints are never roots; a complex quadratic is selected by a half-plane
 tag.
 
 Refinement returns a cell of the bisection grid.  Write the interval as
-(a/D, b/D) with w = b - a.  The level-s cells of bisection are
+(a/D, (a + w)/D) with w > 0.  The level-s cells of bisection are
 
     [(a 2^s + j w) / (D 2^s), (a 2^s + (j+1) w) / (D 2^s)],  0 <= j < 2^s,
 
-and ``refine(bits)`` returns the one holding the number at the first level
+and ``cell(bits)`` returns the one holding the number at the first level
 s* whose width w / (D 2^s*) is <= 2^-bits, which is the cell plain
-bisection stops on.  It finds that cell by quadratic interval refinement
+bisection stops on, as three ints (left, right, den) on the one
+denominator D 2^s* (D itself, and the number's own interval, when s* = 0).
+``refine(bits)`` and ``enclosure(bits)`` are its ``Fraction`` views.  The
+readers whose answer is a floor or a comparison take the ints: ``decimal``
+rounds them half to even as they are, unnormalized, and ``less_than``,
+``horner_in`` and ``bits.binary_expansion`` cross-multiply or floor them.
+
+A quadratic's cell is found in closed form.  For p = x^2 + bx + c with
+discriminant Disc, the root is (-b + sigma sqrt(Disc)) / 2, where sigma is
+the sign of p at hi: p is negative between its two roots and positive
+outside them, so it is positive at hi when the interval isolates the upper
+root and negative when it isolates the lower.  With X = 2^s (-b D - 2a)
+and Y = D 2^s, the root lies in the level-s cell
+
+    j = floor((X + sigma sqrt(Y^2 Disc)) / 2w),
+
+and since 2w is a positive integer, j is the floor of floor(X + sigma
+sqrt(Y^2 Disc)) / 2w.  Disc is not a square (p is irreducible) and Y != 0,
+so sqrt(Y^2 Disc) is irrational: the inner floor is X + isqrt(Y^2 Disc) for
+sigma = +1 and X - isqrt(Y^2 Disc) - 1 for sigma = -1.  One isqrt and one
+evaluation of p give the cell.
+
+A cubic's cell is found by quadratic interval refinement
 (J. Abbott, "Quadratic Interval Refinement for Real Roots", ACM Commun.
 Comput. Algebra 48, 2014), on integers throughout: from the values of p
 at the current cell's ends, both scaled to one denominator, the secant
@@ -28,10 +50,13 @@ two ints, (level, j): the deepest level it has reached and the index of
 its cell there.  The level-s cell holding the number contains the
 level-s' cell holding it for every s' > s, and cell j at level s' lies
 inside cell j >> (s' - s) at level s.  So a request with s* <= level is
-answered by that shift, with no evaluation of p, and a deeper request
-continues quadratic interval refinement from the stored cell, which holds
-the number and lies on the grid; by the argument above it ends on the same
-cell as a refinement from (lo, hi).  The pair is stored in the instance's
+answered by that shift, with no evaluation of p.  A deeper request on a
+cubic continues quadratic interval refinement from the stored cell, which
+holds the number and lies on the grid; by the argument above it ends on
+the same cell as a refinement from (lo, hi).  A deeper request on a
+quadratic takes the closed form, which needs no stored cell.  Both paths
+store the bisection cell itself, so the memo stays sound whichever path
+stored it and whichever reads it.  The pair is stored in the instance's
 __dict__ and is not a dataclass field: it says nothing about which number
 is meant, so ``==``, ``hash``, ``repr`` and ``to_json`` ignore it, and a
 number refined to any depth stays equal to an unrefined copy and finds the
@@ -228,9 +253,12 @@ class AlgebraicNumber:
 
     # -- refinement ---------------------------------------------------------
 
-    def refine(self, bits: int) -> "AlgebraicNumber":
-        """The bisection cell of width <= 2**-bits holding the root, found by
-        quadratic interval refinement on the bisection grid (module docstring)."""
+    def cell(self, bits: int) -> tuple[int, int, int]:
+        """(left, right, den): the bisection cell of width <= 2**-bits holding
+        the root, as ints over one denominator den > 0, not in lowest terms;
+        the isolating interval itself when it is that narrow already.  Found
+        in closed form for a quadratic and by quadratic interval refinement
+        for a cubic, on the bisection grid (module docstring)."""
         if not self.is_real:
             raise RationalInput("only real numbers have refinable intervals")
         lo, hi = self.lo, self.hi
@@ -245,14 +273,25 @@ class AlgebraicNumber:
         while base << last < goal:
             last += 1
         if last == 0:
-            return self
+            return a, a + w, base
         p = self.minpoly
         # start from the finest cell known (module docstring); an ancestor of
         # it is read off its index
         level, j = self.__dict__.get("_cell", (0, 0))
         if last <= level:
-            left, den = (a << last) + (j >> (level - last)) * w, base << last
-            return AlgebraicNumber._narrowed(p, Fraction(left, den), Fraction(left + w, den))
+            left = (a << last) + (j >> (level - last)) * w
+            return left, left + w, base << last
+        if len(p.coeffs) == 2:
+            # closed form (module docstring): with X = 2**s (-b base - 2a) and
+            # Y = base 2**s, j = floor((X + sigma sqrt(Y**2 Disc)) / 2w),
+            # sigma the sign of p at hi
+            b, c = p.coeffs
+            x = (-b * base - 2 * a) << last
+            root = isqrt((base * base * (b * b - 4 * c)) << 2 * last)
+            j = (x + root if p.scaled_value(a + w, base) > 0 else x - root - 1) // (2 * w)
+            self.__dict__["_cell"] = (last, j)
+            left = (a << last) + j * w
+            return left, left + w, base << last
         # the current cell is [left, left + w] / den; den doubles with each
         # level and w stays
         left, den = (a << level) + j * w, base << level
@@ -282,10 +321,19 @@ class AlgebraicNumber:
                 v_right = v_mid
             level += 1
         self.__dict__["_cell"] = (last, (left - (a << last)) // w)
-        return AlgebraicNumber._narrowed(p, Fraction(left, den), Fraction(left + w, den))
+        return left, left + w, den
+
+    def refine(self, bits: int) -> "AlgebraicNumber":
+        """The number on its bisection cell of width <= 2**-bits, ``cell(bits)``
+        as an isolating interval; itself if that cell is its own interval."""
+        lo, hi = self.enclosure(bits)
+        if lo == self.lo and hi == self.hi:
+            return self
+        return AlgebraicNumber._narrowed(self.minpoly, lo, hi)
 
     def enclosure(self, bits: int) -> FracIv:
-        return self.refine(bits).interval
+        left, right, den = self.cell(bits)
+        return Fraction(left, den), Fraction(right, den)
 
     # -- exact order and integer part ---------------------------------------
 
@@ -305,10 +353,12 @@ class AlgebraicNumber:
             raise ValueError("equal numbers have no strict order")
 
         def decide(bits):
-            a, b = self.refine(bits), other.refine(bits)
-            if a.hi <= b.lo:
+            # the two cells, compared by cross-multiplication
+            a_left, a_right, a_den = self.cell(bits)
+            b_left, b_right, b_den = other.cell(bits)
+            if a_right * b_den <= b_left * a_den:
                 return True
-            if b.hi <= a.lo:
+            if b_right * a_den <= a_left * b_den:
                 return False
             return None
         return refine_until(decide, 8)
@@ -360,7 +410,12 @@ class AlgebraicNumber:
     def decimal(self, places: int = 5) -> str:
         if not self.is_real:
             raise RationalInput("decimal rendering is for real numbers")
-        return refine_until(lambda bits: rounded(self.enclosure(bits), places), 4 * places + 8)
+
+        def decide(bits):
+            left, right, den = self.cell(bits)
+            s = _round_half_even_ratio(left, den, places)
+            return s if s == _round_half_even_ratio(right, den, places) else None
+        return refine_until(decide, 4 * places + 8)
 
     def to_json(self) -> dict:
         out: dict = {"minpoly": self.minpoly.to_json()}
@@ -390,16 +445,21 @@ def same_number(a: AlgebraicNumber, b: AlgebraicNumber) -> bool:
     return p.sign_at(lo) != p.sign_at(hi)
 
 
-def round_half_even(x: Fraction, places: int) -> str:
+def _round_half_even_ratio(num: int, den: int, places: int) -> str:
+    """num / den to places decimals, rounded half to even; den > 0 and the
+    ratio need not be in lowest terms."""
     if places < 0:
         raise ValueError("places must be nonnegative")
-    scale = 10**places
-    q, r = divmod(x.numerator * scale, x.denominator)
-    if 2 * r > x.denominator or (2 * r == x.denominator and q % 2):
+    q, r = divmod(num * 10**places, den)
+    if 2 * r > den or (2 * r == den and q % 2):
         q += 1
     sign = "-" if q < 0 else ""
     digits = str(abs(q)).rjust(places + 1, "0")
     return f"{sign}{digits[:-places]}.{digits[-places:]}" if places else f"{sign}{digits}"
+
+
+def round_half_even(x: Fraction, places: int) -> str:
+    return _round_half_even_ratio(x.numerator, x.denominator, places)
 
 
 def rounded(iv: FracIv, places: int) -> str | None:
@@ -536,10 +596,8 @@ def horner_in(theta: AlgebraicNumber, coeffs, lo, hi, bits: int,
     def decide(bits):
         # the cell of theta as [x_lo, x_hi] / den; the value then lies in
         # [v_lo, v_hi] / unit, compared with lo and hi by cross-multiplication
-        x_lo, x_hi = theta.enclosure(bits)
-        den = lcm(x_lo.denominator, x_hi.denominator)
-        v_lo, v_hi = horner_scaled(ints, x_lo.numerator * (den // x_lo.denominator),
-                                   x_hi.numerator * (den // x_hi.denominator), den)
+        x_lo, x_hi, den = theta.cell(bits)
+        v_lo, v_hi = horner_scaled(ints, x_lo, x_hi, den)
         unit = scale * den**n
         if lo.numerator * unit <= v_lo * lo.denominator and v_hi * hi.denominator <= hi.numerator * unit:
             return True

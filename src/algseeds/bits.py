@@ -66,15 +66,14 @@ def binary_expansion(a: AlgebraicNumber, length: int) -> BitStream:
         raise NotInUnitInterval("bit streams need a real number")
     if a.cmp_rational(Fraction(0)) < 0 or a.cmp_rational(Fraction(1)) > 0:
         raise NotInUnitInterval(f"{a.minpoly} root is outside (0,1)")
-    scale = 1 << length
 
-    def cell(bits):
-        lo, hi = a.enclosure(bits)
-        j_lo = (lo.numerator * scale) // lo.denominator
-        # the last cell that starts below hi: the number is strictly below hi
-        j_hi = -(-hi.numerator * scale // hi.denominator) - 1
+    def decide(bits):
+        left, right, den = a.cell(bits)
+        j_lo = (left << length) // den
+        # the last cell that starts below right / den: the number is strictly below it
+        j_hi = -((-right << length) // den) - 1
         return j_lo if j_lo == j_hi else None
-    return BitStream(a, refine_until(cell, length + 2), length)
+    return BitStream(a, refine_until(decide, length + 2), length)
 
 
 @dataclass(frozen=True)

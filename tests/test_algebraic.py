@@ -15,8 +15,10 @@ from algseeds.algebraic import (
     PositiveDiscriminant,
     RationalInput,
     ZeroDiscriminant,
+    _round_half_even_ratio,
     complex_pair,
     irrational_real_roots,
+    refine_until,
     round_half_even,
     rounded,
     same_number,
@@ -121,12 +123,15 @@ IRREDUCIBLE_REAL = st.one_of(
 @example(p=MonicIntPoly.cubic(0, -7, 7), index=1, den=8, below=40, above=40, bits=10)
 @example(p=MonicIntPoly.cubic(0, -7, 7), index=2, den=8, below=40, above=40, bits=10)
 def test_refine_returns_the_bisection_cell(p, index, den, below, above, bits):
-    """refine(bits) is the cell of the bisection grid of the original interval
-    at the first level s* whose width W/2**s* is <= 2**-bits, and it holds the
-    number: checked from the definition, without bisecting."""
     roots = irrational_real_roots(p)
     x = grid_interval(roots[index % len(roots)], den, below, above)
-    r = x.refine(bits)
+    assert_bisection_cell(x, bits, x.refine(bits))
+
+
+def assert_bisection_cell(x, bits, r):
+    """r is the cell of the bisection grid of x's interval at the first level
+    s* whose width W/2**s* is <= 2**-bits, and it holds the number: checked
+    from the definition, without bisecting."""
     big, width = x.width(), r.width()
     steps = big / width
     s = steps.numerator.bit_length() - 1
@@ -135,6 +140,109 @@ def test_refine_returns_the_bisection_cell(p, index, den, below, above, bits):
     assert ((r.lo - x.lo) / width).denominator == 1
     assert x.cmp_rational(r.lo) == 1 and x.cmp_rational(r.hi) == -1
     assert_revalidates(r)
+
+
+def quadratic_2r_root(n, index, upper):
+    """The lower root (p < 0 at hi, sigma = -1) or the upper root (sigma = +1)
+    of the minimal polynomial of an element of 2r(n): one of the two is the
+    element, the other its conjugate."""
+    elements = build_set(SetSpec("2r", (n,))).elements
+    roots = irrational_real_roots(elements[index % len(elements)].number.minpoly)
+    return roots[upper]
+
+
+QUADRATIC_2R = dict(n=st.integers(-1000, 1000).filter(lambda n: n >= 1 or n <= -3),
+                    index=st.integers(0, 2000), upper=st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(**QUADRATIC_2R, den=st.sampled_from((1, 3, 5, 7)),
+       below=st.integers(0, 40), above=st.integers(0, 40), bits=st.integers(0, 4096))
+@example(n=1000, index=999, upper=True, den=7, below=40, above=40, bits=4096)
+@example(n=-1000, index=0, upper=False, den=3, below=0, above=0, bits=4096)
+@example(n=93, index=5, upper=False, den=5, below=3, above=40, bits=1)
+def test_quadratic_closed_form_is_the_bisection_cell_at_scale(n, index, upper, den, below,
+                                                              above, bits):
+    """The closed form (one isqrt for a quadratic) lands on the bisection cell
+    on both roots of 2r(n) elements, |n| <= 1000, on grid intervals with
+    denominators 3, 5 and 7, and at up to 4096 bits."""
+    x = grid_interval(quadratic_2r_root(n, index, upper), den, below, above)
+    assert (x.minpoly.sign_at(x.hi) > 0) == upper
+    assert_bisection_cell(x, bits, x.refine(bits))
+
+
+def bisection_index(x, level):
+    """The index of the level-`level` bisection cell of x's interval that
+    holds x, found by plain bisection: one exact sign test per level."""
+    lo, hi, j = x.lo, x.hi, 0
+    for _ in range(level):
+        mid = (lo + hi) / 2
+        j *= 2
+        if x.cmp_rational(mid) == 1:
+            lo, j = mid, j + 1
+        else:
+            hi = mid
+    return j
+
+
+@settings(max_examples=100, deadline=None)
+@given(**QUADRATIC_2R, den=st.sampled_from((1, 3, 5, 7)), level=st.integers(1, 200),
+       stored_by_bisection=st.booleans(),
+       requests=st.lists(st.integers(0, 1200), min_size=2, max_size=5))
+@example(n=57, index=3, upper=True, den=3, level=100, stored_by_bisection=True,
+         requests=[400, 20])   # deeper, then shallower than the stored cell
+@example(n=-57, index=3, upper=False, den=7, level=100, stored_by_bisection=False,
+         requests=[20, 400, 99])   # shallower, deeper, then between the two
+def test_quadratic_memo_hands_over_both_ways(n, index, upper, den, level, stored_by_bisection,
+                                            requests):
+    """A quadratic that holds a cell, stored by the closed form at `level`
+    bits or as quadratic interval refinement stored it (the plain bisection
+    cell at grid level `level`), then answers deeper and shallower requests,
+    the levels next to the stored one among them, with the bisection cell,
+    as a copy that was never refined does."""
+    x = grid_interval(quadratic_2r_root(n, index, upper), den, 0, 3)
+    if stored_by_bisection:
+        x.__dict__["_cell"] = (level, bisection_index(x, level))
+        # the width is about 2**e, so that cell answers about level - e bits
+        width = x.width()
+        level -= width.numerator.bit_length() - width.denominator.bit_length()
+    else:
+        x.refine(level)
+    for bits in [*range(max(level - 3, 0), level + 4), *requests]:
+        r = x.refine(bits)
+        assert r == AlgebraicNumber._narrowed(x.minpoly, x.lo, x.hi).refine(bits)
+        assert_bisection_cell(x, bits, r)
+
+
+@settings(max_examples=200)
+@given(p=IRREDUCIBLE_REAL, index=st.integers(0, 2), den=st.sampled_from((1, 3, 5, 7)),
+       below=st.integers(0, 20), above=st.integers(0, 20), bits=st.integers(-2, 300))
+@example(p=MonicIntPoly.quadratic(0, -2), index=1, den=1, below=0, above=0, bits=0)  # s* = 0
+@example(p=PLASTIC, index=0, den=1, below=2, above=2, bits=1)
+def test_cell_is_the_interval_of_refine(p, index, den, below, above, bits):
+    """cell(bits) is refine(bits).interval and enclosure(bits) as rationals, on
+    one positive denominator; at s* = 0 it is the number's own interval."""
+    roots = irrational_real_roots(p)
+    x = grid_interval(roots[index % len(roots)], den, below, above)
+    left, right, cell_den = x.cell(bits)
+    assert cell_den > 0
+    cell = (Fraction(left, cell_den), Fraction(right, cell_den))
+    assert cell == x.refine(bits).interval == x.enclosure(bits)
+    if x.width() <= Fraction(1, 2**max(bits, 0)):
+        assert cell == x.interval and x.refine(bits) is x
+
+
+@settings(max_examples=100)
+@given(p=IRREDUCIBLE_REAL, index=st.integers(0, 2), den=st.sampled_from((1, 3, 5, 7)),
+       places=st.integers(0, 40))
+@example(p=MonicIntPoly.quadratic(0, -2), index=1, den=1, places=0)
+def test_decimal_is_the_rounded_enclosure_along_its_ladder(p, index, den, places):
+    """decimal(places), which rounds the integer cell, is the first decimal
+    that both ends of enclosure(bits) round to along its ladder."""
+    roots = irrational_real_roots(p)
+    x = grid_interval(roots[index % len(roots)], den, 0, 5)
+    assert x.decimal(places) == refine_until(lambda bits: rounded(x.enclosure(bits), places),
+                                             4 * places + 8)
 
 
 @settings(max_examples=150)
@@ -284,8 +392,9 @@ def test_decimal_round_half_even_certified():
     num=st.integers(min_value=-10**6, max_value=10**6),
     den=st.integers(min_value=1, max_value=10**6),
     places=st.integers(min_value=0, max_value=8),
+    common=st.integers(min_value=1, max_value=10**4),
 )
-def test_round_half_even_matches_decimal_module(num, den, places):
+def test_round_half_even_matches_decimal_module(num, den, places, common):
     x = Fraction(num, den)
     ours = round_half_even(x, places)
     ctx = decimal.Context(prec=60, rounding=decimal.ROUND_HALF_EVEN)
@@ -293,15 +402,21 @@ def test_round_half_even_matches_decimal_module(num, den, places):
     quantum = decimal.Decimal(1).scaleb(-places)
     ref = ref.quantize(quantum, rounding=decimal.ROUND_HALF_EVEN)
     assert decimal.Decimal(ours) == ref
+    # the integer path, which decimal() takes on cells not in lowest terms
+    assert _round_half_even_ratio(num * common, den * common, places) == ours
 
 
 def test_negative_places_are_refused():
-    """round_half_even is the one renderer, and both decimal methods reach
-    it through the ladder."""
+    """The one renderer, on a ratio or on its Fraction view, refuses negative
+    places, and both decimal methods reach it through the ladder."""
     with pytest.raises(ValueError, match="places"):
         round_half_even(Fraction(1, 3), -1)
     with pytest.raises(ValueError, match="places"):
+        _round_half_even_ratio(2, 6, -1)
+    with pytest.raises(ValueError, match="places"):
         SQRT2.decimal(-1)
+    with pytest.raises(ValueError, match="places"):
+        irrational_real_roots(PLASTIC)[0].decimal(-3)
     with pytest.raises(ValueError, match="places"):
         AffineValue(SQRT2, Fraction(1, 2), Fraction(0)).decimal(-2)
 

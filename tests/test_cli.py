@@ -415,6 +415,43 @@ def test_cubic_bound_120_sweep_json_is_pinned(capsys):
         "672e22c9fe382692c45dbc4be55bdd8b4183f9f52f2e82271ba7569ba473381f"
 
 
+# SHA-256 of the JSON each invocation prints
+REFINED_OUTPUT_SHA256 = {
+    "gen --family 2r --n 93":
+        "9cb3d21cf3c8c85f1c76e47b481b85619c928bdfc7fd11abfaef06c00fb73263",
+    "gen --family 2r --n -700":
+        "7ac08cfd93d07b7d2b8fc51c10711aacaacd99dcc7fd33938e1bbb4d6b51a67b",
+    "gen --family 2i --n 61":
+        "e3014a4cf79c0ff6c7b1d69aa1bb114a59807afd8f91b703d3f5d738a2c5dea1",
+    "gen --family 3ntr --m -2 --n 40":
+        "8e25680ee59dda4cae848e2f0734719eb4db8316d3b40a6e31ef5b40be7b66fb",
+    "gen --family 3tr --m -1 --n -41":
+        "50c98a139930ccfdf7ea1bfb1b97aadef51f0a61b19e158e24847984c8c1c2cc",
+    "uniformity --family 2r --n 93":
+        "c2a9aca855c23ff4fb2d7ddb0a200e647cf8c6d7ebd47f0a4f2d8b4592655248",
+    "uniformity --family 2i --n 61 --precision 256":
+        "5848fcb261b23a7ea9ecaf2c19df02fd1238c3d19dafeba9c122d8126661e232",
+    "uniformity --family 2i --n 60":
+        "be3e5bcf8c9710c9117e9ff709bba78933f03e35fd9da773db9538d1efaebe1a",
+    "uniformity --family 3ntr --m 0 --n 57 --precision 32":
+        "f662ae9bdf399d0e1838ff057ec4245933579c8654705eb282773f7c0d4029bf",
+    "bits --family 2r --n 93":
+        "c35e9268c59776cf549dab1917cbd383b225f039b83f99c4124a3e03b53e6b62",
+    "bits --family 3tr --m 0 --n -59":
+        "e7f44693944d28628316258cfec4945330317f64d51d4e9b3bd60e1c453a16f3",
+}
+
+
+@pytest.mark.parametrize("argv", REFINED_OUTPUT_SHA256)
+def test_refined_output_json_is_pinned(capsys, argv):
+    """gen values, uniformity gaps and bit streams all read refined cells
+    (quadratics in closed form, cubics by quadratic interval refinement);
+    their JSON must not change a byte."""
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REFINED_OUTPUT_SHA256[argv]
+
+
 @pytest.mark.parametrize("flag", ("--quad-bound", "--cubic-bound"))
 def test_sweep_rejects_a_zero_bound(capsys, flag):
     code, out, err = run(capsys, "sweep", flag, "0")
