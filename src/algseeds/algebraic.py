@@ -325,7 +325,12 @@ class AlgebraicNumber:
 
     def refine(self, bits: int) -> "AlgebraicNumber":
         """The number on its bisection cell of width <= 2**-bits, ``cell(bits)``
-        as an isolating interval; itself if that cell is its own interval."""
+        as an isolating interval; itself if that cell is its own interval.
+
+        No library code calls it; it stays because ``perfbench/spans.py``
+        wraps it by name, so the benchmark smoke run in
+        ``tests/test_surface.py`` needs it, and because tests use it as the
+        ``Fraction`` view of a cell."""
         lo, hi = self.enclosure(bits)
         if lo == self.lo and hi == self.hi:
             return self

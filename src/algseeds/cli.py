@@ -101,7 +101,7 @@ def _cmd_uniformity(ns: argparse.Namespace) -> Outcome:
 
 
 def _cmd_independence(ns: argparse.Namespace) -> Outcome:
-    rep = independence_report(build_set(_spec(ns)))
+    rep = independence_report(_spec(ns))
     payload = rep.to_json()
     rows = [(c.i, c.j, " ".join(str(x) for x in c.certificate.coeffs))
             for c in rep.collisions]

@@ -8,27 +8,26 @@ answers are rigorous:
     identity, g(h(x)) = 0 mod f(x) over the rationals, plus an interval
     separation argument pinning h(alpha) to beta itself;
 
-  * negatives come from rational reconstruction: once the coefficient
-    enclosures are narrower than 1/(2B^2), with B bounding the possible
-    denominators, at most one rational candidate exists per coefficient
-    and it must be a continued-fraction convergent of the midpoint.  No
-    convergent in the enclosure, or an exact refutation of the unique
-    candidate, closes the case.
+  * negatives come from rounding: every coordinate is a multiple of 1/t,
+    t = |disc(f)| (below), so once the enclosure of each t*a_i is narrower
+    than 1 it holds at most one integer.  No integer in some enclosure, or
+    an exact refutation of the one candidate, closes the case.
 
 Since every number here is an algebraic integer, coordinates over the
-power basis of alpha have denominators dividing the index [O_K : Z[alpha]],
-whose square divides disc(f); B = |disc(f)| is a safe bound.
+power basis of alpha are multiples of 1/[O_K : Z[alpha]]: the index times
+O_K lies in Z[alpha].  The index squared divides disc(f) (below), so the
+index divides t = |disc(f)|, and every t*a_i is an integer.
 
 Both run on integers.  The solve returns fixed-point int intervals
-[lo, hi] / 2^prec.  Reconstruction walks the continued fraction of the
-midpoint (lo + hi) / 2^(prec+1) with int numerator and denominator, and
-tests each convergent h/k by cross-multiplication, lo k <= h 2^prec <= hi k;
-only the value it returns becomes a Fraction.  The solve stops at the
-first coordinate that has no candidate.  The composition check clears the
-denominators of h once: with L their lcm and H = L h, an integer
-polynomial, g(h) = 0 mod f exactly when L^n g(H/L) = sum g_i H^i L^(n-i)
-is, n = deg g.  Horner runs that sum through ``_mulmod``, and since f is
-monic, reducing an integer polynomial mod f keeps it integral.
+[lo, hi] / 2^prec, and the rounding needs (hi - lo) t < 2^prec.  The one
+candidate for t*a_i is then the ceiling h of lo t / 2^prec, kept when
+h 2^prec <= hi t (one cross-multiplication), and only h/t becomes a
+Fraction.  The solve stops at the first coordinate that has no candidate.
+The composition check clears the denominators of h once: with L their lcm
+and H = L h, an integer polynomial, g(h) = 0 mod f exactly when
+L^n g(H/L) = sum g_i H^i L^(n-i) is, n = deg g.  Horner runs that sum
+through ``_mulmod``, and since f is monic, reducing an integer polynomial
+mod f keeps it integral.
 
 Most pairs never reach the solver.  If K = Q(alpha) and f is the minimal
 polynomial of the algebraic integer alpha, then
@@ -38,10 +37,12 @@ polynomial of the algebraic integer alpha, then
 (Cohen, A Course in Computational Algebraic Number Theory, GTM 138,
 ch. 4), so the squarefree kernel of disc(f) is that of d_K and depends on
 K alone.  Two elements whose discriminants have unequal kernels therefore
-generate different fields.  express_in rejects such cubic pairs before the
-solve, and independence_report buckets the elements of an instance by
-(degree, kernel) and decides only pairs inside a bucket exactly; every
-other pair is settled by this invariant.
+generate different fields.  express_in rejects such pairs, quadratic or
+cubic, with one test ahead of either solve, and independence_report buckets
+the elements of an instance by (degree, kernel) and decides only pairs
+inside a bucket exactly; every other pair is settled by this invariant.
+For a quadratic pair that passes, a1^2 = disc(g)/disc(f), so a1 is
++-isqrt(disc(f) disc(g)) / |disc(f)| and a0 follows from the traces.
 
 The kernels of a quadratic instance are sieved, not factored one by one.
 ``build_set`` lists the elements of 2r(n) and 2i(n) as the roots of
@@ -61,24 +62,28 @@ while a larger prime has p^2 > |term|; so what remains is squarefree, and
 is the kernel.  ``independence_report`` checks that the minimal
 polynomials of a quadratic instance have this form before it reads the
 kernels off the sieve, and refuses any other list with a ValueError.
-``squarefree_kernel`` stays the kernel of a single value, for cubics,
-``FieldId.of_number``, ``same_field`` and ``express_in``.
+``squarefree_kernel`` stays the kernel of a single value, for cubics and
+for ``FieldId.of_number``, which ``same_field`` reads.
 
-Deciding a quadratic instance from its kernels.  Distinct kernels settle
-every pair, so ``_progression_report`` buckets the elements only when a
-kernel repeats (no 2r or 2i instance has such a repeat, but the code does
-not assume it), and sends each pair of a bucket to ``express_in``, which
-certifies the one field.  The progression needs only b and the range of c:
-for a 2r or 2i spec they come from ``SetSpec.free_coeffs`` and
-``defining_poly``, so ``independence_report(spec)``, which ``algseeds
-sweep`` calls, builds no element unless a kernel repeats, and then only
-the elements of that bucket, through ``families.element``.  Given the
+Deciding an instance from its keys.  ``_bucket_report`` is the one loop
+over pairs: it takes each element's field key and bucket key, buckets the
+elements only when a bucket key repeats, and sends each pair of a bucket
+to ``express_in``, which certifies a shared field or refutes it.  Its keys
+come from the sieve for a quadratic instance (the kernel is both keys; no
+2r or 2i instance repeats a kernel, but the code does not assume it), or
+from one ``squarefree_kernel`` per element otherwise (the bucket key is
+(degree, kernel), the field key the kernel or a cubic's minimal
+polynomial).  The progression needs only b and the range of c: for a 2r
+or 2i spec they come from ``SetSpec.free_coeffs`` and ``defining_poly``,
+so ``independence_report(spec)``, which ``algseeds sweep`` and ``algseeds
+independence`` call, builds no element unless a kernel repeats, and then
+only the elements of that bucket, through ``families.element``.  Given the
 instance, the same function runs on b and the c range read off the checked
-minimal polynomials.  Either way the report keeps each element's kernel as
-an int in ``field_keys`` and builds the ``FieldId`` tuple ``field_ids``
-from them on first read.  Neither ``to_json`` nor the sweep reads it:
-``to_json`` renders each key through ``_field_json``, the renderer that
-``FieldId.to_json`` calls too, so the two give the same JSON.
+minimal polynomials; a cubic spec is built first.  The report keeps the
+field keys in ``field_keys`` and builds the ``FieldId`` tuple
+``field_ids`` from them on first read.  Neither ``to_json`` nor the sweep
+reads it: ``to_json`` renders each key through ``_field_json``, the
+renderer that ``FieldId.to_json`` calls too, so the two give the same JSON.
 
 The solve reads a cubic's conjugates in one place, ``_conjugates(a, bits)``:
 fixed-point enclosures at scale 2^bits of a and of its two conjugates,
@@ -288,7 +293,7 @@ def char_poly(f: MonicIntPoly, h) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Rational reconstruction from an enclosure.
+# The splitting test and the rounding of a solved coordinate.
 
 
 # Odd primes for the splitting test of express_in (a root count mod 2 is
@@ -318,22 +323,12 @@ def _split_apart(f: MonicIntPoly, g: MonicIntPoly, df: int, dg: int) -> bool:
     return False
 
 
-def _reconstruct(lo: int, hi: int, prec: int, qmax: int) -> Fraction | None:
-    """The unique rational with denominator <= qmax in [lo, hi] / 2**prec,
-    given that the width is below 1/(2 qmax^2); None certifies that no such
-    rational exists.  Walks the continued fraction of the midpoint on ints
-    and tests each convergent h/k by cross-multiplication."""
-    n, d = lo + hi, 1 << (prec + 1)
-    h0, k0, h1, k1 = 0, 1, 1, 0
-    while d:
-        a, r = divmod(n, d)
-        h0, k0, h1, k1 = h1, k1, a * h1 + h0, a * k1 + k0
-        n, d = d, r
-        if k1 > qmax:
-            return None
-        if lo * k1 <= h1 << prec <= hi * k1:
-            return Fraction(h1, k1)
-    return None
+def _integer_in(lo: int, hi: int, prec: int, t: int) -> int | None:
+    """The least integer h with h / t in [lo, hi] / 2**prec, for t > 0, or
+    None when there is none: the ceiling of lo t / 2**prec, checked against
+    hi by one cross-multiplication."""
+    h = -(-lo * t >> prec)
+    return h if h << prec <= hi * t else None
 
 
 # ---------------------------------------------------------------------------
@@ -443,24 +438,19 @@ def _value_is_beta(expr: FieldExpression, beta: AlgebraicNumber, max_bits: int) 
 # ---------------------------------------------------------------------------
 
 
-def _express_quadratic(beta: AlgebraicNumber, alpha: AlgebraicNumber,
+def _express_quadratic(beta: AlgebraicNumber, alpha: AlgebraicNumber, df: int, dg: int,
                        max_bits: int) -> FieldExpression | None:
-    f, g = alpha.minpoly, beta.minpoly
-    df, dg = f.discriminant(), g.discriminant()
-    k = squarefree_kernel(df)
-    if k != squarefree_kernel(dg):
-        return None
-    tf = isqrt(abs(df) // abs(k))
-    tg = isqrt(abs(dg) // abs(k))
-    bf, bg = f.coeffs[0], g.coeffs[0]
-    candidates = []
+    """beta over quadratic alpha, their discriminants df and dg of one
+    kernel: a1^2 = dg / df, so a1 = +-sqrt(df dg) / |df|."""
+    g = beta.minpoly
+    size = Fraction(isqrt(df * dg), abs(df))
     if df < 0:
         # imaginary parts are positive multiples of sqrt(|k|); the half
         # plane tag fixes the sign of a1 outright
-        sgn = 1 if beta.half_plane == alpha.half_plane else -1
-        candidates.append(Fraction(sgn * tg, tf))
+        candidates = (size if beta.half_plane == alpha.half_plane else -size,)
     else:
-        candidates.extend((Fraction(tg, tf), Fraction(-tg, tf)))
+        candidates = (size, -size)
+    bf, bg = alpha.minpoly.coeffs[0], g.coeffs[0]
     for a1 in candidates:
         a0 = (a1 * bf - bg) / 2
         expr = FieldExpression(alpha, (a0, a1, Fraction(0)))
@@ -476,7 +466,7 @@ def _express_cubic(beta: AlgebraicNumber, alpha: AlgebraicNumber,
     """The exact solve for cubic alpha and beta of one signature, with no
     shortcut in front of it."""
     f, g = alpha.minpoly, beta.minpoly
-    qmax = abs(f.discriminant())
+    t = abs(f.discriminant())  # every coordinate is a multiple of 1/t
     open_matchings = {0, 1}
 
     def decide(bits):
@@ -485,15 +475,15 @@ def _express_cubic(beta: AlgebraicNumber, alpha: AlgebraicNumber,
         rhs_pair = _beta_rhs_variants(beta, bits)
         for m in sorted(open_matchings):
             sol = _solve(rows, rhs_pair[m], bits)
-            # each width must be below 1/(2 qmax^2), at scale 2**bits
-            if sol is None or any((hi - lo) * 2 * qmax * qmax >= 1 << bits for lo, hi in sol):
+            # each enclosure of t * a_i must be narrower than 1
+            if sol is None or any((hi - lo) * t >= 1 << bits for lo, hi in sol):
                 continue  # too coarse, keep the matching open
             cand = []
             for lo, hi in sol:
-                c = _reconstruct(lo, hi, bits, qmax)
-                if c is None:
+                h = _integer_in(lo, hi, bits, t)
+                if h is None:
                     break
-                cand.append(c)
+                cand.append(Fraction(h, t))
             if len(cand) < 3:
                 open_matchings.discard(m)  # no admissible rational triple
                 continue
@@ -517,13 +507,15 @@ def express_in(beta: AlgebraicNumber, alpha: AlgebraicNumber,
         return None  # a cubic field has no quadratic subfield and vice versa
     if f == g and same_number(alpha, beta):
         return FieldExpression(alpha, (Fraction(0), Fraction(1), Fraction(0)))
-    if f.degree == 2:
-        return _express_quadratic(beta, alpha, max_bits)
     df, dg = f.discriminant(), g.discriminant()
-    if not _same_kernel(df, dg) or _split_apart(f, g, df, dg):
-        # distinct discriminant kernels or splitting (module docstring); a
-        # kernel carries the sign of disc, so this covers distinct signatures
+    if not _same_kernel(df, dg):
+        # distinct discriminant kernels (module docstring); a kernel carries
+        # the sign of disc, so this covers distinct signatures
         return None
+    if f.degree == 2:
+        return _express_quadratic(beta, alpha, df, dg, max_bits)
+    if _split_apart(f, g, df, dg):
+        return None  # a prime splits differently (module docstring)
     return _express_cubic(beta, alpha, start_bits, max_bits)
 
 
@@ -590,26 +582,43 @@ def spec_in_guaranteed_range(spec) -> bool:
     return spec.params[0] in CUBIC_RANGE_PARAMS
 
 
+def _bucket_report(spec: SetSpec, field_keys, bucket_keys, elem) -> IndependenceReport:
+    """The report on an instance of spec whose i-th element elem(i) has the
+    field key field_keys[i] and the bucket key bucket_keys[i].  Pairs in
+    different buckets generate different fields (module docstring); each
+    pair inside a bucket goes to express_in, and elements are built only for
+    those pairs."""
+    n = len(field_keys)
+    collisions = []
+    kernel_note = []
+    if len(set(bucket_keys)) < n:
+        buckets = {}
+        for i, key in enumerate(bucket_keys):
+            buckets.setdefault(key, []).append(i)
+        for i, j in sorted(p for idx in buckets.values() for p in combinations(idx, 2)):
+            a, b = elem(i), elem(j)
+            cubic = a.minpoly.degree == 3  # a bucket's pairs share one degree
+            if cubic:
+                if a.minpoly == b.minpoly and same_number(a, b):
+                    continue  # same element listed twice can't witness a collision
+                kernel_note.append((i, j))
+            cert = express_in(b, a)
+            if cert is None:
+                assert cubic  # equal quadratic kernels: one field
+                continue
+            assert cert.verify_root_of(b.minpoly)
+            collisions.append(Collision(i, j, cert))
+    return IndependenceReport(spec.to_json(), tuple(field_keys), n * (n - 1) // 2,
+                              tuple(collisions), spec_in_guaranteed_range(spec),
+                              tuple(kernel_note))
+
+
 def _progression_report(spec: SetSpec, b: int, coeffs: range, elem) -> IndependenceReport:
     """The report on the roots of x^2 + b x + c, c in coeffs (step +-1), the
     elements of the 2r or 2i instance spec; elem(i) is the i-th.  Kernels
-    come off one sieve, and elements are built only for pairs whose kernels
-    are equal (module docstring)."""
-    n = len(coeffs)
-    kernels = tuple(_progression_kernels(b * b - 4 * coeffs.start, -4 * coeffs.step, n))
-    collisions = []
-    if len(set(kernels)) < n:
-        buckets: dict[int, list[int]] = {}
-        for i, k in enumerate(kernels):
-            buckets.setdefault(k, []).append(i)
-        for i, j in sorted(p for idx in buckets.values() for p in combinations(idx, 2)):
-            alpha, beta = elem(i), elem(j)
-            cert = express_in(beta, alpha)
-            # equal quadratic kernels: one field, so a certificate exists
-            assert cert is not None and cert.verify_root_of(beta.minpoly)
-            collisions.append(Collision(i, j, cert))
-    return IndependenceReport(spec.to_json(), kernels, n * (n - 1) // 2, tuple(collisions),
-                              spec_in_guaranteed_range(spec), ())
+    come off one sieve (module docstring)."""
+    kernels = _progression_kernels(b * b - 4 * coeffs.start, -4 * coeffs.step, len(coeffs))
+    return _bucket_report(spec, kernels, kernels, elem)
 
 
 def independence_report(inst: SetInstance | SetSpec) -> IndependenceReport:
@@ -639,30 +648,7 @@ def independence_report(inst: SetInstance | SetSpec) -> IndependenceReport:
             raise ValueError("a quadratic instance must list x^2 + b x + c for one b, "
                              "with c in range order or reversed")
         return _progression_report(inst.spec, b, coeffs, elems.__getitem__)
-    keys = []
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for i, a in enumerate(elems):
-        p = a.minpoly
-        degree = len(p.coeffs)
-        kernel = squarefree_kernel(p.discriminant())
-        keys.append(kernel if degree == 2 else p)
-        buckets.setdefault((degree, kernel), []).append(i)
-    collisions = []
-    kernel_note = []
-    # a bucket's pairs share the degree of its key
-    for i, j, degree in sorted((i, j, degree) for (degree, _), idx in buckets.items()
-                               for i, j in combinations(idx, 2)):
-        a, b = elems[i], elems[j]
-        if degree == 3:
-            if a.minpoly == b.minpoly and same_number(a, b):
-                continue  # same element listed twice can't witness a collision
-            kernel_note.append((i, j))
-        cert = express_in(b, a)
-        if cert is None:
-            assert degree == 3  # equal quadratic kernels: one field
-            continue
-        assert cert.verify_root_of(b.minpoly)
-        collisions.append(Collision(i, j, cert))
-    return IndependenceReport(inst.spec.to_json(), tuple(keys), n * (n - 1) // 2,
-                              tuple(collisions), spec_in_guaranteed_range(inst.spec),
-                              tuple(kernel_note))
+    polys = [a.minpoly for a in elems]
+    kernels = [squarefree_kernel(p.discriminant()) for p in polys]
+    return _bucket_report(inst.spec, [k if p.degree == 2 else p for p, k in zip(polys, kernels)],
+                          [(p.degree, k) for p, k in zip(polys, kernels)], elems.__getitem__)

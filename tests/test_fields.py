@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given
@@ -17,11 +18,11 @@ from algseeds.fields import (
     _alpha_matrix,
     _beta_rhs_variants,
     _express_cubic,
+    _integer_in,
     _locate,
     _mulmod,
     _progression_kernels,
     _real_root_enclosures,
-    _reconstruct,
     _same_kernel,
     _split_apart,
     _value_is_beta,
@@ -494,22 +495,86 @@ def test_alpha_matrix_and_beta_rows_read_the_same_conjugates(coeffs):
             assert root.cmp_rational(Fraction(hi, 1 << 128)) < 0
 
 
-@given(qmax=st.integers(1, 12), prec=st.integers(10, 40), h=st.integers(-60, 60),
-       k=st.integers(1, 12), shift=st.integers(-3, 3), share=st.fractions(0, 1))
-def test_reconstruct_matches_brute_force(qmax, prec, h, k, shift, share):
-    """_reconstruct on [lo, hi] / 2**prec, narrower than 1/(2 qmax^2), names
-    the one rational with denominator <= qmax there, found by trying every
-    denominator; or None when there is none.  The interval sits near h/k,
-    often around it, sometimes just beside it."""
-    most = ((1 << prec) - 1) // (2 * qmax * qmax)   # widest allowed width
-    width = int(most * share)
-    lo = (h << prec) // k - width // 2 + shift * (width + 1)
-    hi = lo + width
-    found = {Fraction(x, q) for q in range(1, qmax + 1)
-             for x in range((lo * q) >> prec, ((hi * q) >> prec) + 2)
-             if lo * q <= x << prec <= hi * q}
-    assert len(found) <= 1
-    assert _reconstruct(lo, hi, prec, qmax) == (found.pop() if found else None)
+@given(t=st.integers(1, 48), prec=st.integers(0, 12), h=st.integers(-60, 60),
+       shift=st.integers(-2, 2), back=st.integers(-1, 60))
+@example(t=4, prec=2, h=-3, shift=0, back=0)    # one point, an integer: [-3, -3]
+@example(t=3, prec=2, h=3, shift=-1, back=0)    # [9/4, 3]: hi on an integer, lo not
+@example(t=5, prec=3, h=-2, shift=0, back=-1)   # width exactly 1, lo on no integer
+@example(t=7, prec=6, h=1, shift=1, back=100)   # empty: hi < lo
+def test_integer_in_matches_brute_force(t, prec, h, shift, back):
+    """_integer_in on [lo, hi] / 2**prec names the least integer x with x / t
+    in it, found by trying every candidate, or None when there is none.  lo
+    sits near h / t, on negative h too, and falls on it whenever t divides
+    h 2**prec; the width runs from just under 1 on the t-scale, the widest
+    the solve admits, down to empty intervals."""
+    lo = (h << prec) // t + shift
+    hi = lo + ((1 << prec) - 1) // t - back
+    found = [x for x in range(((lo * t) >> prec) - 1, ((hi * t) >> prec) + 2)
+             if lo * t <= x << prec <= hi * t]
+    if (hi - lo) * t < 1 << prec:
+        assert len(found) <= 1
+    assert _integer_in(lo, hi, prec, t) == (found[0] if found else None)
+
+
+# Dedekind's x^3 + x^2 - 2x + 8 has index 2: (alpha + alpha^2)/2 is an
+# algebraic integer outside Z[alpha].  Over 3 alpha, whose minimal
+# polynomial is x^3 + 3x^2 - 18x + 216, the index is 54.
+DEDEKIND = MonicIntPoly.cubic(1, -2, 8)
+
+
+@pytest.mark.parametrize("scale", (1, 3))
+def test_express_in_recovers_fractional_cubic_coordinates(scale):
+    """beta = h0 + h1 alpha + h2 (alpha + alpha^2)/2 over a grid, expressed
+    in gamma = scale * alpha: the coordinates come back exactly, with their
+    denominators 2 and 18 dividing t = |disc| of gamma's minimal polynomial."""
+    alpha = irrational_real_roots(DEDEKIND)[0]
+    gamma = irrational_real_roots(MonicIntPoly.cubic(scale, -2 * scale**2, 8 * scale**3))[0]
+    assert gamma.minpoly.discriminant() == scale**6 * DEDEKIND.discriminant()
+    count = 0
+    for h0 in (-1, 0, 2):
+        for h1 in range(-2, 3):
+            for h2 in range(-2, 3):
+                if h1 == h2 == 0:
+                    continue  # a rational beta
+                over_alpha = (Fraction(h0), h1 + Fraction(h2, 2), Fraction(h2, 2))
+                char = char_poly(DEDEKIND, over_alpha)
+                assert all(c.denominator == 1 for c in char)  # beta is integral
+                beta = irrational_real_roots(MonicIntPoly(tuple(int(c) for c in char)))[0]
+                want = tuple(c / scale**i for i, c in enumerate(over_alpha))
+                assert express_in(beta, gamma).coeffs == want
+                count += 1
+    assert count == 72
+
+
+def test_independence_certifies_a_half_coordinate():
+    """3ntr(-6,12), the mirror image x -> 1 - x of 3ntr(3,3), collides at
+    (3, 5) with the coordinate -1/2, where 3ntr(3,3) has (0, 2, 1); decided
+    from the spec, as the CLI decides it."""
+    rep = independence_report(SetSpec("3ntr", (-6, 12)))
+    (col,) = rep.collisions
+    assert (col.i, col.j) == (3, 5)
+    assert col.certificate.coeffs == (Fraction(0), Fraction(2), Fraction(-1, 2))
+    assert rep.pairs_checked == len(rep.kernel_note) == 15  # one kernel for all six
+
+
+def test_width_test_refuses_an_enclosure_one_wide(monkeypatch):
+    """An enclosure of t a_i exactly 1 wide may hold two integers, so it
+    keeps the matching open.  (hi - lo) t = 2**bits needs t to divide
+    2**bits, so the base is a stand-in with minimal polynomial x^3 - 2x,
+    disc 32, and the solve hands back [k, k + 1] / t with integer ends."""
+    base = SimpleNamespace(minpoly=MonicIntPoly.cubic(0, -2, 0))
+    target = SimpleNamespace(minpoly=MonicIntPoly.cubic(0, 0, -2))
+    t = 32
+    assert base.minpoly.discriminant() == t
+
+    def one_wide(rows, rhs, bits):
+        return [((k << bits) // t, ((k + 1) << bits) // t) for k in (1, 2, 3)]
+
+    monkeypatch.setattr(fields, "_alpha_matrix", lambda alpha, bits: None)
+    monkeypatch.setattr(fields, "_beta_rhs_variants", lambda beta, bits: (None, None))
+    monkeypatch.setattr(fields, "_solve", one_wide)
+    with pytest.raises(PrecisionExhausted):
+        _express_cubic(target, base, 8, 64)
 
 
 def _composes_over_q(g: MonicIntPoly, h, f: MonicIntPoly) -> bool:
