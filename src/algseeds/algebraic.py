@@ -125,8 +125,7 @@ intervals, so none is a root.  If a = b, the root lies in I, and it is the
 only root in I, because I lies inside a's interval; a simple root, so p
 changes sign across I.  If a != b, a root in I would lie in both
 intervals and so equal both a and b; there is none, and p keeps its sign.
-So ``same_number`` is one sign test on I, and ``fields._locate`` uses it
-when two enclosures meet a number's interval.
+So ``same_number`` is one sign test on I.
 
 One capped ladder.  Every comparison that needs finer enclosures runs
 through ``refine_until(decide, bits, max_bits=None)``: it returns the first
@@ -145,11 +144,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .dyadic import fp_from_fractions, horner_scaled, isqrt_iv
+from .dyadic import IntIv, fp_from_cell, horner_scaled, isqrt_iv
 from .polynomials import MonicIntPoly, ZeroDiscriminant, count_roots_between, root_bound_pow2
 
 # bits a ladder may add to its starting precision (module docstring)
 MAX_BITS = 4096
+# bits beyond the target taken on a real root before the other two roots of
+# its cubic are read off it by ``deflate``
+GUARD_BITS = 8
 
 FracIv = tuple[Fraction, Fraction]
 
@@ -530,6 +532,22 @@ class ComplexEnclosure:
     im: FracIv
 
 
+def deflate(p: MonicIntPoly, lo: int, hi: int, s: int) -> tuple[IntIv, IntIv]:
+    """(-(b + a), sqrt|D|), both at scale 2**s, for the root a in [lo, hi] / 2**s
+    of the irreducible cubic p = x^3 + b x^2 + c x + d.  Dividing out x - a
+    leaves x^2 + (b + a) x + c + ab + a^2, whose roots, the other two roots
+    of p, are (-(b + a) -+ sqrt(D)) / 2 with D = b^2 - 4c - 2ab - 3a^2.  D has
+    the sign of disc p, so the enclosure of |D| is clamped at 0 (the
+    ``fields`` docstring)."""
+    b, c, _ = p.coeffs
+    one = 1 << s
+    # -D at scale 4**s
+    q_lo, q_hi = horner_scaled((4 * c - b * b, 2 * b, 3), lo, hi, one)
+    if p.discriminant() > 0:
+        q_lo, q_hi = -q_hi, -q_lo
+    return (-b * one - hi, -b * one - lo), isqrt_iv(max(q_lo, 0), q_hi)
+
+
 def complex_pair(p: MonicIntPoly, bits: int = 64) -> ComplexEnclosure:
     """Upper complex root of an irreducible cubic with one real root, to 2**-bits."""
     if p.degree != 3:
@@ -542,22 +560,18 @@ def complex_pair(p: MonicIntPoly, bits: int = 64) -> ComplexEnclosure:
     if not roots:
         raise RationalInput(f"{p} is reducible")
     root = roots[0]
-    b, c, _ = p.coeffs
 
     def decide(work):
-        # p = (x - a1)(x^2 + (b + a1) x + (a1^2 + b a1 + c)), so the pair has
-        # re = -(b + a1) / 2 and (2 im)^2 = 3 a1^2 + 2 b a1 + 4c - b^2; a1 is
-        # rounded outward to scale 2**work, and 2 im taken there by isqrt
-        one = 1 << work
-        lo, hi = fp_from_fractions(*root.enclosure(work), work)
-        q_lo, q_hi = horner_scaled((4 * c - b * b, 2 * b, 3), lo, hi, one)
-        im_lo, im_hi = isqrt_iv(max(q_lo, 0), q_hi)
-        den = 2 * one
+        # the real root rounded outward to scale 2**work; the pair is then
+        # re = -(b + a) / 2 and im = sqrt(-D) / 2, at scale 2**(work + 1)
+        lo, hi = fp_from_cell(*root.cell(work), work)
+        (re_lo, re_hi), (im_lo, im_hi) = deflate(p, lo, hi, work)
+        den = 2 << work
         if max(hi - lo, im_hi - im_lo) <= den >> bits:
-            return ComplexEnclosure((Fraction(-b * one - hi, den), Fraction(-b * one - lo, den)),
+            return ComplexEnclosure((Fraction(re_lo, den), Fraction(re_hi, den)),
                                     (Fraction(im_lo, den), Fraction(im_hi, den)))
         return None
-    return refine_until(decide, bits + 8)
+    return refine_until(decide, bits + GUARD_BITS)
 
 
 # ---------------------------------------------------------------------------

@@ -5,21 +5,23 @@ scale S that the caller passes explicitly.  Rounding is always outward, so
 every result interval encloses the true value.  ``horner_scaled`` and
 ``isqrt_iv`` are exact on their integer inputs: the first is interval Horner
 over a cell [lo/den, hi/den] scaled by den**deg, the second encloses a square
-root by one ``isqrt`` each side.  Fraction endpoints enter only through
-``fp_from_fractions`` and leave only where a caller builds its public result.
+root by one ``isqrt`` each side.  Every rounding of an int cell [left,
+right] / den to scale 2**s, a number's cell or a value at a finer scale,
+goes through ``fp_from_cell``; Fraction endpoints leave only where a caller
+builds its public result.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
 
 IntIv = tuple[int, int]
 
 
-def fp_from_fractions(lo: Fraction, hi: Fraction, s: int) -> IntIv:
-    """(floor(lo 2**s), ceil(hi 2**s)): [lo, hi] rounded outward to scale 2**s."""
-    return ((lo.numerator << s) // lo.denominator, -((-hi.numerator << s) // hi.denominator))
+def fp_from_cell(left: int, right: int, den: int, s: int) -> IntIv:
+    """(floor(left 2**s / den), ceil(right 2**s / den)) for den > 0: the cell
+    [left, right] / den rounded outward to scale 2**s."""
+    return ((left << s) // den, -((-right << s) // den))
 
 
 def fp_add(a: IntIv, b: IntIv) -> IntIv:

@@ -88,10 +88,34 @@ renderer that ``FieldId.to_json`` calls too, so the two give the same JSON.
 The solve reads a cubic's conjugates in one place, ``_conjugates(a, bits)``:
 fixed-point enclosures at scale 2^bits of a and of its two conjugates,
 flagged real when they are the other two real roots, ascending, and not
-when they are the real and imaginary parts of the upper complex root.  They
-come from the cached ``_real_root_enclosures`` (a's own found by
-``_locate``) and ``_complex_enclosure``.  ``_alpha_matrix`` builds the rows
-of the solve from them, and ``_beta_rhs_variants`` its two right-hand sides.
+when they are the real and imaginary parts of the upper complex root.  All
+three come off one cell of a itself, by deflation.  For the minimal
+polynomial f = x^3 + b x^2 + c x + d,
+
+    f = (x - a)(x^2 + (b + a) x + c + ab + a^2),
+
+so the other two roots are (-(b + a) -+ sqrt(D)) / 2, ascending, with
+D = b^2 - 4c - 2ab - 3a^2; for D < 0 they are the complex pair with real
+part -(b + a)/2 and imaginary parts +-sqrt(-D)/2.  The cell of a at bits +
+GUARD_BITS, rounded outward to that scale (``dyadic.fp_from_cell``), gives
+-(b + a) at once and sqrt|D| by one ``horner_scaled`` and one ``isqrt_iv``
+(``algebraic.deflate``, which ``complex_pair`` runs too); each result is
+rounded outward to scale 2^bits, and a's own enclosure is the same cell
+rounded to 2^bits.  D has the sign of disc(f): with q the quadratic
+factor, the product rule for discriminants gives disc(f) = disc(q)
+res(x - a, q)^2 = D q(a)^2 = D f'(a)^2, and f'(a) != 0 at a simple root.
+So the sign of disc(f) names the case, |D| > 0, and clamping the lower end
+of the enclosure of |D| at 0 loses no point of it.  The slope of sqrt|D| in
+a grows like 1/sqrt|D| where two conjugates lie close; the guard bits
+absorb that loss.  ``_real_root_enclosures`` and ``_complex_enclosure``
+cache the two cases per number and precision.
+
+``_alpha_matrix`` builds the rows of the solve from alpha's conjugates and
+caches their interval adjugate and determinant, or None when the
+determinant's enclosure holds 0: that rung is too coarse, and both
+matchings stay open.  The rows themselves are not kept.  ``_beta_rhs_variants`` gives the two right-hand
+sides, and ``_solve`` takes each to the coordinates with one product by the
+cached adjugate and one division by the determinant per coordinate.
 
 Cubic pairs with equal kernels meet one more invariant before the solve.
 For a prime p not dividing disc(f), p does not divide the index either,
@@ -112,9 +136,9 @@ from fractions import Fraction
 from itertools import combinations, repeat
 from math import isqrt, lcm
 
-from .algebraic import (MAX_BITS, AlgebraicNumber, ComplexEnclosure, complex_pair, horner_in,
-                        irrational_real_roots, refine_until, same_number)
-from .dyadic import fp_add, fp_div, fp_from_fractions, fp_mul, fp_neg, fp_sub
+from .algebraic import (GUARD_BITS, MAX_BITS, AlgebraicNumber, deflate, horner_in, refine_until,
+                        same_number)
+from .dyadic import fp_add, fp_div, fp_from_cell, fp_mul, fp_neg, fp_sub
 from .families import SetInstance, SetSpec, build_set, element
 from .polynomials import MonicIntPoly
 
@@ -332,93 +356,79 @@ def _integer_in(lo: int, hi: int, prec: int, t: int) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# Conjugate data, cached per minimal polynomial and precision.
+# Conjugate data, cached per number and precision, and the 3x3 interval
+# solve.  Rows pair the conjugates of alpha with the hypothesized images of
+# beta; the identity embedding fixes row one, leaving two matchings (swap the
+# remaining conjugates, or flip the sign of the imaginary part).
+
+
+def _deflated(a: AlgebraicNumber, bits: int):
+    """a at scale 2**bits, then deflate's (-(b + a), sqrt|D|) and the
+    denominator 2**(bits + GUARD_BITS + 1) of the conjugates built from
+    them, all read off one cell of a (module docstring)."""
+    work = bits + GUARD_BITS
+    left, right, den = a.cell(work)
+    return (fp_from_cell(left, right, den, bits),
+            deflate(a.minpoly, *fp_from_cell(left, right, den, work), work), 2 << work)
 
 
 @functools.lru_cache(maxsize=4096)
-def _real_root_enclosures(p: MonicIntPoly, bits: int) -> tuple[tuple[Fraction, Fraction], ...]:
-    return tuple(r.enclosure(bits) for r in irrational_real_roots(p))
+def _real_root_enclosures(a: AlgebraicNumber, bits: int):
+    """(own, (u, v), True): a and the other two real roots of its minimal
+    polynomial, u < v, at scale 2**bits."""
+    own, ((s_lo, s_hi), (r_lo, r_hi)), den = _deflated(a, bits)
+    return own, (fp_from_cell(s_lo - r_hi, s_hi - r_lo, den, bits),
+                 fp_from_cell(s_lo + r_lo, s_hi + r_hi, den, bits)), True
 
 
 @functools.lru_cache(maxsize=4096)
-def _complex_enclosure(p: MonicIntPoly, bits: int) -> ComplexEnclosure:
-    return complex_pair(p, bits)
-
-
-def _locate(a: AlgebraicNumber, enclosures) -> int:
-    """Index of the enclosure, among the disjoint isolating enclosures of
-    every real root of a.minpoly, that holds a."""
-    # a lies in its own open interval and in exactly one enclosure, so that
-    # enclosure meets a's interval.  When no other one does, it is the
-    # answer with no test; otherwise same_number's one sign test decides
-    # among the enclosures that meet.
-    meets = [idx for idx, (lo, hi) in enumerate(enclosures)
-             if max(lo, a.lo) < min(hi, a.hi)]
-    if len(meets) == 1:
-        return meets[0]
-    for idx in meets:
-        if same_number(a, AlgebraicNumber._narrowed(a.minpoly, *enclosures[idx])):
-            return idx
-    raise AssertionError("root not found among its own conjugates")
-
-
-# ---------------------------------------------------------------------------
-# The 3x3 interval solve.  Rows pair the conjugates of alpha with the
-# hypothesized images of beta; the identity embedding fixes row one, leaving
-# two matchings (swap the remaining conjugates, or flip the sign of the
-# imaginary part).
-
-
-def _solve(a_rows, rhs, prec):
-    """Cramer solve with interval adjugate, as fixed-point int intervals at
-    scale 2**prec; None when 0 in det."""
-    m = a_rows
-    c00 = fp_sub(fp_mul(m[1][1], m[2][2], prec), fp_mul(m[1][2], m[2][1], prec))
-    c01 = fp_neg(fp_sub(fp_mul(m[1][0], m[2][2], prec), fp_mul(m[1][2], m[2][0], prec)))
-    c02 = fp_sub(fp_mul(m[1][0], m[2][1], prec), fp_mul(m[1][1], m[2][0], prec))
-    det = fp_add(fp_add(fp_mul(m[0][0], c00, prec), fp_mul(m[0][1], c01, prec)),
-                 fp_mul(m[0][2], c02, prec))
-    if det[0] <= 0 <= det[1]:
-        return None
-    c10 = fp_neg(fp_sub(fp_mul(m[0][1], m[2][2], prec), fp_mul(m[0][2], m[2][1], prec)))
-    c11 = fp_sub(fp_mul(m[0][0], m[2][2], prec), fp_mul(m[0][2], m[2][0], prec))
-    c12 = fp_neg(fp_sub(fp_mul(m[0][0], m[2][1], prec), fp_mul(m[0][1], m[2][0], prec)))
-    c20 = fp_sub(fp_mul(m[0][1], m[1][2], prec), fp_mul(m[0][2], m[1][1], prec))
-    c21 = fp_neg(fp_sub(fp_mul(m[0][0], m[1][2], prec), fp_mul(m[0][2], m[1][0], prec)))
-    c22 = fp_sub(fp_mul(m[0][0], m[1][1], prec), fp_mul(m[0][1], m[1][0], prec))
-    adj = ((c00, c10, c20), (c01, c11, c21), (c02, c12, c22))
-    out = []
-    for i in range(3):
-        num = fp_add(fp_add(fp_mul(adj[i][0], rhs[0], prec), fp_mul(adj[i][1], rhs[1], prec)),
-                     fp_mul(adj[i][2], rhs[2], prec))
-        out.append(fp_div(num, det, prec))
-    return out
+def _complex_enclosure(a: AlgebraicNumber, bits: int):
+    """(own, (re, im), False): a and the real and imaginary parts of the upper
+    complex root of its minimal polynomial, at scale 2**bits."""
+    own, (re, im), den = _deflated(a, bits)
+    return own, (fp_from_cell(*re, den, bits), fp_from_cell(*im, den, bits)), False
 
 
 def _conjugates(a: AlgebraicNumber, bits: int):
     """(own, (u, v), real): a and its conjugates at scale 2**bits (module
     docstring)."""
-    f = a.minpoly
-    if f.discriminant() > 0:
-        encs = _real_root_enclosures(f, bits)
-        fps = [fp_from_fractions(lo, hi, bits) for lo, hi in encs]
-        own = fps.pop(_locate(a, encs))
-        return own, tuple(fps), True
-    pair = _complex_enclosure(f, bits)
-    return (fp_from_fractions(*a.enclosure(bits), bits),
-            (fp_from_fractions(*pair.re, bits), fp_from_fractions(*pair.im, bits)), False)
+    return (_real_root_enclosures if a.minpoly.discriminant() > 0 else _complex_enclosure)(a, bits)
 
 
 @functools.lru_cache(maxsize=4096)
 def _alpha_matrix(alpha: AlgebraicNumber, bits: int):
-    """Interval matrix of the conjugate system, alpha's own row first."""
+    """(adjugate, det) of the interval matrix of the conjugate system, alpha's
+    own row first, or None when 0 in det."""
     x, (u, v), real = _conjugates(alpha, bits)
     one = (1 << bits, 1 << bits)
     if real:
-        return tuple((one, y, fp_mul(y, y, bits)) for y in (x, u, v))
-    return ((one, x, fp_mul(x, x, bits)),
-            (one, u, fp_sub(fp_mul(u, u, bits), fp_mul(v, v, bits))),
-            ((0, 0), v, fp_add(fp_mul(u, v, bits), fp_mul(u, v, bits))))
+        m = tuple((one, y, fp_mul(y, y, bits)) for y in (x, u, v))
+    else:
+        m = ((one, x, fp_mul(x, x, bits)),
+             (one, u, fp_sub(fp_mul(u, u, bits), fp_mul(v, v, bits))),
+             ((0, 0), v, fp_add(fp_mul(u, v, bits), fp_mul(u, v, bits))))
+    c00 = fp_sub(fp_mul(m[1][1], m[2][2], bits), fp_mul(m[1][2], m[2][1], bits))
+    c01 = fp_neg(fp_sub(fp_mul(m[1][0], m[2][2], bits), fp_mul(m[1][2], m[2][0], bits)))
+    c02 = fp_sub(fp_mul(m[1][0], m[2][1], bits), fp_mul(m[1][1], m[2][0], bits))
+    det = fp_add(fp_add(fp_mul(m[0][0], c00, bits), fp_mul(m[0][1], c01, bits)),
+                 fp_mul(m[0][2], c02, bits))
+    if det[0] <= 0 <= det[1]:
+        return None
+    c10 = fp_neg(fp_sub(fp_mul(m[0][1], m[2][2], bits), fp_mul(m[0][2], m[2][1], bits)))
+    c11 = fp_sub(fp_mul(m[0][0], m[2][2], bits), fp_mul(m[0][2], m[2][0], bits))
+    c12 = fp_neg(fp_sub(fp_mul(m[0][0], m[2][1], bits), fp_mul(m[0][1], m[2][0], bits)))
+    c20 = fp_sub(fp_mul(m[0][1], m[1][2], bits), fp_mul(m[0][2], m[1][1], bits))
+    c21 = fp_neg(fp_sub(fp_mul(m[0][0], m[1][2], bits), fp_mul(m[0][2], m[1][0], bits)))
+    c22 = fp_sub(fp_mul(m[0][0], m[1][1], bits), fp_mul(m[0][1], m[1][0], bits))
+    return ((c00, c10, c20), (c01, c11, c21), (c02, c12, c22)), det
+
+
+def _solve(inverse, rhs, prec):
+    """Cramer solve against the cached adjugate and determinant of
+    ``_alpha_matrix``, as fixed-point int intervals at scale 2**prec."""
+    adj, det = inverse
+    return [fp_div(fp_add(fp_add(fp_mul(row[0], rhs[0], prec), fp_mul(row[1], rhs[1], prec)),
+                          fp_mul(row[2], rhs[2], prec)), det, prec) for row in adj]
 
 
 def _beta_rhs_variants(beta: AlgebraicNumber, bits: int):
@@ -471,12 +481,14 @@ def _express_cubic(beta: AlgebraicNumber, alpha: AlgebraicNumber,
 
     def decide(bits):
         """The expression, False once every matching is refuted, or None."""
-        rows = _alpha_matrix(alpha, bits)
+        inverse = _alpha_matrix(alpha, bits)
+        if inverse is None:
+            return None  # 0 in det: too coarse, both matchings stay open
         rhs_pair = _beta_rhs_variants(beta, bits)
         for m in sorted(open_matchings):
-            sol = _solve(rows, rhs_pair[m], bits)
+            sol = _solve(inverse, rhs_pair[m], bits)
             # each enclosure of t * a_i must be narrower than 1
-            if sol is None or any((hi - lo) * t >= 1 << bits for lo, hi in sol):
+            if any((hi - lo) * t >= 1 << bits for lo, hi in sol):
                 continue  # too coarse, keep the matching open
             cand = []
             for lo, hi in sol:

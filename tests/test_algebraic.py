@@ -273,16 +273,16 @@ def test_refine_from_the_finest_known_cell_matches_a_fresh_refine(p, index, den,
 def test_refinement_history_is_outside_equality_and_hash():
     """A number refined to 300 bits equals, hashes and prints like an
     unrefined copy, so the fields caches keyed on numbers still hit."""
-    p = MonicIntPoly.cubic(0, -7, 7)  # three real roots, so _alpha_matrix locates alpha
+    p = MonicIntPoly.cubic(0, -7, 7)  # _alpha_matrix is keyed on the number and the bits
     plain = irrational_real_roots(p)[1]
     refined = irrational_real_roots(p)[1]
     refined.refine(300)
     assert vars(refined) != vars(plain)  # the refinement left its cell behind
     assert refined == plain and hash(refined) == hash(plain)
     assert repr(refined) == repr(plain) and refined.to_json() == plain.to_json()
-    rows = fields._alpha_matrix(plain, 64)
+    entry = fields._alpha_matrix(plain, 64)
     hits = fields._alpha_matrix.cache_info().hits
-    assert fields._alpha_matrix(refined, 64) is rows
+    assert fields._alpha_matrix(refined, 64) is entry
     assert fields._alpha_matrix.cache_info().hits == hits + 1
 
 

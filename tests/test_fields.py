@@ -1,15 +1,17 @@
 """Unit tests for the exact field-membership oracle."""
 
+import hashlib
+import json
 from fractions import Fraction
 from itertools import permutations
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from algseeds.algebraic import (AlgebraicNumber, PrecisionExhausted, irrational_real_roots,
-                                same_number)
+from algseeds.algebraic import (AlgebraicNumber, PrecisionExhausted, complex_pair,
+                                irrational_real_roots, same_number)
 from algseeds import fields
 from algseeds.families import SetElement, SetInstance, SetSpec, bc_root, build_set
 from algseeds.fields import (
@@ -19,11 +21,10 @@ from algseeds.fields import (
     _beta_rhs_variants,
     _express_cubic,
     _integer_in,
-    _locate,
     _mulmod,
     _progression_kernels,
-    _real_root_enclosures,
     _same_kernel,
+    _solve,
     _split_apart,
     _value_is_beta,
     char_poly,
@@ -440,59 +441,63 @@ def test_collision_indices_point_at_the_witnessing_elements():
     assert col.certificate.base.minpoly == alpha.minpoly
 
 
-@pytest.mark.parametrize("coeffs", [(0, -3, 1), (0, -7, 7), (0, 0, -2)])
-def test_locate_matches_same_number_scan(coeffs):
-    """_locate picks the one enclosure that meets alpha's interval; it must
-    name the enclosure that the exact same_number scan names."""
-    p = MonicIntPoly.cubic(*coeffs)
-    conjugates = irrational_real_roots(p)
-    alphas = [x for a in conjugates for x in (a, a.refine(3), a.refine(40))]
-    if p.sign_at(Fraction(0)) != p.sign_at(Fraction(1)):
-        alphas.append(AlgebraicNumber.real_root(p, 0, 1))  # as build_set holds it
-    for bits in (1, 2, 8, 128):
-        encs = _real_root_enclosures(p, bits)
-        for alpha in alphas:
-            scan = [i for i, (lo, hi) in enumerate(encs)
-                    if same_number(alpha, AlgebraicNumber(p, lo, hi))]
-            assert [_locate(alpha, encs)] == scan
+def _encloses(root: AlgebraicNumber, iv, bits: int) -> bool:
+    """The int interval iv at scale 2**bits holds root, decided exactly."""
+    return (root.cmp_rational(Fraction(iv[0], 1 << bits)) > 0
+            and root.cmp_rational(Fraction(iv[1], 1 << bits)) < 0)
 
 
-def test_locate_falls_back_when_two_enclosures_meet():
-    # x^3 - 7x + 7 has roots near -3.049, 1.357 and 1.692, with disjoint
-    # isolating enclosures (-7/2, -3), (1, 3/2) and (3/2, 2).  (5/4, 8/5)
-    # isolates the second root and (7/5, 7/4) the third; each meets both
-    # of their enclosures.
-    p = MonicIntPoly.cubic(0, -7, 7)
-    encs = ((Fraction(-7, 2), Fraction(-3)), (Fraction(1), Fraction(3, 2)),
-            (Fraction(3, 2), Fraction(2)))
-    assert [AlgebraicNumber(p, lo, hi).decimal(3) for lo, hi in encs] == ["-3.049", "1.357", "1.692"]
-    for (lo, hi), want in (((Fraction(5, 4), Fraction(8, 5)), 1),
-                           ((Fraction(7, 5), Fraction(7, 4)), 2)):
-        alpha = AlgebraicNumber.real_root(p, lo, hi)
-        meets = [i for i, (elo, ehi) in enumerate(encs) if max(elo, lo) < min(ehi, hi)]
-        assert meets == [1, 2]
-        assert _locate(alpha, encs) == want
-        assert same_number(alpha, AlgebraicNumber(p, *encs[want]))
+@settings(max_examples=150)
+@given(b=st.integers(-9, 9), c=st.integers(-12, 12), d=st.integers(-12, 12),
+       index=st.integers(0, 2), bits=st.integers(0, 160))
+@example(b=0, c=-7, d=7, index=0, bits=128)    # the close pair 1.357, 1.692 read off -3.049
+@example(b=0, c=-7, d=7, index=2, bits=0)
+@example(b=-9, c=6, d=-1, index=2, bits=2)     # the enclosure of |D| reaches below 0
+@example(b=-9, c=-6, d=-1, index=0, bits=2)    # the same for a complex pair
+def test_deflated_conjugates_match_the_slow_path(b, c, d, index, bits):
+    """The conjugates read off one cell of the number by deflation, against
+    the isolated roots and complex_pair: the own entry and each real
+    enclosure hold their root, checked exactly, and the other two real roots
+    come in ascending order; the complex rectangle meets complex_pair's at
+    2 bits.  Each enclosure is at most 2 units wide at scale 2**bits over
+    these coefficients, the guard bits absorbing the deflation's loss."""
+    p = MonicIntPoly.cubic(b, c, d)
+    assume(p.discriminant() != 0 and p.is_irreducible())
+    roots = irrational_real_roots(p)
+    alpha = roots[index % len(roots)]
+    own, (u, v), real = fields._conjugates(alpha, bits)
+    assert real == (p.discriminant() > 0)
+    assert _encloses(alpha, own, bits)  # the own row is alpha itself
+    assert all(hi - lo <= 2 for lo, hi in (own, u, v))
+    if real:
+        others = [r for r in roots if not same_number(r, alpha)]
+        assert all(_encloses(r, iv, bits) for r, iv in zip(others, (u, v)))
+        assert u[0] <= v[0] and u[1] <= v[1]
+    else:
+        pair = complex_pair(p, 2 * bits)
+        for (lo, hi), (flo, fhi) in ((u, pair.re), (v, pair.im)):
+            assert flo * (1 << bits) <= hi and lo <= fhi * (1 << bits)
 
 
 @pytest.mark.parametrize("coeffs", [(0, -3, 1), (0, -7, 7), (0, 0, -2), (0, -1, -1)])
 def test_alpha_matrix_and_beta_rows_read_the_same_conjugates(coeffs):
-    """The x column of _alpha_matrix is the first right-hand side of
-    _beta_rhs_variants, for every real root of totally real and complex
-    cubics; each real entry encloses its own root, checked exactly."""
+    """The inverse that _alpha_matrix caches and the first right-hand side of
+    _beta_rhs_variants read the same conjugates: solving alpha against
+    itself encloses the coordinates (0, 1, 0), for every real root of
+    totally real and complex cubics.  Each real entry of that right-hand
+    side encloses its own root, checked exactly."""
     p = MonicIntPoly.cubic(*coeffs)
     roots = irrational_real_roots(p)
     alphas = list(roots)
     if p.sign_at(Fraction(0)) != p.sign_at(Fraction(1)):
         alphas.append(AlgebraicNumber.real_root(p, 0, 1))  # as build_set holds it
     for alpha in alphas:
-        column = tuple(row[1] for row in _alpha_matrix(alpha, 128))
-        assert column == _beta_rhs_variants(alpha, 128)[0]
+        column = _beta_rhs_variants(alpha, 128)[0]
+        sol = _solve(_alpha_matrix(alpha, 128), column, 128)
+        assert all(lo <= x << 128 <= hi for (lo, hi), x in zip(sol, (0, 1, 0)))
         own = [a for a in roots if same_number(a, alpha)]
         reals = own + [a for a in roots if a not in own] if p.discriminant() > 0 else own
-        for root, (lo, hi) in zip(reals, column):
-            assert root.cmp_rational(Fraction(lo, 1 << 128)) > 0
-            assert root.cmp_rational(Fraction(hi, 1 << 128)) < 0
+        assert all(_encloses(root, iv, 128) for root, iv in zip(reals, column))
 
 
 @given(t=st.integers(1, 48), prec=st.integers(0, 12), h=st.integers(-60, 60),
@@ -567,14 +572,42 @@ def test_width_test_refuses_an_enclosure_one_wide(monkeypatch):
     t = 32
     assert base.minpoly.discriminant() == t
 
-    def one_wide(rows, rhs, bits):
+    def one_wide(inverse, rhs, bits):
         return [((k << bits) // t, ((k + 1) << bits) // t) for k in (1, 2, 3)]
 
-    monkeypatch.setattr(fields, "_alpha_matrix", lambda alpha, bits: None)
+    monkeypatch.setattr(fields, "_alpha_matrix", lambda alpha, bits: "inverse")
     monkeypatch.setattr(fields, "_beta_rhs_variants", lambda beta, bits: (None, None))
     monkeypatch.setattr(fields, "_solve", one_wide)
     with pytest.raises(PrecisionExhausted):
         _express_cubic(target, base, 8, 64)
+
+
+# SHA-256 of the certificates of the test below, one JSON line each
+CERTIFICATES_SHA256 = "8c758341d40433ba89ed2872025710559a73c0c8ac0fc06a71bad7951ea20be4"
+
+
+def test_cubic_certificates_are_pinned():
+    """express_in's certificates stay byte-identical: the three anchors of
+    the benchmark's field-accept workload, 1 - alpha and 2 - alpha over every
+    element of 3ntr(0,30) and 3tr(0,-32), and every ordered pair of distinct
+    roots of the cyclic cubics x^3 - 3x + 1 and x^3 - 7x + 7."""
+    def unit_root(*coeffs):
+        return AlgebraicNumber.real_root(MonicIntPoly.cubic(*coeffs), 0, 1)
+
+    def roots(*coeffs):
+        return irrational_real_roots(MonicIntPoly.cubic(*coeffs))
+
+    pairs = [(unit_root(3, 3, -3), unit_root(3, 3, -1)), (unit_root(0, 6, -2), roots(0, 0, -2)[0]),
+             (unit_root(0, -3, 1), roots(0, -3, 1)[0])]
+    for spec in (SetSpec("3ntr", (0, 30)), SetSpec("3tr", (0, -32))):
+        pairs += [(b, a) for a in build_set(spec).numbers()
+                  for b in (a.reflected(), a.negated().plus_int(2))]
+    for coeffs in ((0, -3, 1), (0, -7, 7)):
+        pairs += [(b, a) for a, b in permutations(roots(*coeffs), 2)]
+    certs = [express_in(b, a) for b, a in pairs]
+    assert len(certs) == 135 and None not in certs
+    text = "\n".join(json.dumps(cert.to_json(), sort_keys=True) for cert in certs)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CERTIFICATES_SHA256
 
 
 def _composes_over_q(g: MonicIntPoly, h, f: MonicIntPoly) -> bool:

@@ -1,7 +1,8 @@
 """The public surface and the private helpers: every exported name exists
-once, every ``_``-prefixed helper has a caller in the library, every
-imported name is used in the file that imports it, and the benchmark,
-which patches and reads library names from outside, still runs."""
+once, every ``_``-prefixed helper and every public function outside
+``__all__`` has a caller in the library, every imported name is used in the
+file that imports it, and the benchmark, which patches and reads library
+names from outside, still runs."""
 
 import ast
 import subprocess
@@ -24,13 +25,18 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
-def _uncalled_helpers(trees: dict) -> list[str]:
-    """file:name of each private function, method or class defined in trees
+def _uncalled_helpers(trees: dict, exported: set[str] | None = None) -> list[str]:
+    """file:name of each private function, method or class defined in trees,
+    and with exported given of each public module-level function not in it,
     that no name, attribute or import anywhere in trees refers to, outside
     the lines of its own definition."""
     uses: dict[str, list[tuple[str, int]]] = {}
     defs = []
     for fname, tree in trees.items():
+        if exported is not None:
+            defs += [(fname, node) for node in tree.body
+                     if isinstance(node, ast.FunctionDef) and not _is_private(node.name)
+                     and node.name not in exported]
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if _is_private(node.name):
@@ -58,9 +64,20 @@ def _recursive(n):
     return _recursive(n - 1) if n else 0
 
 
+def exported():
+    return 0
+
+
+def public_orphan():
+    return 0
+
+
 class Box:
     def _unused_method(self):
         return _used(1)
+
+    def public_method(self):
+        return 0
 
     def __repr__(self):
         return "Box"
@@ -70,13 +87,33 @@ class Box:
 def test_guard_catches_helpers_that_nothing_calls():
     trees = {"orphan.py": ast.parse(ORPHAN), "user.py": ast.parse("from orphan import _used")}
     assert _uncalled_helpers(trees) == ["orphan.py:_recursive", "orphan.py:_unused_method"]
+    assert _uncalled_helpers(trees, {"exported"}) == [
+        "orphan.py:_recursive", "orphan.py:_unused_method", "orphan.py:public_orphan"]
 
 
-def test_every_private_helper_has_a_caller():
+# Public functions that only the tests call, kept as independent oracles.
+TEST_ORACLES = {
+    # the Sturm count that the closed-form isolation is checked against
+    "polynomials.py:count_real_roots",
+    # the brute-force divisor scan that the integer-root walk of build_set
+    # is checked against
+    "families.py:reducible_free_coeffs",
+}
+
+
+def _library_trees() -> dict:
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
     assert "algebraic.py" in trees
-    assert _uncalled_helpers(trees) == []
+    return trees
+
+
+def test_every_private_helper_has_a_caller():
+    assert _uncalled_helpers(_library_trees()) == []
+
+
+def test_every_public_function_is_exported_or_called():
+    assert _uncalled_helpers(_library_trees(), set(algseeds.__all__)) == sorted(TEST_ORACLES)
 
 
 def _unused_imports(trees: dict) -> list[str]:
