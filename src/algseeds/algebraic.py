@@ -13,10 +13,11 @@ and ``cell(bits)`` returns the one holding the number at the first level
 s* whose width w / (D 2^s*) is <= 2^-bits, which is the cell plain
 bisection stops on, as three ints (left, right, den) on the one
 denominator D 2^s* (D itself, and the number's own interval, when s* = 0).
-``refine(bits)`` and ``enclosure(bits)`` are its ``Fraction`` views.  The
-readers whose answer is a floor or a comparison take the ints: ``decimal``
-rounds them half to even as they are, unnormalized, and ``less_than``,
-``horner_in`` and ``bits.binary_expansion`` cross-multiply or floor them.
+The cell is the only form an enclosure takes: ``refine(bits)`` builds
+``Fraction`` ends only to hand back a number on it, ``AffineValue.cell``
+maps it exactly, and every reader takes the ints.  ``decimal`` rounds them
+half to even as they are, unnormalized; ``less_than``, ``horner_in``,
+``bits.binary_expansion`` and ``uniformity`` cross-multiply or floor them.
 
 A quadratic's cell is found in closed form.  For p = x^2 + bx + c with
 discriminant Disc, the root is (-b + sigma sqrt(Disc)) / 2, where sigma is
@@ -243,16 +244,6 @@ class AlgebraicNumber:
     def is_real(self) -> bool:
         return self.half_plane == 0
 
-    @property
-    def interval(self) -> FracIv:
-        return (self.lo, self.hi)
-
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     # -- refinement ---------------------------------------------------------
 
     def cell(self, bits: int) -> tuple[int, int, int]:
@@ -333,14 +324,11 @@ class AlgebraicNumber:
         wraps it by name, so the benchmark smoke run in
         ``tests/test_surface.py`` needs it, and because tests use it as the
         ``Fraction`` view of a cell."""
-        lo, hi = self.enclosure(bits)
+        left, right, den = self.cell(bits)
+        lo, hi = Fraction(left, den), Fraction(right, den)
         if lo == self.lo and hi == self.hi:
             return self
         return AlgebraicNumber._narrowed(self.minpoly, lo, hi)
-
-    def enclosure(self, bits: int) -> FracIv:
-        left, right, den = self.cell(bits)
-        return Fraction(left, den), Fraction(right, den)
 
     # -- exact order and integer part ---------------------------------------
 
@@ -417,12 +405,7 @@ class AlgebraicNumber:
     def decimal(self, places: int = 5) -> str:
         if not self.is_real:
             raise RationalInput("decimal rendering is for real numbers")
-
-        def decide(bits):
-            left, right, den = self.cell(bits)
-            s = _round_half_even_ratio(left, den, places)
-            return s if s == _round_half_even_ratio(right, den, places) else None
-        return refine_until(decide, 4 * places + 8)
+        return _cell_decimal(self.cell, places)
 
     def to_json(self) -> dict:
         out: dict = {"minpoly": self.minpoly.to_json()}
@@ -463,6 +446,16 @@ def _round_half_even_ratio(num: int, den: int, places: int) -> str:
     sign = "-" if q < 0 else ""
     digits = str(abs(q)).rjust(places + 1, "0")
     return f"{sign}{digits[:-places]}.{digits[-places:]}" if places else f"{sign}{digits}"
+
+
+def _cell_decimal(cell, places: int) -> str:
+    """The decimal that both ends of cell(bits), an int cell (left, right,
+    den), round to, at the first rung from 4 places + 8 bits on that has one."""
+    def decide(bits):
+        left, right, den = cell(bits)
+        s = _round_half_even_ratio(left, den, places)
+        return s if s == _round_half_even_ratio(right, den, places) else None
+    return refine_until(decide, 4 * places + 8)
 
 
 def round_half_even(x: Fraction, places: int) -> str:
@@ -585,14 +578,22 @@ class AffineValue:
     scale: Fraction
     offset: Fraction
 
-    def enclosure(self, bits: int) -> FracIv:
-        extra = max(0, self.scale.numerator.bit_length())
-        lo, hi = self.base.enclosure(bits + extra)
-        pts = (lo * self.scale + self.offset, hi * self.scale + self.offset)
-        return (min(pts), max(pts))
+    def cell(self, bits: int) -> tuple[int, int, int]:
+        """(left, right, den): the exact image of the base's cell at bits plus
+        the bit length of the scale's numerator under x -> scale x + offset,
+        ends swapped when the scale is negative, over den > 0."""
+        left, right, den = self.base.cell(bits + self.scale.numerator.bit_length())
+        p, q = self.scale.numerator, self.scale.denominator
+        r, t = self.offset.numerator, self.offset.denominator
+        # (p / q) (x / den) + r / t = (p t x + r q den) / (q t den)
+        shift = r * q * den
+        left, right = p * t * left + shift, p * t * right + shift
+        if p < 0:
+            left, right = right, left
+        return left, right, q * t * den
 
     def decimal(self, places: int = 5) -> str:
-        return refine_until(lambda bits: rounded(self.enclosure(bits), places), 4 * places + 8)
+        return _cell_decimal(self.cell, places)
 
     def cmp_rational(self, q: Fraction) -> int:
         if self.scale == 0:
@@ -606,8 +607,7 @@ def horner_in(theta: AlgebraicNumber, coeffs, lo, hi, bits: int,
     """Whether coeffs[0] + coeffs[1] theta + coeffs[2] theta^2 + ... lies in
     [lo, hi], for a value known to be neither lo nor hi: theta is refined
     from bits on until the value's enclosure falls inside or misses."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    coeffs = [Fraction(c) for c in coeffs]
+    # ints and Fractions both carry numerator and denominator
     scale = lcm(*(c.denominator for c in coeffs))
     ints = [c.numerator * (scale // c.denominator) for c in coeffs]
     n = len(ints) - 1
@@ -626,11 +626,9 @@ def horner_in(theta: AlgebraicNumber, coeffs, lo, hi, bits: int,
     return refine_until(decide, bits, max_bits)
 
 
-def value_enclosure(v, bits: int) -> FracIv:
-    """Uniform enclosure access for Fraction, AlgebraicNumber, AffineValue."""
-    if isinstance(v, Fraction):
-        return (v, v)
-    if isinstance(v, int):
-        f = Fraction(v)
-        return (f, f)
-    return v.enclosure(bits)
+def value_cell(v, bits: int) -> tuple[int, int, int]:
+    """(left, right, den), an int cell of v: (num, num, den) for a Fraction or
+    an int, and cell(bits) for an AlgebraicNumber or an AffineValue."""
+    if isinstance(v, (int, Fraction)):
+        return v.numerator, v.numerator, v.denominator
+    return v.cell(bits)

@@ -275,8 +275,8 @@ def _mulmod(p: list, q: list, f_asc: tuple[int, ...]) -> list:
 
 
 def _compose_is_zero_mod(g: MonicIntPoly, h: tuple[Fraction, ...], f: MonicIntPoly) -> bool:
-    """g(h(x)) = 0 mod f, on integers (module docstring)."""
-    h = [Fraction(c) for c in h]
+    """g(h(x)) = 0 mod f, on integers (module docstring); h may hold ints and
+    Fractions, which both carry numerator and denominator."""
     den = lcm(*(c.denominator for c in h))
     hv = [c.numerator * (den // c.denominator) for c in h]
     while len(hv) > 1 and hv[-1] == 0:

@@ -8,24 +8,34 @@ constant c = N^2 * max_dev rather than thresholding it.
 Every inequality is decided on rigorous enclosures, refined until the
 comparison separates; compared quantities are irrational against
 rational bounds, so ties cannot occur.
+
+One denominator.  At a precision bits, every value hands out its int cell
+[left, right] / den (``algebraic.value_cell``: a number's bisection cell,
+the exact affine image of one, or a rational as its own cell), and all of
+them are put on one denominator D, the lcm of the dens.  Everything is then
+computed on ints: the gaps over D, max |gap - 1/N| and the discrepancy over
+N D, the constant N^2 max_dev over D, and both bound checks by
+cross-multiplication with positive denominators.  Each int is the numerator
+of an exact rational function of the cell ends, so it names the same
+rational as interval arithmetic on ``Fraction`` ends would, and
+``Fraction(num, den)``, built once for the report, normalizes it to the
+same value; the JSON does not change by a byte.  Each rung of a bound check
+compares the same rationals as on ``Fraction`` ends, so it decides at the
+same rung.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
-from .algebraic import (AffineValue, AlgebraicNumber, FracIv, refine_until, round_half_even,
-                        value_enclosure)
+from .algebraic import AffineValue, AlgebraicNumber, FracIv, refine_until, round_half_even, value_cell
 from .families import MonicIntPoly, SetInstance, SetSpec, half_shift_poly
 
 
 class TooFewElements(ValueError):
     pass
-
-
-_ZERO = Fraction(0)
 
 
 def _iv_json(iv: FracIv, places: int = 8) -> dict:
@@ -103,15 +113,28 @@ def instance_values(s: SetInstance) -> list:
 def discrepancy(values, bits: int = 64) -> FracIv:
     """Enclosure of D_N = 1/N + max_i(i/N - x_i) - min_i(i/N - x_i) for an
     ascending list; exact (zero width) on rational input."""
-    n = len(values)
+    return _discrepancy(*_cells(values, bits))
+
+
+def _cells(values, bits: int) -> tuple[list[int], list[int], int]:
+    """The left and the right ends of every value's cell at bits, on one
+    denominator D (module docstring), and D."""
+    cells = [value_cell(v, bits) for v in values]
+    den = lcm(*(d for _, _, d in cells))
+    return ([left * (den // d) for left, _, d in cells],
+            [right * (den // d) for _, right, d in cells], den)
+
+
+def _discrepancy(lefts: list[int], rights: list[int], den: int) -> FracIv:
+    """D_N on cells over den: with t_i = i/N - x_i, over N den, it runs from
+    1/N + max(t_lo) - min(t_hi) to 1/N + max(t_hi) - min(t_lo)."""
+    n = len(lefts)
     if n < 1:
         raise TooFewElements("discrepancy needs at least one value")
-    encs = [value_enclosure(v, bits) for v in values]
-    t_lo = [Fraction(i + 1, n) - encs[i][1] for i in range(n)]
-    t_hi = [Fraction(i + 1, n) - encs[i][0] for i in range(n)]
-    lo = Fraction(1, n) + max(t_lo) - min(t_hi)
-    hi = Fraction(1, n) + max(t_hi) - min(t_lo)
-    return (lo, hi)
+    t_lo = [i * den - n * right for i, right in enumerate(rights, 1)]
+    t_hi = [i * den - n * left for i, left in enumerate(lefts, 1)]
+    return (Fraction(den + max(t_lo) - min(t_hi), n * den),
+            Fraction(den + max(t_hi) - min(t_lo), n * den))
 
 
 def half_split(s: SetInstance) -> tuple[int, int]:
@@ -126,48 +149,49 @@ def _half_counts(values) -> tuple[int, int]:
     return below, len(values) - below
 
 
-def _gap_enclosures(values, bits: int) -> tuple[FracIv, ...]:
-    encs = [value_enclosure(v, bits) for v in values]
-    return tuple((encs[i + 1][0] - encs[i][1], encs[i + 1][1] - encs[i][0])
-                 for i in range(len(encs) - 1))
+def _gaps(lefts: list[int], rights: list[int]) -> list[tuple[int, int]]:
+    """Each gap x_{i+1} - x_i as (lo, hi) on the cells' one denominator."""
+    return [(lefts[i + 1] - rights[i], rights[i + 1] - lefts[i]) for i in range(len(lefts) - 1)]
 
 
-def _max_dev(gaps: tuple[FracIv, ...], n: int) -> FracIv:
-    """Enclosure of max |gap - 1/n|: over a gap [g_lo, g_hi], with d = g - 1/n,
-    |d| runs from max(d_lo, -d_hi, 0) to max(d_hi, -d_lo)."""
-    inv = Fraction(1, n)
-    lo = hi = _ZERO
+def _max_dev(gaps: list[tuple[int, int]], n: int, den: int) -> tuple[int, int]:
+    """max |gap - 1/n| over n den, for gaps over den: with d = gap - 1/n, |d|
+    runs from max(d_lo, -d_hi, 0) to max(d_hi, -d_lo)."""
+    lo = hi = 0
     for g_lo, g_hi in gaps:
-        d_lo, d_hi = g_lo - inv, g_hi - inv
+        d_lo, d_hi = n * g_lo - den, n * g_hi - den
         lo, hi = max(lo, d_lo, -d_hi), max(hi, d_hi, -d_lo)
-    return (lo, hi)
+    return lo, hi
 
 
 def _check_bound(spec: SetSpec, values, bits: int) -> BoundCheck | None:
-    """Explicit gap inequalities, available for two of the families."""
+    """Explicit gap inequalities, available for two of the families, decided
+    by cross-multiplication on the gaps over the cells' denominator."""
     if spec.family == "2i" and spec.params[0] % 2 and spec.params[0] >= 3:
         n = spec.params[0]
-        bound = Fraction(1, n * (n - 1))
 
         def below_bound(bits):
-            lo, hi = _max_dev(_gap_enclosures(values, bits), n)
-            if hi < bound:
+            # max_dev = [lo, hi] / (n den) against 1 / (n (n - 1))
+            lefts, rights, den = _cells(values, bits)
+            lo, hi = _max_dev(_gaps(lefts, rights), n, den)
+            if hi * (n - 1) < den:
                 return True
-            if lo >= bound:
+            if lo * (n - 1) >= den:
                 return False
             return None
         return BoundCheck(f"max|gap - 1/{n}| < 1/({n}*{n - 1})",
                           refine_until(below_bound, bits))
     if spec.family == "3tr" and spec.params[0] == -1:
         c = spec.params[1]
-        lower = Fraction(1, Fraction(-c) + Fraction(1, 3))
-        upper = Fraction(1, -c - 1)
 
         def in_window(bits):
-            gaps = _gap_enclosures(values, bits)
-            if all(g_lo >= lower and g_hi < upper for g_lo, g_hi in gaps):
+            # each gap [g_lo, g_hi] / den against [3 / (1 - 3c), 1 / (-c - 1)),
+            # where c <= -2 makes both denominators positive
+            lefts, rights, den = _cells(values, bits)
+            gaps = _gaps(lefts, rights)
+            if all(g_lo * (1 - 3 * c) >= 3 * den and g_hi * (-c - 1) < den for g_lo, g_hi in gaps):
                 return True
-            if any(g_hi < lower or g_lo >= upper for g_lo, g_hi in gaps):
+            if any(g_hi * (1 - 3 * c) < 3 * den or g_lo * (-c - 1) >= den for g_lo, g_hi in gaps):
                 return False
             return None
         return BoundCheck(f"every gap in [1/({-c}+1/3), 1/{-c - 1})",
@@ -176,15 +200,18 @@ def _check_bound(spec: SetSpec, values, bits: int) -> BoundCheck | None:
 
 
 def uniformity_report(s: SetInstance, bits: int = 64) -> UniformityReport:
-    """Everything at once: gaps, deviation constant, discrepancy, half split."""
+    """Everything at once: gaps, deviation constant, discrepancy, half split.
+    The ints of the module docstring become ``Fraction``s only here."""
     values = instance_values(s)
     n = len(values)
-    disc = discrepancy(values, bits)
+    lefts, rights, den = _cells(values, bits)
+    disc = _discrepancy(lefts, rights, den)
     halves = _half_counts(values)
     if n < 2:
         return UniformityReport(n, (), None, None, disc, halves, None)
-    gaps = _gap_enclosures(values, bits)
-    dev = _max_dev(gaps, n)
-    constant = (dev[0] * n * n, dev[1] * n * n)
-    return UniformityReport(n, gaps, dev, constant, disc, halves,
+    gaps = _gaps(lefts, rights)
+    dev_lo, dev_hi = _max_dev(gaps, n, den)
+    return UniformityReport(n, tuple((Fraction(lo, den), Fraction(hi, den)) for lo, hi in gaps),
+                            (Fraction(dev_lo, n * den), Fraction(dev_hi, n * den)),
+                            (Fraction(dev_lo * n, den), Fraction(dev_hi * n, den)), disc, halves,
                             _check_bound(s.spec, values, bits))

@@ -22,7 +22,7 @@ from algseeds.algebraic import (
     round_half_even,
     rounded,
     same_number,
-    value_enclosure,
+    value_cell,
 )
 from algseeds.families import SetSpec, build_set
 from algseeds.polynomials import MonicIntPoly, count_real_roots, count_roots_between
@@ -77,7 +77,7 @@ def test_refine_tightens_width():
     a = irrational_real_roots(PLASTIC)[0]
     for bits in (8, 32, 100):
         r = a.refine(bits)
-        assert r.width() <= Fraction(1, 2**bits)
+        assert r.hi - r.lo <= Fraction(1, 2**bits)
         assert same_number(a, r)
         assert_revalidates(r)
     # non-dyadic endpoints
@@ -92,7 +92,7 @@ def grid_interval(a, den, below, above):
     end one cell short of a neighbouring root."""
     p = a.minpoly
     while True:
-        lo = a.enclosure(64)[0]
+        lo = a.refine(64).lo
         k = (lo * den).__floor__()
         if a.cmp_rational(Fraction(k + 1, den)) == 1:
             k += 1
@@ -132,7 +132,7 @@ def assert_bisection_cell(x, bits, r):
     """r is the cell of the bisection grid of x's interval at the first level
     s* whose width W/2**s* is <= 2**-bits, and it holds the number: checked
     from the definition, without bisecting."""
-    big, width = x.width(), r.width()
+    big, width = x.hi - x.lo, r.hi - r.lo
     steps = big / width
     s = steps.numerator.bit_length() - 1
     assert steps == 2**s
@@ -204,7 +204,7 @@ def test_quadratic_memo_hands_over_both_ways(n, index, upper, den, level, stored
     if stored_by_bisection:
         x.__dict__["_cell"] = (level, bisection_index(x, level))
         # the width is about 2**e, so that cell answers about level - e bits
-        width = x.width()
+        width = x.hi - x.lo
         level -= width.numerator.bit_length() - width.denominator.bit_length()
     else:
         x.refine(level)
@@ -220,16 +220,17 @@ def test_quadratic_memo_hands_over_both_ways(n, index, upper, den, level, stored
 @example(p=MonicIntPoly.quadratic(0, -2), index=1, den=1, below=0, above=0, bits=0)  # s* = 0
 @example(p=PLASTIC, index=0, den=1, below=2, above=2, bits=1)
 def test_cell_is_the_interval_of_refine(p, index, den, below, above, bits):
-    """cell(bits) is refine(bits).interval and enclosure(bits) as rationals, on
-    one positive denominator; at s* = 0 it is the number's own interval."""
+    """cell(bits) is the interval of refine(bits) as rationals, on one
+    positive denominator; at s* = 0 it is the number's own interval."""
     roots = irrational_real_roots(p)
     x = grid_interval(roots[index % len(roots)], den, below, above)
     left, right, cell_den = x.cell(bits)
     assert cell_den > 0
     cell = (Fraction(left, cell_den), Fraction(right, cell_den))
-    assert cell == x.refine(bits).interval == x.enclosure(bits)
-    if x.width() <= Fraction(1, 2**max(bits, 0)):
-        assert cell == x.interval and x.refine(bits) is x
+    r = x.refine(bits)
+    assert cell == (r.lo, r.hi)
+    if x.hi - x.lo <= Fraction(1, 2**max(bits, 0)):
+        assert cell == (x.lo, x.hi) and r is x
 
 
 @settings(max_examples=100)
@@ -238,10 +239,14 @@ def test_cell_is_the_interval_of_refine(p, index, den, below, above, bits):
 @example(p=MonicIntPoly.quadratic(0, -2), index=1, den=1, places=0)
 def test_decimal_is_the_rounded_enclosure_along_its_ladder(p, index, den, places):
     """decimal(places), which rounds the integer cell, is the first decimal
-    that both ends of enclosure(bits) round to along its ladder."""
+    that both Fraction ends of refine(bits) round to along its ladder."""
     roots = irrational_real_roots(p)
     x = grid_interval(roots[index % len(roots)], den, 0, 5)
-    assert x.decimal(places) == refine_until(lambda bits: rounded(x.enclosure(bits), places),
+
+    def ends(bits):
+        r = x.refine(bits)
+        return r.lo, r.hi
+    assert x.decimal(places) == refine_until(lambda bits: rounded(ends(bits), places),
                                              4 * places + 8)
 
 
@@ -302,11 +307,10 @@ def test_same_number_sign_test_matches_sturm_count(p, i, j, dens, widen, bits):
 
 
 def test_enclosure_brackets_value():
-    a = SQRT2
-    lo, hi = a.enclosure(64)
-    assert lo < hi
-    assert lo * lo < 2 < hi * hi
-    assert hi - lo <= Fraction(1, 2**64)
+    left, right, den = SQRT2.cell(64)
+    assert 0 <= left < right
+    assert left * left < 2 * den * den < right * right
+    assert (right - left) << 64 <= den
 
 
 def test_cmp_rational_exact_signs():
@@ -485,7 +489,7 @@ def test_irrational_roots_are_never_rational(b, c, d):
         return
     for a in irrational_real_roots(p):
         assert a.minpoly.is_irreducible()
-        assert a.cmp_rational(a.midpoint()) in (-1, 1)
+        assert a.cmp_rational((a.lo + a.hi) / 2) in (-1, 1)
 
 
 def test_complex_pair_of_pure_cubic():
@@ -521,7 +525,8 @@ def test_complex_pair_rectangles_nest_across_precisions(b, c, d, bits):
         for lo, hi in (enc.re, enc.im):
             assert 0 <= hi - lo <= Fraction(1, 2**k)
         re2, im2 = _product_range(enc.re, enc.re), _product_range(enc.im, enc.im)
-        a1 = irrational_real_roots(p)[0].enclosure(k)
+        r = irrational_real_roots(p)[0].refine(k)
+        a1 = (r.lo, r.hi)
         n_lo, n_hi = _product_range(a1, (re2[0] + im2[0], re2[1] + im2[1]))
         assert n_lo <= -d <= n_hi
     for x, y in ((coarse.re, fine.re), (coarse.im, fine.im)):
@@ -551,20 +556,47 @@ def test_real_json_shape():
     assert lo < hi
 
 
-def test_affine_value_enclosure_and_decimal():
+def test_affine_value_cell_and_decimal():
     v = AffineValue(SQRT2, Fraction(1, 2), Fraction(3))
     assert v.decimal(5) == "3.70711"
-    lo, hi = v.enclosure(40)
-    assert Fraction(37, 10) < lo < hi < Fraction(38, 10)
+    left, right, den = v.cell(40)
+    assert Fraction(37, 10) < Fraction(left, den) < Fraction(right, den) < Fraction(38, 10)
+    assert (right - left) << 40 <= den
     assert v.cmp_rational(Fraction(7, 2)) == 1
     assert v.cmp_rational(Fraction(4)) == -1
+    w = AffineValue(SQRT2, Fraction(-3, 2), Fraction(1, 3))   # 1/3 - 3 sqrt(2) / 2
+    assert w.decimal(5) == "-1.78799"
 
 
-def test_value_enclosure_uniform_access():
-    assert value_enclosure(Fraction(1, 3), 10) == (Fraction(1, 3), Fraction(1, 3))
-    assert value_enclosure(4, 10) == (Fraction(4), Fraction(4))
-    lo, hi = value_enclosure(SQRT2, 20)
-    assert hi - lo <= Fraction(1, 2**20)
+@settings(max_examples=150)
+@given(p=IRREDUCIBLE_REAL, index=st.integers(0, 2),
+       scale=st.fractions(min_value=-40, max_value=40, max_denominator=12).filter(bool),
+       offset=st.fractions(min_value=-9, max_value=9, max_denominator=12), bits=st.integers(0, 200))
+@example(p=MonicIntPoly.quadratic(0, -2), index=1, scale=Fraction(-1, 2), offset=Fraction(2),
+         bits=40)
+@example(p=PLASTIC, index=0, scale=Fraction(-7, 3), offset=Fraction(1, 5), bits=0)
+def test_affine_value_cell_is_the_exact_image_of_the_base_cell(p, index, scale, offset, bits):
+    """AffineValue.cell is the image of the base's cell at bits plus the bit
+    length of the scale's numerator under x -> scale x + offset, ends swapped
+    for a negative scale; it holds the value and is at most 2**-bits wide."""
+    roots = irrational_real_roots(p)
+    v = AffineValue(roots[index % len(roots)], scale, offset)
+    left, right, den = v.cell(bits)
+    assert den > 0 and left < right
+    r = v.base.refine(bits + scale.numerator.bit_length())
+    image = (r.lo * scale + offset, r.hi * scale + offset)
+    assert (Fraction(left, den), Fraction(right, den)) == (image if scale > 0 else image[::-1])
+    assert v.cmp_rational(Fraction(left, den)) == 1 and v.cmp_rational(Fraction(right, den)) == -1
+    assert (right - left) << bits <= den
+
+
+def test_value_cell_uniform_access():
+    assert value_cell(Fraction(1, 3), 10) == (1, 1, 3)
+    assert value_cell(Fraction(-6, 4), 10) == (-3, -3, 2)
+    assert value_cell(4, 10) == (4, 4, 1)
+    assert value_cell(SQRT2, 20) == SQRT2.cell(20)
+    v = AffineValue(SQRT2, Fraction(-1, 2), Fraction(1))
+    assert value_cell(v, 20) == v.cell(20)
 
 
 def test_complex_enclosure_rejects_wide_interval():

@@ -435,6 +435,12 @@ REFINED_OUTPUT_SHA256 = {
         "be3e5bcf8c9710c9117e9ff709bba78933f03e35fd9da773db9538d1efaebe1a",
     "uniformity --family 3ntr --m 0 --n 57 --precision 32":
         "f662ae9bdf399d0e1838ff057ec4245933579c8654705eb282773f7c0d4029bf",
+    "uniformity --family 3tr --m -1 --n -41 --precision 32":
+        "5ead39a51cddf0581c9760b0146b60444266e79368ca38853293e09737319bb7",
+    "uniformity --family 2i --n 45":
+        "479496e727f290b7ebd2a78df5eb40339dc3218ffb9756dc2a863b80e1e60c77",
+    "uniformity --family 2r --n -700 --precision 32":
+        "bd670705c2713e323d4b79a4dd661cda66d076bdccb284fbcbeab92d73c8a7ee",
     "bits --family 2r --n 93":
         "c35e9268c59776cf549dab1917cbd383b225f039b83f99c4124a3e03b53e6b62",
     "bits --family 3tr --m 0 --n -59":

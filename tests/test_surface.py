@@ -1,8 +1,9 @@
 """The public surface and the private helpers: every exported name exists
 once, every ``_``-prefixed helper and every public function outside
-``__all__`` has a caller in the library, every imported name is used in the
-file that imports it, and the benchmark, which patches and reads library
-names from outside, still runs."""
+``__all__`` has a caller in the library, every public method has a caller in
+the library or the benchmark, every imported name is used in the file that
+imports it, and the benchmark, which patches and reads library names from
+outside, still runs."""
 
 import ast
 import subprocess
@@ -25,34 +26,59 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
-def _uncalled_helpers(trees: dict, exported: set[str] | None = None) -> list[str]:
-    """file:name of each private function, method or class defined in trees,
-    and with exported given of each public module-level function not in it,
-    that no name, attribute or import anywhere in trees refers to, outside
-    the lines of its own definition."""
+def _uses(trees: dict) -> dict[str, list[tuple[str, int]]]:
+    """(file, line) of every name, attribute and import in trees, by name."""
     uses: dict[str, list[tuple[str, int]]] = {}
-    defs = []
     for fname, tree in trees.items():
-        if exported is not None:
-            defs += [(fname, node) for node in tree.body
-                     if isinstance(node, ast.FunctionDef) and not _is_private(node.name)
-                     and node.name not in exported]
         for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if _is_private(node.name):
-                    defs.append((fname, node))
-            elif isinstance(node, ast.Name):
+            if isinstance(node, ast.Name):
                 uses.setdefault(node.id, []).append((fname, node.lineno))
             elif isinstance(node, ast.Attribute):
                 uses.setdefault(node.attr, []).append((fname, node.lineno))
             elif isinstance(node, ast.alias):
                 uses.setdefault(node.name, []).append((fname, node.lineno))
+    return uses
+
+
+def _unreferenced(defs: list, uses: dict) -> list[str]:
+    """file:label of each (file, label, node) in defs whose name no use
+    refers to outside the lines of its own definition."""
     found = []
-    for fname, node in defs:
+    for fname, label, node in defs:
         own = range(node.lineno, node.end_lineno + 1)
         if not any(f != fname or line not in own for f, line in uses.get(node.name, ())):
-            found.append(f"{fname}:{node.name}")
+            found.append(f"{fname}:{label}")
     return sorted(found)
+
+
+def _uncalled_helpers(trees: dict, exported: set[str] | None = None) -> list[str]:
+    """file:name of each private function, method or class defined in trees,
+    and with exported given of each public module-level function not in it,
+    that no name, attribute or import anywhere in trees refers to, outside
+    the lines of its own definition."""
+    defs = []
+    for fname, tree in trees.items():
+        if exported is not None:
+            defs += [(fname, node.name, node) for node in tree.body
+                     if isinstance(node, ast.FunctionDef) and not _is_private(node.name)
+                     and node.name not in exported]
+        defs += [(fname, node.name, node) for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                 and _is_private(node.name)]
+    return _unreferenced(defs, _uses(trees))
+
+
+def _uncalled_methods(trees: dict, callers: dict) -> list[str]:
+    """file:Class.method of each public method of a class defined in trees
+    that no name, attribute or import in trees or callers refers to, outside
+    the lines of its own definition.  Dunder methods are called by Python."""
+    defs = [(fname, f"{cls.name}.{node.name}", node)
+            for fname, tree in trees.items() for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")]
+    return _unreferenced(defs, _uses({**trees, **callers}))
 
 
 ORPHAN = """
@@ -79,6 +105,9 @@ class Box:
     def public_method(self):
         return 0
 
+    def called_method(self):
+        return self.public_method
+
     def __repr__(self):
         return "Box"
 """
@@ -89,6 +118,18 @@ def test_guard_catches_helpers_that_nothing_calls():
     assert _uncalled_helpers(trees) == ["orphan.py:_recursive", "orphan.py:_unused_method"]
     assert _uncalled_helpers(trees, {"exported"}) == [
         "orphan.py:_recursive", "orphan.py:_unused_method", "orphan.py:public_orphan"]
+
+
+def test_guard_catches_public_methods_that_nothing_calls():
+    """public_method is read only inside called_method, which a caller tree
+    reads; __repr__ is Python's to call, and _unused_method is the private
+    rule's."""
+    trees = {"orphan.py": ast.parse(ORPHAN)}
+    callers = {"bench.py": ast.parse("from orphan import Box\nBox().called_method()")}
+    assert _uncalled_methods(trees, callers) == []
+    assert _uncalled_methods(trees, {}) == ["orphan.py:Box.called_method"]
+    lone = {"orphan.py": ast.parse(ORPHAN.replace("return self.public_method", "return 0"))}
+    assert _uncalled_methods(lone, callers) == ["orphan.py:Box.public_method"]
 
 
 # Public functions that only the tests call, kept as independent oracles.
@@ -114,6 +155,26 @@ def test_every_private_helper_has_a_caller():
 
 def test_every_public_function_is_exported_or_called():
     assert _uncalled_helpers(_library_trees(), set(algseeds.__all__)) == sorted(TEST_ORACLES)
+
+
+# Public methods that nothing in the library or the benchmark calls, kept by name.
+KEPT_METHODS = {
+    # perfbench/spans.py wraps it by name, as a string
+    "algebraic.py:AlgebraicNumber.refine",
+    # the exact-order oracle of the build-order tests
+    "algebraic.py:AlgebraicNumber.less_than",
+    # the form in which the bit tests check truncation
+    "bits.py:BitStream.fraction",
+}
+
+
+def test_every_public_method_has_a_caller():
+    """The benchmark calls the library from outside, so its files count as
+    callers; their own definitions are not checked."""
+    bench = {f"perfbench/{path.name}": ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((TESTS.parent / "perfbench").glob("*.py"))}
+    assert "perfbench/workloads.py" in bench
+    assert _uncalled_methods(_library_trees(), bench) == sorted(KEPT_METHODS)
 
 
 def _unused_imports(trees: dict) -> list[str]:

@@ -3,13 +3,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from algseeds.algebraic import same_number
+from algseeds.algebraic import AffineValue, refine_until, same_number
 from algseeds.families import SetSpec, build_set
 from algseeds.uniformity import (
     TooFewElements,
+    _check_bound,
     discrepancy,
     half_split,
     im_fractional,
@@ -154,3 +155,155 @@ def test_report_json_shape():
     assert js["half_counts"] == [1, 1]
     assert set(js["max_dev"]) == {"lo", "hi", "decimal"}
     assert js["bound_check"] is None
+
+
+# The definition, on Fraction ends: the ends of refine(bits) for a number and
+# the exact image of its base's ends for an AffineValue, then interval
+# arithmetic on Fractions.
+def _fraction_ends(v, bits):
+    if isinstance(v, AffineValue):
+        r = v.base.refine(bits + v.scale.numerator.bit_length())
+        return tuple(sorted((r.lo * v.scale + v.offset, r.hi * v.scale + v.offset)))
+    if isinstance(v, (int, Fraction)):
+        return Fraction(v), Fraction(v)
+    r = v.refine(bits)
+    return r.lo, r.hi
+
+
+def _defined_gaps(values, bits):
+    ends = [_fraction_ends(v, bits) for v in values]
+    return [(b[0] - a[1], b[1] - a[0]) for a, b in zip(ends, ends[1:])]
+
+
+def _defined_max_dev(gaps, n):
+    inv = Fraction(1, n)
+    lo = max([Fraction(0)] + [max(g_lo - inv, inv - g_hi) for g_lo, g_hi in gaps])
+    hi = max([Fraction(0)] + [max(g_hi - inv, inv - g_lo) for g_lo, g_hi in gaps])
+    return lo, hi
+
+
+def _defined_discrepancy(values, bits):
+    n = len(values)
+    ends = [_fraction_ends(v, bits) for v in values]
+    t_lo = [Fraction(i, n) - hi for i, (_, hi) in enumerate(ends, 1)]
+    t_hi = [Fraction(i, n) - lo for i, (lo, _) in enumerate(ends, 1)]
+    return Fraction(1, n) + max(t_lo) - min(t_hi), Fraction(1, n) + max(t_hi) - min(t_lo)
+
+
+def _defined_bound_check(spec, values, bits):
+    family, params = spec.family, spec.params
+    if family == "2i" and params[0] % 2 and params[0] >= 3:
+        n = params[0]
+        bound = Fraction(1, n * (n - 1))
+
+        def below(bits):
+            lo, hi = _defined_max_dev(_defined_gaps(values, bits), n)
+            return True if hi < bound else False if lo >= bound else None
+        return refine_until(below, bits)
+    if family == "3tr" and params[0] == -1:
+        lower, upper = 1 / (Fraction(-params[1]) + Fraction(1, 3)), Fraction(1, -params[1] - 1)
+
+        def inside(bits):
+            gaps = _defined_gaps(values, bits)
+            if all(lower <= g_lo and g_hi < upper for g_lo, g_hi in gaps):
+                return True
+            if any(g_hi < lower or upper <= g_lo for g_lo, g_hi in gaps):
+                return False
+            return None
+        return refine_until(inside, bits)
+    return None
+
+
+CUBIC_M = st.integers(-3, 0)
+DRAWN_SPECS = st.one_of(
+    st.integers(-60, 60).filter(lambda n: n >= 1 or n <= -3).map(lambda n: SetSpec("2r", (n,))),
+    st.integers(1, 60).map(lambda n: SetSpec("2i", (n,))),
+    st.tuples(CUBIC_M, st.integers(1, 40)).filter(lambda mn: mn[0] ** 2 <= 3 * mn[1] and sum(mn) >= 1)
+    .map(lambda mn: SetSpec("3ntr", mn)),
+    st.tuples(CUBIC_M, st.integers(-40, 0)).filter(lambda mn: mn[1] <= -mn[0] - 3)
+    .map(lambda mn: SetSpec("3tr", mn)),
+    st.integers(-40, -2).map(lambda c: SetSpec("3tr", (-1, c))),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=DRAWN_SPECS, bits=st.sampled_from((16, 32, 64, 200)))
+@example(spec=SetSpec("2i", (45,)), bits=16)        # AffineValue cells, odd bound check
+@example(spec=SetSpec("3tr", (-1, -41)), bits=32)   # the window check
+@example(spec=SetSpec("2r", (1,)), bits=64)         # one element: no gaps
+def test_report_matches_the_definition_on_fraction_ends(spec, bits):
+    """Gaps, max_dev, constant, discrepancy and bound check of the report,
+    computed on int cells over one denominator, equal the definition
+    computed on the Fraction ends of refine(bits) and of the exact
+    AffineValue images."""
+    inst = build_set(spec)
+    values = instance_values(inst)
+    n = len(values)
+    report = uniformity_report(inst, bits)
+    assert report.n == n
+    assert report.discrepancy == _defined_discrepancy(values, bits)
+    gaps = _defined_gaps(values, bits)
+    assert list(report.gaps) == gaps
+    if n < 2:
+        assert report.max_dev is report.constant is report.bound_check is None
+        return
+    dev = _defined_max_dev(gaps, n)
+    assert report.max_dev == dev
+    assert report.constant == (dev[0] * n * n, dev[1] * n * n)
+    expected = _defined_bound_check(spec, values, bits)
+    assert (report.bound_check.satisfied if report.bound_check else None) is expected
+
+
+RATIONAL_LISTS = st.lists(
+    st.one_of(st.fractions(min_value=-1, max_value=2, max_denominator=10**6),
+              st.integers(-2, 3)),
+    min_size=1, max_size=12, unique=True).map(sorted)
+
+
+@given(values=RATIONAL_LISTS, bits=st.sampled_from((1, 16, 64)))
+@example(values=[Fraction(1, 3), Fraction(1, 2), Fraction(5, 7)], bits=1)
+def test_discrepancy_on_mixed_denominators_is_the_formula(values, bits):
+    """On rationals of mixed denominators, ints among them, discrepancy is
+    exactly 1/N + max(i/N - x_i) - min(i/N - x_i)."""
+    n = len(values)
+    ts = [Fraction(i, n) - Fraction(x) for i, x in enumerate(values, 1)]
+    exact = Fraction(1, n) + max(ts) - min(ts)
+    assert discrepancy(values, bits) == (exact, exact)
+
+
+def _rational_set(start, gaps):
+    values = [Fraction(start)]
+    for g in gaps:
+        values.append(values[-1] + g)
+    return values
+
+
+@pytest.mark.parametrize("c", (-2, -5, -10, -41))
+def test_window_check_on_exact_gaps_at_its_ends(c):
+    """Rational values have exact gaps, so the window check decides at its
+    first rung: a gap of exactly 3/(1 - 3c) is inside [3/(1 - 3c),
+    1/(-c - 1)), a gap of exactly 1/(-c - 1) is not, and neither is one just
+    below the lower end."""
+    spec = SetSpec("3tr", (-1, c))
+    lower, upper = Fraction(3, 1 - 3 * c), Fraction(1, -c - 1)
+    middle = (lower + upper) / 2
+    for gaps, inside in (([lower, middle], True), ([middle, lower, lower], True),
+                         ([middle, upper], False), ([lower - Fraction(1, 10**9)], False)):
+        values = _rational_set(Fraction(1, 10**6), gaps)
+        check = _check_bound(spec, values, 32)
+        assert check.satisfied is inside
+        assert check.satisfied is _defined_bound_check(spec, values, 32)
+
+
+@pytest.mark.parametrize("n", (3, 5, 45))
+def test_odd_bound_check_on_exact_gaps_at_its_end(n):
+    """max |gap - 1/n| of exactly 1/(n (n - 1)) fails the strict bound, on
+    either side of 1/n; one just inside passes."""
+    spec = SetSpec("2i", (n,))
+    bound = Fraction(1, n * (n - 1))
+    step = Fraction(1, n)
+    for gaps, below in (([step + bound], False), ([step, step - bound], False),
+                        ([step + bound - Fraction(1, 10**9), step], True)):
+        values = _rational_set(0, gaps)
+        assert _check_bound(spec, values, 32).satisfied is below
+
