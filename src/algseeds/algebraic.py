@@ -74,7 +74,7 @@ through the trusted
 by construction:
 
   * the minimal polynomial p was validated once, and x -> +-x + k (the only
-    maps applied: ``fractional_part``, ``negated``, ``plus_int``) keeps it
+    maps applied: ``negated``, ``plus_int``) keeps it
     irreducible.  The image polynomial is p(x - k) or +-p(-x), and the
     endpoints move with the root, so at the new endpoints it takes p's old
     signs, or all of them flipped: still opposite, around the image of the
@@ -82,11 +82,14 @@ by construction:
     imaginary one stays imaginary; x -> -x moves a root to the other half
     plane and x -> x + k keeps it in its own, so ``negated`` flips the
     half-plane tag and ``plus_int`` keeps it;
-  * a split point inside the interval (grid points in ``refine``, integers
-    in ``_narrow_to_unit_cell``) is never a root, because an irreducible
-    polynomial of degree >= 2 has no rational root.  So its sign is nonzero
-    and equals the sign at exactly one endpoint; keeping a cell whose
-    endpoints differ keeps the sign change;
+  * a split point inside the interval (grid points in ``refine``) is never
+    a root, because an irreducible polynomial of degree >= 2 has no
+    rational root.  So its sign is nonzero and equals the sign at exactly
+    one endpoint; keeping a cell whose endpoints differ keeps the sign
+    change.  ``floor`` reads the same fact off ``cell(0)``, a cell of width
+    <= 1 on whose ends p changes sign: with k the floor of its left end,
+    k + 1 is the only integer that can lie strictly inside, and one sign
+    test there says whether the number lies above it;
   * a sub-interval of an isolating interval on whose ends p changes sign
     (every cell ``refine`` keeps) still holds exactly one root;
   * ``irrational_real_roots`` builds each root of ``rest``, the factor of
@@ -358,29 +361,17 @@ class AlgebraicNumber:
             return None
         return refine_until(decide, 8)
 
-    def _narrow_to_unit_cell(self) -> "tuple[int, AlgebraicNumber]":
-        # split at integers strictly inside the interval; afterwards the
-        # interval sits inside [k, k+1] for k = floor of the number
-        p, lo, hi = self.minpoly, self.lo, self.hi
-        sign_lo = p.sign_at(lo)
-        while True:
-            first = lo.__floor__() + 1
-            if not lo < first < hi:
-                break
-            q = Fraction(first)
-            if p.sign_at(q) == sign_lo:
-                lo = q
-            else:
-                hi = q
-        return lo.__floor__(), AlgebraicNumber._narrowed(p, lo, hi)
-
     def floor(self) -> int:
-        return self._narrow_to_unit_cell()[0]
-
-    def fractional_part(self) -> "AlgebraicNumber":
-        k, a = self._narrow_to_unit_cell()
-        p = self.minpoly.map_root(1, -k)
-        return AlgebraicNumber._narrowed(p, a.lo - k, a.hi - k)
+        """The integer part, read off the cell at width <= 1: with k = floor
+        of its left end, it holds no integer inside but k + 1, and one sign
+        test there decides k or k + 1 (module docstring)."""
+        left, right, den = self.cell(0)
+        k = left // den
+        if (k + 1) * den < right:
+            p = self.minpoly
+            if (p.scaled_value(k + 1, 1) > 0) == (p.scaled_value(left, den) > 0):
+                return k + 1
+        return k
 
     # -- affine images -------------------------------------------------------
 

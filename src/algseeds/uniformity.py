@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from .algebraic import AffineValue, AlgebraicNumber, FracIv, refine_until, round_half_even, value_cell
-from .families import MonicIntPoly, SetInstance, SetSpec, half_shift_poly
+from .families import MonicIntPoly, SetInstance, SetSpec, element, half_shift_poly
 
 
 class TooFewElements(ValueError):
@@ -76,10 +76,20 @@ class UniformityReport:
 
 def im_fractional(s: SetInstance) -> list:
     """The fractional parts of the imaginary parts of a 2i instance, sorted.
+    Neither branch validates a number: each rests on the argument below.
 
     Odd n: Im = sqrt(4c-1)/2, not an algebraic integer, carried as an
-    affine image of sqrt(4c-1).  Even n: Im = sqrt(c), and the identity
-    Im(I_n^{2,i}) = I_n^{2,r} + n/2 is verified exactly on the way.
+    affine image of sqrt(4c-1), built trusted on (r, r + 1) with
+    r = isqrt(4c-1).  4c-1 = 3 mod 4 is never a square, so x^2 - (4c-1) is
+    irreducible for every c, and it changes sign on (r, r + 1).  The
+    fractional part of sqrt(4c-1)/2 is sqrt(4c-1)/2 - r // 2.
+
+    Even n: Im = sqrt(c), and c lies strictly between (n/2)^2 and
+    (n/2 + 1)^2, so floor(sqrt(c)) = n/2 and sqrt(c) - n/2 is the root in
+    (0,1) of x^2 + n x + (n^2/4 - c): the element of 2r(n) with free
+    coefficient n^2/4 - c, which is the identity
+    Im(I_n^{2,i}) = I_n^{2,r} + n/2.  The identity is checked exactly on
+    the way, and the element is read off ``families.element``.
     """
     spec = s.spec
     if spec.family != "2i":
@@ -88,10 +98,10 @@ def im_fractional(s: SetInstance) -> list:
     out = []
     if n % 2:
         for e in s.elements:
-            c = e.free_coeff
-            base = AlgebraicNumber.sqrt_of(4 * c - 1)
-            k = isqrt(4 * c - 1) // 2
-            out.append(AffineValue(base, Fraction(1, 2), Fraction(-k)))
+            r = isqrt(4 * e.free_coeff - 1)
+            base = AlgebraicNumber._narrowed(MonicIntPoly._trusted((0, 1 - 4 * e.free_coeff)),
+                                             Fraction(r), Fraction(r + 1))
+            out.append(AffineValue(base, Fraction(1, 2), Fraction(-(r // 2))))
         return out
     spec2r = SetSpec("2r", (n,))
     for e in s.elements:
@@ -99,7 +109,7 @@ def im_fractional(s: SetInstance) -> list:
         c2r = n * n // 4 - c
         assert -n <= c2r <= -1
         assert half_shift_poly(spec2r, c2r) == MonicIntPoly.quadratic(0, -c)
-        out.append(AlgebraicNumber.sqrt_of(c).fractional_part())
+        out.append(element(spec2r, c2r))
     return out
 
 

@@ -423,6 +423,8 @@ REFINED_OUTPUT_SHA256 = {
         "7ac08cfd93d07b7d2b8fc51c10711aacaacd99dcc7fd33938e1bbb4d6b51a67b",
     "gen --family 2i --n 61":
         "e3014a4cf79c0ff6c7b1d69aa1bb114a59807afd8f91b703d3f5d738a2c5dea1",
+    "gen --family 2i --n 60":
+        "2ac051cce372d202eb5bc9d157d1e47ba244179961f8a2fd3c9cf3eb5fa1485d",
     "gen --family 3ntr --m -2 --n 40":
         "8e25680ee59dda4cae848e2f0734719eb4db8316d3b40a6e31ef5b40be7b66fb",
     "gen --family 3tr --m -1 --n -41":
@@ -441,10 +443,16 @@ REFINED_OUTPUT_SHA256 = {
         "479496e727f290b7ebd2a78df5eb40339dc3218ffb9756dc2a863b80e1e60c77",
     "uniformity --family 2r --n -700 --precision 32":
         "bd670705c2713e323d4b79a4dd661cda66d076bdccb284fbcbeab92d73c8a7ee",
+    "uniformity --family 2i --n 200 --precision 32":
+        "8caaa061089e080ff502721539cc79010df5ef25a576761d9a711ac4b12b75ec",
+    "uniformity --family 2i --n 199 --precision 32":
+        "0fb11bfb7841355dc9784cd9aaa0ff1f5e56ea932fc4a755bf546493b05d4748",
     "bits --family 2r --n 93":
         "c35e9268c59776cf549dab1917cbd383b225f039b83f99c4124a3e03b53e6b62",
     "bits --family 3tr --m 0 --n -59":
         "e7f44693944d28628316258cfec4945330317f64d51d4e9b3bd60e1c453a16f3",
+    "tiling --bound 20":
+        "6bddc2935d9d12b3132d58aede437c0b1b074041b4c0bad97a4cef7259afce61",
 }
 
 

@@ -81,7 +81,7 @@ LADDER_ENTRY_POINTS = {
     "AffineValue.decimal": lambda: AffineValue(SQRT2, Fraction(1, 2), Fraction(0)).decimal(5),
     "complex_pair": lambda: complex_pair(MonicIntPoly.cubic(0, 0, -2)),
     "irrational_real_roots (totally real)": lambda: irrational_real_roots(MonicIntPoly.cubic(0, -3, 1)),
-    "binary_expansion": lambda: binary_expansion(SQRT2.fractional_part(), 16),
+    "binary_expansion": lambda: binary_expansion(SQRT2.plus_int(-1), 16),
     "uniformity_report 2i(5)": lambda: uniformity_report(build_set(SetSpec("2i", (5,)))),
     "uniformity_report 3tr(-1,-8)": lambda: uniformity_report(build_set(SetSpec("3tr", (-1, -8)))),
     "verify_tiling": lambda: verify_tiling(2),

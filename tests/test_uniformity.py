@@ -1,12 +1,13 @@
 """Unit tests for gap statistics, discrepancy, and half-interval counts."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from algseeds.algebraic import AffineValue, refine_until, same_number
+from algseeds.algebraic import AffineValue, AlgebraicNumber, refine_until, same_number
 from algseeds.families import SetSpec, build_set
 from algseeds.uniformity import (
     TooFewElements,
@@ -91,12 +92,31 @@ def test_imaginary_fractional_parts_odd():
 
 def test_imaginary_even_matches_real_family_shift():
     """For even n the imaginary parts are sqrt(c); their fractional parts
-    reproduce the real quadratic instance exactly."""
-    imag = im_fractional(build_set(SetSpec("2i", (4,))))
-    real = build_set(SetSpec("2r", (4,))).numbers()
-    assert len(imag) == len(real)
-    for u, v in zip(imag, real):
-        assert same_number(u, v)
+    are the real quadratic instance 2r(n), number for number and in order,
+    and each is sqrt(c) - n/2, with sqrt(c) built by the validating
+    constructor."""
+    for n in range(2, 301, 2):
+        spec = SetSpec("2i", (n,))
+        imag = im_fractional(build_set(spec))
+        assert imag == build_set(SetSpec("2r", (n,))).numbers()
+        for c, u in zip(spec.free_coeffs(), imag):
+            assert same_number(u.plus_int(n // 2), AlgebraicNumber.sqrt_of(c))
+
+
+def test_imaginary_odd_base_is_the_validated_square_root():
+    """For odd n the trusted base of each value is sqrt(4c - 1) as the
+    validating constructor builds it, and the value is its image
+    sqrt(4c - 1)/2 - floor(sqrt(4c - 1)/2)."""
+    for n in range(1, 302, 2):
+        spec = SetSpec("2i", (n,))
+        for c, v in zip(spec.free_coeffs(), im_fractional(build_set(spec))):
+            slow = AlgebraicNumber.sqrt_of(4 * c - 1)
+            assert v.base == slow
+            assert v.base.to_json() == slow.to_json()
+            k = isqrt(4 * c - 1) // 2
+            assert v.cell(64) == AffineValue(slow, Fraction(1, 2), Fraction(-k)).cell(64)
+            left, right, den = v.cell(64)
+            assert 0 < left < right < den
 
 
 def test_im_fractional_rejects_real_families():
