@@ -57,11 +57,29 @@ holds the number and lies on the grid; by the argument above it ends on
 the same cell as a refinement from (lo, hi).  A deeper request on a
 quadratic takes the closed form, which needs no stored cell.  Both paths
 store the bisection cell itself, so the memo stays sound whichever path
-stored it and whichever reads it.  The pair is stored in the instance's
-__dict__ and is not a dataclass field: it says nothing about which number
-is meant, so ``==``, ``hash``, ``repr`` and ``to_json`` ignore it, and a
-number refined to any depth stays equal to an unrefined copy and finds the
-same entries in the ``lru_cache`` tables of ``fields``.
+stored it and whichever reads it.  Beside the pair the number keeps the
+ints of its grid, (a, w, D), read off the interval by the first ``cell``
+or ``cmp_rational`` and never again; ``cmp_rational`` compares the number
+with q = num / den by cross-multiplying these with num and den, building
+no ``Fraction``.  Both are stored in the instance's __dict__ and are not
+dataclass fields: they say nothing about which number is meant, so
+``==``, ``hash``, ``repr`` and ``to_json`` ignore them, and a number
+refined to any depth stays equal to an unrefined copy and finds the same
+entries in the ``lru_cache`` tables of ``fields``.
+
+Affine images keep their cell.  The map x -> eps x + k, with eps = +-1 and
+k an integer, sends the interval (a, a + w) / D to (a', a' + w) / D, with
+a' = a + k D for eps = +1 and a' = k D - a - w for eps = -1: x + k and -x
+keep the denominator of each end, so D and w are unchanged.  The level-s
+grid point (a 2^s + i w) / (D 2^s) goes to the grid point
+(a' 2^s + i w) / (D 2^s) for eps = +1 and (a' 2^s + (2^s - i) w) / (D 2^s)
+for eps = -1.  So the grid of the interval goes exactly onto the grid of
+the image's interval, level by level, and the cell holding the number onto
+the cell holding its image: cell j at level s is cell j of the image under
+``plus_int`` and cell 2^s - 1 - j under ``negated`` and ``reflected``.
+These three hand (a', w, D) and the memo, so mapped, to the image, which
+then answers ``cell`` as a copy refined from its own interval to the same
+level would.
 
 Validate once.  The public constructors (``AlgebraicNumber(...)``,
 ``real_root``, ``complex_root``, ``sqrt_of``) check everything: the minimal
@@ -74,14 +92,14 @@ through the trusted
 by construction:
 
   * the minimal polynomial p was validated once, and x -> +-x + k (the only
-    maps applied: ``negated``, ``plus_int``) keeps it
+    maps applied: ``negated``, ``plus_int``, ``reflected``) keeps it
     irreducible.  The image polynomial is p(x - k) or +-p(-x), and the
     endpoints move with the root, so at the new endpoints it takes p's old
     signs, or all of them flipped: still opposite, around the image of the
     one root inside.  The map keeps the discriminant of a quadratic, so an
     imaginary one stays imaginary; x -> -x moves a root to the other half
-    plane and x -> x + k keeps it in its own, so ``negated`` flips the
-    half-plane tag and ``plus_int`` keeps it;
+    plane and x -> x + k keeps it in its own, so ``negated`` and
+    ``reflected`` flip the half-plane tag and ``plus_int`` keeps it;
   * a split point inside the interval (grid points in ``refine``) is never
     a root, because an irreducible polynomial of degree >= 2 has no
     rational root.  So its sign is nonzero and equals the sign at exactly
@@ -249,6 +267,19 @@ class AlgebraicNumber:
 
     # -- refinement ---------------------------------------------------------
 
+    def _grid(self) -> tuple[int, int, int]:
+        """(a, w, base) with (lo, hi) = (a, a + w) / base and base the lcm of
+        the ends' denominators: the ints of the bisection grid, read off the
+        interval once and kept beside the memo, under a key that does not
+        shadow this method (module docstring)."""
+        grid = self.__dict__.get("_ints")
+        if grid is None:
+            lo, hi = self.lo, self.hi
+            base = lo.denominator * hi.denominator // gcd(lo.denominator, hi.denominator)
+            a = lo.numerator * (base // lo.denominator)
+            grid = self.__dict__["_ints"] = (a, hi.numerator * (base // hi.denominator) - a, base)
+        return grid
+
     def cell(self, bits: int) -> tuple[int, int, int]:
         """(left, right, den): the bisection cell of width <= 2**-bits holding
         the root, as ints over one denominator den > 0, not in lowest terms;
@@ -257,12 +288,9 @@ class AlgebraicNumber:
         for a cubic, on the bisection grid (module docstring)."""
         if not self.is_real:
             raise RationalInput("only real numbers have refinable intervals")
-        lo, hi = self.lo, self.hi
         # (lo, hi) = (a, a + w) / base, and the level-s cell j is
         # (a 2**s + j w, a 2**s + (j+1) w) / (base 2**s)
-        base = lo.denominator * hi.denominator // gcd(lo.denominator, hi.denominator)
-        a = lo.numerator * (base // lo.denominator)
-        w = hi.numerator * (base // hi.denominator) - a
+        a, w, base = self._grid()
         # last = s*, the first level with w / (base 2**s) <= 2**-bits
         goal = w << max(bits, 0)
         last = max(0, goal.bit_length() - base.bit_length())
@@ -288,10 +316,14 @@ class AlgebraicNumber:
             self.__dict__["_cell"] = (last, j)
             left = (a << last) + j * w
             return left, left + w, base << last
+        b, c, d = p.coeffs
         # the current cell is [left, left + w] / den; den doubles with each
-        # level and w stays
+        # level and w stays.  Each value is den**3 p(x / den) by Horner on ints
         left, den = (a << level) + j * w, base << level
-        v_left, v_right = p.scaled_value(left, den), p.scaled_value(left + w, den)
+        den2 = den * den
+        v_left = ((left + b * den) * left + c * den2) * left + d * den2 * den
+        right = left + w
+        v_right = ((right + b * den) * right + c * den2) * right + d * den2 * den
         t = 2
         while level < last:
             step = min(t, last - level)
@@ -300,7 +332,10 @@ class AlgebraicNumber:
                 # sub-cell j of 2**step; keep that sub-cell if p changes sign on it
                 j = (v_left << step) // (v_left - v_right)
                 sub, sub_den = (left << step) + j * w, den << step
-                u_left, u_right = p.scaled_value(sub, sub_den), p.scaled_value(sub + w, sub_den)
+                den2 = sub_den * sub_den
+                u_left = ((sub + b * sub_den) * sub + c * den2) * sub + d * den2 * sub_den
+                right = sub + w
+                u_right = ((right + b * sub_den) * right + c * den2) * right + d * den2 * sub_den
                 if (u_left > 0) != (u_right > 0):
                     left, den, v_left, v_right = sub, sub_den, u_left, u_right
                     level += step
@@ -309,10 +344,11 @@ class AlgebraicNumber:
                 t = max(2, t // 2)
             # one bisection step: keep the half on which p changes sign
             left, den = left << 1, den << 1
-            v_left, v_right = v_left << p.degree, v_right << p.degree
-            v_mid = p.scaled_value(left + w, den)
+            v_left, v_right = v_left << 3, v_right << 3
+            mid, den2 = left + w, den * den
+            v_mid = ((mid + b * den) * mid + c * den2) * mid + d * den2 * den
             if (v_mid > 0) == (v_left > 0):
-                left, v_left = left + w, v_mid
+                left, v_left = mid, v_mid
             else:
                 v_right = v_mid
             level += 1
@@ -335,16 +371,22 @@ class AlgebraicNumber:
 
     # -- exact order and integer part ---------------------------------------
 
-    def cmp_rational(self, q: Fraction) -> int:
-        """-1 or +1; the number itself is irrational so never equal."""
-        if self.hi <= q:
+    def cmp_rational(self, q: Fraction | int) -> int:
+        """-1 or +1 as the number lies below or above the rational q; the
+        number itself is irrational so never equal.  Decided on the
+        interval's ints, cross-multiplied with q's."""
+        if not self.is_real:
+            raise RationalInput("only real numbers are ordered")
+        a, w, base = self._grid()
+        num, den = q.numerator, q.denominator
+        if (a + w) * den <= num * base:
             return -1
-        if self.lo >= q:
+        if a * den >= num * base:
             return 1
-        # q splits the interval and is not a root: the root lies in (q, hi)
-        # exactly when q has the sign of lo
+        # q splits the interval and is not a root: the root lies above q
+        # exactly when p has the same sign at q as at lo
         p = self.minpoly
-        return 1 if p.sign_at(q) == p.sign_at(self.lo) else -1
+        return 1 if (p.scaled_value(num, den) > 0) == (p.scaled_value(a, base) > 0) else -1
 
     def less_than(self, other: "AlgebraicNumber") -> bool:
         if same_number(self, other):
@@ -376,20 +418,34 @@ class AlgebraicNumber:
     # -- affine images -------------------------------------------------------
 
     def negated(self) -> "AlgebraicNumber":
-        p = self.minpoly.map_root(-1, 0)
-        if not self.is_real:
-            return AlgebraicNumber._narrowed(p, half_plane=-self.half_plane)
-        return AlgebraicNumber._narrowed(p, -self.hi, -self.lo)
+        return self._affine(-1, 0)
 
     def plus_int(self, k: int) -> "AlgebraicNumber":
-        p = self.minpoly.map_root(1, k)
-        if not self.is_real:
-            return AlgebraicNumber._narrowed(p, half_plane=self.half_plane)
-        return AlgebraicNumber._narrowed(p, self.lo + k, self.hi + k)
+        return self._affine(1, k)
 
     def reflected(self) -> "AlgebraicNumber":
         """1 - alpha."""
-        return self.negated().plus_int(1)
+        return self._affine(-1, 1)
+
+    def _affine(self, eps: int, k: int) -> "AlgebraicNumber":
+        """eps alpha + k for eps = +-1 and an int k, built trusted; a real
+        image carries the grid ints and the cell memo over, cell j at level
+        s going to j for eps = 1 and to 2**s - 1 - j for eps = -1 (module
+        docstring)."""
+        p = self.minpoly.map_root(eps, k)
+        if not self.is_real:
+            return AlgebraicNumber._narrowed(p, half_plane=eps * self.half_plane)
+        if eps > 0:
+            image = AlgebraicNumber._narrowed(p, self.lo + k, self.hi + k)
+        else:
+            image = AlgebraicNumber._narrowed(p, k - self.hi, k - self.lo)
+        a, w, base = self._grid()
+        memo = image.__dict__
+        memo["_ints"] = (a + k * base if eps > 0 else k * base - a - w, w, base)
+        if "_cell" in self.__dict__:
+            level, j = self.__dict__["_cell"]
+            memo["_cell"] = (level, j if eps > 0 else (1 << level) - 1 - j)
+        return image
 
     # -- display -------------------------------------------------------------
 
@@ -585,12 +641,6 @@ class AffineValue:
 
     def decimal(self, places: int = 5) -> str:
         return _cell_decimal(self.cell, places)
-
-    def cmp_rational(self, q: Fraction) -> int:
-        if self.scale == 0:
-            raise ValueError("degenerate affine value")
-        c = self.base.cmp_rational((q - self.offset) / self.scale)
-        return c if self.scale > 0 else -c
 
 
 def horner_in(theta: AlgebraicNumber, coeffs, lo, hi, bits: int,

@@ -64,7 +64,8 @@ def binary_expansion(a: AlgebraicNumber, length: int) -> BitStream:
         raise ValueError("length must be positive")  # before any refinement
     if not a.is_real:
         raise NotInUnitInterval("bit streams need a real number")
-    if a.cmp_rational(Fraction(0)) < 0 or a.cmp_rational(Fraction(1)) > 0:
+    # ints carry numerator and denominator, so no Fraction is built
+    if a.cmp_rational(0) < 0 or a.cmp_rational(1) > 0:
         raise NotInUnitInterval(f"{a.minpoly} root is outside (0,1)")
 
     def decide(bits):

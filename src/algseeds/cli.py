@@ -19,8 +19,10 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
-from .algebraic import AffineValue, AlgebraicNumber, PrecisionExhausted, round_half_even
+from .algebraic import (AffineValue, AlgebraicNumber, PrecisionExhausted, RationalInput,
+                        round_half_even)
 from .bits import binary_expansion, bit_stats, complement_check
 from .coverage import (InvalidTarget, NotQuadratic, WrongSignature,
                        common_index_witnesses, find_common_index,
@@ -45,11 +47,20 @@ class Outcome:
 
 
 def _value_str(num: AlgebraicNumber) -> str:
+    """The number to 5 places; an imaginary quadratic as re +- im i.  Its
+    imaginary part sqrt(4c - b^2) / 2 rests on sqrt(4c - b^2), built trusted
+    on (s, s + 1) with s = isqrt(4c - b^2): when 4c - b^2 is not a square,
+    x^2 - (4c - b^2) is irreducible and changes sign there."""
     if num.is_real:
         return num.decimal(5)
     b, c = num.minpoly.coeffs
     re = round_half_even(Fraction(-b, 2), 5)
-    im = AffineValue(AlgebraicNumber.sqrt_of(4 * c - b * b),
+    radicand = 4 * c - b * b
+    s = isqrt(radicand)
+    p = MonicIntPoly._trusted((0, -radicand))
+    if s * s == radicand:
+        raise RationalInput(f"{p} is reducible")
+    im = AffineValue(AlgebraicNumber._narrowed(p, Fraction(s), Fraction(s + 1)),
                      Fraction(1, 2), Fraction(0)).decimal(5)
     return f"{re} {'+' if num.half_plane > 0 else '-'} {im} i"
 

@@ -51,9 +51,9 @@ class MonicIntPoly:
     def _trusted(cls, coeffs: tuple[int, ...]) -> "MonicIntPoly":
         """Trusted: coeffs is a tuple of two or three ints already, so the
         checks of ``__post_init__`` are skipped (the ``families`` docstring
-        states when that holds).  The one field is stored as the dataclass
-        ``__init__`` stores it, so ``==``, ``hash`` and ``to_json`` are those
-        of the validated polynomial."""
+        and ``map_root`` state when that holds).  The one field is stored as
+        the dataclass ``__init__`` stores it, so ``==``, ``hash`` and
+        ``to_json`` are those of the validated polynomial."""
         p = object.__new__(cls)
         object.__setattr__(p, "coeffs", coeffs)
         return p
@@ -149,9 +149,13 @@ class MonicIntPoly:
         return roots, (None if roots else self)
 
     def map_root(self, eps: int, shift: int) -> "MonicIntPoly":
-        """Monic polynomial whose roots are eps*alpha + shift (eps = +-1, shift in Z)."""
+        """Monic polynomial whose roots are eps*alpha + shift (eps = +-1, shift
+        in Z).  A Taylor shift of ints by an int gives ints, two or three of
+        them, so the result is built through ``_trusted``."""
         if eps not in (1, -1):
             raise ValueError("eps must be +-1")
+        if not isinstance(shift, int):
+            raise TypeError("shift must be an int")
         if self.degree == 2:
             b, c = self.coeffs
             flipped = [c, eps * b, 1]
@@ -159,7 +163,7 @@ class MonicIntPoly:
             b, c, d = self.coeffs
             flipped = [eps * d, c, eps * b, 1]
         out = _taylor_shift(flipped, -shift)
-        return MonicIntPoly(tuple(reversed(out[:-1])))
+        return MonicIntPoly._trusted(tuple(reversed(out[:-1])))
 
     def reflected(self) -> "MonicIntPoly":
         """Roots alpha -> 1 - alpha."""

@@ -5,9 +5,9 @@ Delta_i = x_{i+1} - x_i.  Almost-uniformity is quantified by
 max_i |Delta_i - 1/N| <= c/N^2; the report exposes the measured
 constant c = N^2 * max_dev rather than thresholding it.
 
-Every inequality is decided on rigorous enclosures, refined until the
-comparison separates; compared quantities are irrational against
-rational bounds, so ties cannot occur.
+Every inequality on the gaps is decided on rigorous enclosures, refined
+until the comparison separates; compared quantities are irrational against
+rational bounds, so ties cannot occur.  The half counts need no enclosure.
 
 One denominator.  At a precision bits, every value hands out its int cell
 [left, right] / den (``algebraic.value_cell``: a number's bisection cell,
@@ -22,6 +22,29 @@ rational as interval arithmetic on ``Fraction`` ends would, and
 same value; the JSON does not change by a byte.  Each rung of a bound check
 compares the same rationals as on ``Fraction`` ends, so it decides at the
 same rung.
+
+Half counts off the spec.  ``half_split`` and the report count the values
+below 1/2 on the spec's integers, one test per free coefficient k, after
+checking that the instance lists its spec's elements in ``build_set`` order
+(``_require_spec_order``; any other instance raises ``ValueError``):
+
+  * A real family.  The element for k is the one root in (0, 1) of
+    p_k = x^d + a_1 x^(d-1) + ... + a_(d-1) x + k, also for a reducible 3tr
+    cubic, whose integer root lies outside (0, 1) (the ``families``
+    docstring).  p_k(0) = k and p_k(1) = t + k, t = 1 + a_1 + ... + a_(d-1),
+    have opposite signs, so p_k changes sign once on (0, 1), at the
+    element.  1/2 is no root of a monic integer polynomial, so the element
+    lies below 1/2 exactly when p_k(1/2) has the sign of p_k(1).  With
+    a_0 = 1, 2^d p_k(1/2) = c + 2^d k for c = sum of a_i 2^i over i < d, a
+    test linear in k.
+  * 2i, odd n.  The value is sqrt(4k - 1) / 2 - r // 2 with
+    r = isqrt(4k - 1) (``im_fractional``); it lies below 1/2 exactly when
+    sqrt(4k - 1) < 2 (r // 2) + 1, that is 4k - 1 < (2 (r // 2) + 1)^2, never
+    with equality, since 4k - 1 = 3 mod 4 and an odd square is 1 mod 4.
+  * 2i, even n.  The value is sqrt(k) - n/2, below 1/2 exactly when
+    4k < (n + 1)^2; an odd square is never 4k.
+
+The tests check the counts against per-value ``cmp_rational`` with 1/2.
 """
 
 from __future__ import annotations
@@ -31,7 +54,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from .algebraic import AffineValue, AlgebraicNumber, FracIv, refine_until, round_half_even, value_cell
-from .families import MonicIntPoly, SetInstance, SetSpec, element, half_shift_poly
+from .families import _ONE, _ZERO, MonicIntPoly, SetInstance, SetSpec, element, half_shift_poly
 
 
 class TooFewElements(ValueError):
@@ -148,15 +171,58 @@ def _discrepancy(lefts: list[int], rights: list[int], den: int) -> FracIv:
 
 
 def half_split(s: SetInstance) -> tuple[int, int]:
-    """Exact (below 1/2, above 1/2) counts; elements are irrational, so no
-    value can sit on the boundary."""
-    return _half_counts(instance_values(s))
+    """Exact (below 1/2, above 1/2) counts, read off the spec's integers
+    (module docstring); s must list its spec's elements in order."""
+    return _half_counts(s)
 
 
-def _half_counts(values) -> tuple[int, int]:
-    half = Fraction(1, 2)
-    below = sum(1 for v in values if v.cmp_rational(half) < 0)
-    return below, len(values) - below
+def _require_spec_order(s: SetInstance) -> None:
+    """Raise ValueError unless element i of s is the root of its spec with
+    the i-th free coefficient k of ``SetSpec.free_coeffs``: free coefficient
+    k, minimal polynomial p_k (for a reducible 3tr cubic, its quotient by
+    x - r for an integer r), and the selector ``build_set`` gives, the
+    interval (0, 1) or the upper half plane."""
+    spec = s.spec
+    coeffs = spec.free_coeffs()
+    if spec.family == "2i":
+        head, selector = (-(spec.params[0] % 2),), (None, None, 1)
+    else:
+        head, selector = spec.params, (_ZERO, _ONE, 0)
+    if len(s.elements) != len(coeffs):
+        raise ValueError(f"{spec.family}{spec.params}: {len(s.elements)} elements, "
+                         f"the spec has {len(coeffs)}")
+    for e, k in zip(s.elements, coeffs):
+        a, p_k = e.number, head + (k,)
+        q = a.minpoly.coeffs
+        if q != p_k and len(q) == 2 < len(p_k):
+            # x^3 + m x^2 + n x + k = (x - r)(x^2 + u x + v) exactly when
+            # r = u - m, n = v - r u and k = -r v
+            u, v = q
+            r = u - head[0]
+            if v - r * u == head[1] and -r * v == k:
+                q = p_k
+        if e.free_coeff != k or q != p_k or (a.lo, a.hi, a.half_plane) != selector:
+            raise ValueError(f"{spec.family}{spec.params}: element {e.free_coeff} stands where "
+                             f"the spec's root for {k} belongs")
+
+
+def _half_counts(s: SetInstance) -> tuple[int, int]:
+    """(below 1/2, above 1/2) for an instance of its spec, in order, by one
+    integer test per free coefficient k (module docstring)."""
+    _require_spec_order(s)
+    spec = s.spec
+    coeffs = spec.free_coeffs()
+    if spec.family != "2i":
+        # 2**d p_k(1/2) = c + 2**d k with c = sum of a_i 2**i over i < d,
+        # against p_k(1) = t + k with t = 1 + sum of a_i
+        head = spec.params
+        d, c, t = len(head) + 1, sum(a << i for i, a in enumerate((1, *head))), 1 + sum(head)
+        below = sum((c + (k << d) > 0) == (t + k > 0) for k in coeffs)
+    elif spec.params[0] % 2:
+        below = sum(4 * k - 1 < (2 * (isqrt(4 * k - 1) // 2) + 1) ** 2 for k in coeffs)
+    else:
+        below = sum(4 * k < (spec.params[0] + 1) ** 2 for k in coeffs)
+    return below, len(coeffs) - below
 
 
 def _gaps(lefts: list[int], rights: list[int]) -> list[tuple[int, int]]:
@@ -216,7 +282,7 @@ def uniformity_report(s: SetInstance, bits: int = 64) -> UniformityReport:
     n = len(values)
     lefts, rights, den = _cells(values, bits)
     disc = _discrepancy(lefts, rights, den)
-    halves = _half_counts(values)
+    halves = _half_counts(s)
     if n < 2:
         return UniformityReport(n, (), None, None, disc, halves, None)
     gaps = _gaps(lefts, rights)

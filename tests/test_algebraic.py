@@ -214,6 +214,39 @@ def test_quadratic_memo_hands_over_both_ways(n, index, upper, den, level, stored
         assert_bisection_cell(x, bits, r)
 
 
+@settings(max_examples=150, deadline=None)
+@given(p=IRREDUCIBLE_REAL, index=st.integers(0, 2), den=st.sampled_from((1, 3, 5, 7)),
+       below=st.integers(0, 20), above=st.integers(0, 20), bits=st.integers(0, 300),
+       k=st.integers(-40, 40), deeper=st.integers(1, 400))
+@example(p=MonicIntPoly.quadratic(0, -2), index=1, den=1, below=0, above=0, bits=40, k=3,
+         deeper=200)
+@example(p=PLASTIC, index=0, den=3, below=5, above=2, bits=100, k=-7, deeper=1)
+@example(p=MonicIntPoly.cubic(0, -7, 7), index=1, den=8, below=20, above=20, bits=10, k=0,
+         deeper=300)
+def test_affine_images_keep_the_cell(p, index, den, below, above, bits, k, deeper):
+    """A number refined to a drawn level hands its memo, mapped, to negated,
+    plus_int(k) and reflected (algebraic docstring): cell j at level s goes
+    to j or to 2**s - 1 - j.  Each image then answers cell(b) as a copy of
+    it built by the validating constructor and never refined does, at levels
+    below, at and above the carried one."""
+    roots = irrational_real_roots(p)
+    x = grid_interval(roots[index % len(roots)], den, below, above)
+    x.cell(bits)
+    memo = x.__dict__.get("_cell")
+    maps = ((lambda y: y.negated(), -1), (lambda y: y.plus_int(k), 1),
+            (lambda y: y.reflected(), -1))
+    for b in (*range(max(bits - 3, 0), bits + 4), bits + deeper):
+        for image_of, eps in maps:
+            image = image_of(x)
+            if memo is not None:
+                level, j = memo
+                assert image.__dict__["_cell"] == (level, j if eps > 0 else (1 << level) - 1 - j)
+            fresh = AlgebraicNumber(image.minpoly, image.lo, image.hi)
+            assert image == fresh
+            assert image.cell(b) == fresh.cell(b)
+            assert image.cmp_rational(0) == fresh.cmp_rational(Fraction(0))
+
+
 @settings(max_examples=200)
 @given(p=IRREDUCIBLE_REAL, index=st.integers(0, 2), den=st.sampled_from((1, 3, 5, 7)),
        below=st.integers(0, 20), above=st.integers(0, 20), bits=st.integers(-2, 300))
@@ -585,8 +618,6 @@ def test_affine_value_cell_and_decimal():
     left, right, den = v.cell(40)
     assert Fraction(37, 10) < Fraction(left, den) < Fraction(right, den) < Fraction(38, 10)
     assert (right - left) << 40 <= den
-    assert v.cmp_rational(Fraction(7, 2)) == 1
-    assert v.cmp_rational(Fraction(4)) == -1
     w = AffineValue(SQRT2, Fraction(-3, 2), Fraction(1, 3))   # 1/3 - 3 sqrt(2) / 2
     assert w.decimal(5) == "-1.78799"
 
@@ -609,7 +640,6 @@ def test_affine_value_cell_is_the_exact_image_of_the_base_cell(p, index, scale, 
     r = v.base.refine(bits + scale.numerator.bit_length())
     image = (r.lo * scale + offset, r.hi * scale + offset)
     assert (Fraction(left, den), Fraction(right, den)) == (image if scale > 0 else image[::-1])
-    assert v.cmp_rational(Fraction(left, den)) == 1 and v.cmp_rational(Fraction(right, den)) == -1
     assert (right - left) << bits <= den
 
 

@@ -415,7 +415,7 @@ def test_cubic_bound_120_sweep_json_is_pinned(capsys):
         "672e22c9fe382692c45dbc4be55bdd8b4183f9f52f2e82271ba7569ba473381f"
 
 
-# SHA-256 of the JSON each invocation prints
+# SHA-256 of what each invocation prints: JSON, or the table it asks for
 REFINED_OUTPUT_SHA256 = {
     "gen --family 2r --n 93":
         "9cb3d21cf3c8c85f1c76e47b481b85619c928bdfc7fd11abfaef06c00fb73263",
@@ -453,14 +453,18 @@ REFINED_OUTPUT_SHA256 = {
         "e7f44693944d28628316258cfec4945330317f64d51d4e9b3bd60e1c453a16f3",
     "tiling --bound 20":
         "6bddc2935d9d12b3132d58aede437c0b1b074041b4c0bad97a4cef7259afce61",
+    "find-index 2 3 5 --domain imaginary --format table":
+        "ca0355be10659b539d2577286b3de271a603ae745929a776acb566a3ba6d8db5",
+    "complement-check --family 3tr --m 0 --n -59":
+        "6cf9e574ec00ece1a93cd6bb7d5082614b1b0b4afc03f5d7dddb858739081bdc",
 }
 
 
 @pytest.mark.parametrize("argv", REFINED_OUTPUT_SHA256)
 def test_refined_output_json_is_pinned(capsys, argv):
-    """gen values, uniformity gaps and bit streams all read refined cells
-    (quadratics in closed form, cubics by quadratic interval refinement);
-    their JSON must not change a byte."""
+    """gen values, uniformity gaps, bit streams, imaginary parts and
+    reflections all read refined cells (quadratics in closed form, cubics by
+    quadratic interval refinement); their output must not change a byte."""
     code, out, err = run(capsys, *argv.split())
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REFINED_OUTPUT_SHA256[argv]

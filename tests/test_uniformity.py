@@ -1,5 +1,6 @@
 """Unit tests for gap statistics, discrepancy, and half-interval counts."""
 
+import random
 from fractions import Fraction
 from math import isqrt
 
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from algseeds.algebraic import AffineValue, AlgebraicNumber, refine_until, same_number
-from algseeds.families import SetSpec, build_set
+from algseeds.algebraic import (AffineValue, AlgebraicNumber, irrational_real_roots, refine_until,
+                                same_number)
+from algseeds.families import SetElement, SetInstance, SetSpec, build_set
 from algseeds.uniformity import (
     TooFewElements,
     _check_bound,
@@ -272,6 +274,63 @@ def test_report_matches_the_definition_on_fraction_ends(spec, bits):
     assert report.constant == (dev[0] * n * n, dev[1] * n * n)
     expected = _defined_bound_check(spec, values, bits)
     assert (report.bound_check.satisfied if report.bound_check else None) is expected
+
+
+def _below_half_by_cmp_rational(v) -> bool:
+    """The slow path: one exact comparison of the value with 1/2.  A 2i
+    value of odd n is scale x + offset with scale 1/2 > 0, below 1/2 exactly
+    when x < (1/2 - offset) / scale."""
+    half = Fraction(1, 2)
+    if isinstance(v, AffineValue):
+        assert v.scale > 0
+        return v.base.cmp_rational((half - v.offset) / v.scale) < 0
+    return v.cmp_rational(half) < 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=DRAWN_SPECS)
+@example(spec=SetSpec("3tr", (-3, -9)))   # one reducible element, d = 2
+@example(spec=SetSpec("3tr", (-2, -20)))  # one reducible element, d = 16
+@example(spec=SetSpec("2i", (61,)))       # odd: isqrt(4c - 1)
+@example(spec=SetSpec("2i", (60,)))       # even: 4c < (n + 1)^2
+@example(spec=SetSpec("2r", (-3,)))       # one element, with c > 0
+def test_half_counts_match_per_value_comparison(spec):
+    """The half counts read off the spec's integers (uniformity docstring)
+    equal per-value comparisons with 1/2, in half_split and in the report."""
+    inst = build_set(spec)
+    values = instance_values(inst)
+    below = sum(_below_half_by_cmp_rational(v) for v in values)
+    assert half_split(inst) == (below, len(values) - below)
+    assert uniformity_report(inst, 16).half_counts == (below, len(values) - below)
+
+
+def test_half_counts_refuse_an_instance_that_is_not_its_spec_in_order():
+    """The closed form holds for the spec's elements in build_set order; a
+    shuffled or shortened instance raises, and so does one under another
+    spec, one with a conjugate in place of an element and one with an
+    element under a wrong free coefficient."""
+    spec = SetSpec("3tr", (-2, -20))
+    elements = build_set(spec).elements
+    assert any(e.number.minpoly.degree == 2 for e in elements)
+    order = list(range(len(elements)))
+    random.Random(7).shuffle(order)
+    assert order != sorted(order)
+    conjugate = irrational_real_roots(elements[0].number.minpoly)
+    swapped = SetElement(elements[0].free_coeff,
+                         next(r for r in conjugate if not same_number(r, elements[0].number)))
+    mislabelled = SetElement(elements[0].free_coeff + 1, elements[0].number)
+    for bad in (SetInstance(spec, tuple(elements[i] for i in order)),
+                SetInstance(spec, elements[1:]),
+                SetInstance(SetSpec("3tr", (-2, -21)), elements),
+                SetInstance(spec, (swapped, *elements[1:])),
+                SetInstance(spec, (mislabelled, *elements[1:]))):
+        with pytest.raises(ValueError):
+            half_split(bad)
+        with pytest.raises(ValueError):
+            uniformity_report(bad)
+    quad = build_set(SetSpec("2i", (9,))).elements
+    with pytest.raises(ValueError):
+        half_split(SetInstance(SetSpec("2i", (9,)), quad[::-1]))
 
 
 RATIONAL_LISTS = st.lists(
