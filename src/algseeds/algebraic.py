@@ -104,10 +104,7 @@ by construction:
     a root, because an irreducible polynomial of degree >= 2 has no
     rational root.  So its sign is nonzero and equals the sign at exactly
     one endpoint; keeping a cell whose endpoints differ keeps the sign
-    change.  ``floor`` reads the same fact off ``cell(0)``, a cell of width
-    <= 1 on whose ends p changes sign: with k the floor of its left end,
-    k + 1 is the only integer that can lie strictly inside, and one sign
-    test there says whether the number lies above it;
+    change;
   * a sub-interval of an isolating interval on whose ends p changes sign
     (every cell ``refine`` keeps) still holds exactly one root;
   * ``irrational_real_roots`` builds each root of ``rest``, the factor of
@@ -402,18 +399,6 @@ class AlgebraicNumber:
                 return False
             return None
         return refine_until(decide, 8)
-
-    def floor(self) -> int:
-        """The integer part, read off the cell at width <= 1: with k = floor
-        of its left end, it holds no integer inside but k + 1, and one sign
-        test there decides k or k + 1 (module docstring)."""
-        left, right, den = self.cell(0)
-        k = left // den
-        if (k + 1) * den < right:
-            p = self.minpoly
-            if (p.scaled_value(k + 1, 1) > 0) == (p.scaled_value(left, den) > 0):
-                return k + 1
-        return k
 
     # -- affine images -------------------------------------------------------
 

@@ -1,22 +1,39 @@
 """Tiling of the quadratic integers, common-index and generator searches,
 and the quadratic layer of the totally real cubic families.
 
-The real quadratic tiling is decided by integers alone: for v in (0,1)
-with minimal polynomial x^2 + B'x + C', the trace classification leaves
-only B' >= 1 (a set member) or B' <= -3 (the reflection is a member);
-B' in {0,-1,-2} would force C' into an empty integer range.
+The real quadratic tiling is decided by integers alone, with no root
+built.  Write a = (b,c)_sign = (-b + sign sqrt(D))/2 with D = b^2 - 4c > 0
+not a square, and s = isqrt(D), so sqrt(D) lies strictly in (s, s + 1):
+
+  * the floor of a is (-b + s) // 2 for sign = +1 and (-b - s - 1) // 2
+    for sign = -1.  a lies strictly inside ((-b + s)/2, (-b + s + 1)/2),
+    resp. ((-b - s - 1)/2, (-b - s)/2), an interval of length 1/2 whose
+    left end is an integer or a half-integer, so no integer lies inside
+    it and a has the floor of its left end;
+  * trace classification: for v in (0,1) with minimal polynomial
+    x^2 + B'x + C' (v = a - floor(a), by ``bc_shift_params``), only
+    B' >= 1 (a set member) or B' <= -3 (the reflection is a member) is
+    left; B' in {0,-1,-2} would force C' into an empty integer range;
+  * rank rule: if q(0) < 0 < q(1) for q = x^2 + B x + C, then 0 lies
+    between q's roots, so q's root in (0,1) is its larger root, which is
+    the element of the instance 2r(B) when B >= 1.  x -> eps(x - n) keeps
+    the order of the two roots for eps = +1 and reverses it for eps = -1,
+    so eps(a - n) is that root exactly when eps * sign = 1.
+
+The member check and the brute scan of ``verify_tiling`` read their
+answers off these rules; ``tests/test_coverage.py`` checks them against
+the number path (roots, floor by comparison, exact membership).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt
 
-from .algebraic import AlgebraicNumber, horner_in, irrational_real_roots, same_number
-from .families import (InvalidParams, SetInstance, SetSpec, _unit_interval_root, bc_root,
-                       bc_shift_params, build_set, iter_elements, quadratic_exception)
+from .algebraic import AlgebraicNumber, horner_in, irrational_real_roots
+from .families import (InvalidParams, SetSpec, _unit_interval_root, bc_root, bc_shift_params,
+                       iter_elements, quadratic_exception)
 from .fields import FieldExpression, char_poly, express_in, squarefree_kernel
 from .polynomials import MonicIntPoly, is_perfect_square
 
@@ -43,20 +60,18 @@ class TileIndex:
         return {"eps": self.eps, "n": self.n, "family_union": self.family_union}
 
 
-def _real_tile(a: AlgebraicNumber) -> tuple[TileIndex, MonicIntPoly]:
-    """Tile of a real quadratic integer plus the minimal polynomial of the
-    set element representing it."""
-    k = a.floor()
-    frac = a.minpoly.map_root(1, -k)
-    bp, cp = frac.coeffs
+def _real_tile(b: int, c: int, sign: int) -> tuple[TileIndex, tuple[int, int]]:
+    """Tile of the real quadratic integer (b,c)_sign plus the coefficients
+    (B', C') of the minimal polynomial of the set element representing it,
+    from the isqrt floor and the trace classification (module docstring)."""
+    s = isqrt(b * b - 4 * c)
+    k = (-b + s) // 2 if sign > 0 else (-b - s - 1) // 2
+    bp, cp = bc_shift_params(b, c, -k)
     assert bp not in (0, -1, -2), "impossible trace for a unit-interval quadratic"
     if bp >= 1:
-        assert -bp <= cp <= -1
-        return TileIndex(1, k, "S2r"), frac
-    refl = frac.reflected()
-    bq, cq = refl.coeffs
-    assert bq >= 1 and -bq <= cq <= -1
-    return TileIndex(-1, k + 1, "S2r"), refl
+        return TileIndex(1, k, "S2r"), (bp, cp)
+    # the reflection 1 - (a - k) = -a + (k + 1)
+    return TileIndex(-1, k + 1, "S2r"), bc_shift_params(-b, c, k + 1)
 
 
 def _imaginary_tile_coords(b: int, c: int, sign: int) -> tuple[TileIndex, int, int]:
@@ -80,9 +95,10 @@ def tile_locate(a: AlgebraicNumber) -> TileIndex:
     S-hat^{2,i} for imaginary."""
     if a.minpoly.degree != 2:
         raise NotQuadratic(f"{a.minpoly} has degree {a.minpoly.degree}")
-    if a.minpoly.discriminant() > 0:
-        return _real_tile(a)[0]
     b, c = a.minpoly.coeffs
+    if a.minpoly.discriminant() > 0:
+        # the larger root lies above the mean -b/2 of the two
+        return _real_tile(b, c, a.cmp_rational(Fraction(-b, 2)))[0]
     sign = 1 if a.half_plane > 0 else -1
     return _imaginary_tile_coords(b, c, sign)[0]
 
@@ -102,33 +118,28 @@ class TilingReport:
                 "ok": self.ok}
 
 
-@lru_cache(maxsize=None)
-def _cached_instance(family: str, n: int) -> SetInstance:
-    return build_set(SetSpec(family, (n,)))
+def _real_member_check(tile: TileIndex, elem: tuple[int, int], sign: int) -> bool:
+    """Whether the located representative eps*(a - n) of a = (b,c)_sign is
+    an element of 2r(B'): C' lies in that instance's range, and the
+    representative is the larger root of x^2 + B'x + C' by the rank rule
+    (module docstring)."""
+    bp, cp = elem
+    return cp in SetSpec("2r", (bp,)).free_coeff_range() and tile.eps * sign == 1
 
 
-def _real_member_check(a: AlgebraicNumber, tile: TileIndex, elem_poly: MonicIntPoly) -> bool:
-    """Rebuild the tile's set instance and confirm the located fractional
-    representative is one of its elements."""
-    v = a.plus_int(-tile.n) if tile.eps == 1 else a.negated().plus_int(tile.n)
-    inst = _cached_instance("2r", elem_poly.coeffs[0])
-    return any(e.number.minpoly == elem_poly and same_number(e.number, v)
-               for e in inst.elements)
-
-
-def _real_membership_scan(a: AlgebraicNumber, bound: int) -> list[TileIndex]:
-    """Brute force: every (eps, n) with |n| <= bound+1 whose tile contains a."""
+def _real_membership_scan(b: int, c: int, sign: int, bound: int) -> list[TileIndex]:
+    """Brute force: every (eps, n) with |n| <= bound+1 whose tile contains
+    a = (b,c)_sign, by the coefficients of eps*(a - n) and the rank rule
+    (module docstring)."""
     hits = []
-    b, c = a.minpoly.coeffs
     for eps in (1, -1):
         for n in range(-bound - 1, bound + 2):
-            # q = x^2 + b2 x + c2, the minimal polynomial of eps*(a - n), in the
-            # closed form of bc_shift_params rather than by map_root(eps, -eps*n)
+            # q = x^2 + b2 x + c2, the minimal polynomial of eps*(a - n)
             b2, c2 = bc_shift_params(b, c, -n) if eps == 1 else bc_shift_params(-b, c, n)
             if c2 >= 0 or 1 + b2 + c2 <= 0 or b2 < 1:
                 continue  # no set element among the roots of q
-            # q has exactly one root in (0,1); is it eps*(a-n) = -eps*n + eps*a?
-            if horner_in(a, (-eps * n, eps), 0, 1, 32):
+            # q has exactly one root in (0,1), its larger; is it eps*(a - n)?
+            if eps * sign == 1:
                 hits.append(TileIndex(eps, n, "S2r"))
     return hits
 
@@ -148,18 +159,16 @@ def _verify_real(bound: int) -> TilingReport:
     violations = []
     for b in range(-bound, bound + 1):
         for c in range(-bound, bound + 1):
-            p = MonicIntPoly.quadratic(b, c)
-            disc = p.discriminant()
+            disc = b * b - 4 * c
             if disc <= 0 or is_perfect_square(disc):
                 continue
             for sign in (1, -1):
-                a = bc_root(b, c, sign)
                 checked += 1
-                tile, elem_poly = _real_tile(a)
-                # cross-check one: the element reconstructs inside its instance
-                member = _real_member_check(a, tile, elem_poly)
+                tile, elem = _real_tile(b, c, sign)
+                # cross-check one: the representative is an element of its instance
+                member = _real_member_check(tile, elem, sign)
                 # cross-check two: the brute scan finds exactly this tile
-                hits = _real_membership_scan(a, bound)
+                hits = _real_membership_scan(b, c, sign, bound)
                 if not member or hits != [tile]:
                     violations.append({"b": b, "c": c, "sign": sign,
                                        "tile": tile.to_json(),
@@ -183,12 +192,14 @@ def _s2i_instance_index(b0: int, c0: int) -> int | None:
 
 
 def _s2i_member_check(b0: int, c0: int) -> bool:
+    """Whether the upper root of x^2 + b0 x + c0 is an element of its
+    instance: c0 lies in the instance's range, and the instance's
+    polynomial for c0 is this one."""
     n = _s2i_instance_index(b0, c0)
     if n is None:
         return False
-    inst = _cached_instance("2i", n)
-    want = MonicIntPoly.quadratic(b0, c0)
-    return any(e.free_coeff == c0 and e.number.minpoly == want for e in inst.elements)
+    spec = SetSpec("2i", (n,))
+    return c0 in spec.free_coeff_range() and spec.defining_poly(c0).coeffs == (b0, c0)
 
 
 def _verify_imaginary(bound: int, hatted: bool) -> TilingReport:

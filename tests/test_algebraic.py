@@ -368,48 +368,6 @@ def test_less_than_for_close_roots():
     assert not r2.less_than(r1)
 
 
-def test_floor_and_fractional_part():
-    assert SQRT2.floor() == 1
-    frac = SQRT2.plus_int(-SQRT2.floor())
-    assert frac.decimal(5) == "0.41421"
-    assert frac.minpoly == MonicIntPoly.quadratic(2, -1)
-
-    neg = SQRT2.negated()
-    assert neg.floor() == -2
-    assert neg.plus_int(-neg.floor()).decimal(5) == "0.58579"
-
-    wide = irrational_real_roots(MonicIntPoly.cubic(0, -7, 7))  # isolated on wide intervals
-    for a in [SQRT2, neg, *wide]:
-        frac = a.plus_int(-a.floor())
-        assert frac.cmp_rational(Fraction(0)) > 0 > frac.cmp_rational(Fraction(1))
-        assert_revalidates(frac)
-
-
-@settings(max_examples=300)
-@given(p=IRREDUCIBLE_REAL, index=st.integers(0, 2), negate=st.booleans(),
-       shift=st.integers(-40, 40), refined=st.booleans())
-@example(p=MonicIntPoly.cubic(0, 0, -2), index=0, negate=False, shift=0, refined=False)  # (-4, 4)
-@example(p=MonicIntPoly.cubic(0, -7, 7), index=0, negate=True, shift=-3, refined=False)
-@example(p=MonicIntPoly.quadratic(0, -2), index=1, negate=False, shift=0, refined=True)
-def test_floor_is_the_integer_below(p, index, negate, shift, refined):
-    """a.floor() is the k with k < a < k + 1, decided by cmp_rational on the
-    isolating interval, on wide Cauchy-bound intervals and on their images."""
-    roots = irrational_real_roots(p)
-    a = roots[index % len(roots)]
-    if negate:
-        a = a.negated()
-    a = a.plus_int(shift)
-    if refined:
-        a = a.refine(5)
-    k = a.floor()
-    assert a.cmp_rational(Fraction(k)) > 0 > a.cmp_rational(Fraction(k + 1))
-
-
-def test_floor_of_a_complex_number_is_refused():
-    with pytest.raises(RationalInput):
-        AlgebraicNumber.complex_root(MonicIntPoly.quadratic(1, 1)).floor()
-
-
 def test_negated_plus_int_reflected():
     a = SQRT2
     assert a.negated().decimal(5) == "-1.41421"

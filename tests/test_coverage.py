@@ -3,10 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from algseeds.algebraic import AlgebraicNumber, irrational_real_roots, same_number
+from algseeds.algebraic import AlgebraicNumber, horner_in, irrational_real_roots, same_number
 from algseeds.coverage import (
     EXCLUDED_INDICES,
     GOLDEN_PLUS,
@@ -15,6 +15,9 @@ from algseeds.coverage import (
     NotQuadratic,
     TileIndex,
     WrongSignature,
+    _real_member_check,
+    _real_membership_scan,
+    _real_tile,
     common_index_witnesses,
     find_common_index,
     find_generator,
@@ -75,6 +78,99 @@ def test_real_tile_puts_fractional_part_in_unit_interval(b, c, sign):
     v = a.plus_int(-tile.n) if tile.eps == 1 else a.negated().plus_int(tile.n)
     assert v.cmp_rational(Fraction(0)) == 1
     assert v.cmp_rational(Fraction(1)) == -1
+
+
+def test_real_floor_and_fractional_part():
+    """The isqrt floor of _real_tile is the tile's n for eps = +1 and n - 1
+    for eps = -1: sqrt(2) = (0,-2)_+ has floor 1 and fractional part
+    sqrt(2) - 1, -sqrt(2) = (0,-2)_- has floor -2 and fractional part
+    2 - sqrt(2), whose reflection sqrt(2) - 1 is the set element."""
+    tile, elem = _real_tile(0, -2, 1)
+    assert tile == TileIndex(1, 1, "S2r") == tile_locate(SQRT2)
+    frac = SQRT2.plus_int(-1)
+    assert frac.decimal(5) == "0.41421"
+    assert frac.minpoly.coeffs == elem == (2, -1)
+
+    neg = SQRT2.negated()
+    tile, elem = _real_tile(0, -2, -1)
+    assert tile == TileIndex(-1, -1, "S2r") == tile_locate(neg)
+    assert neg.plus_int(2).decimal(5) == "0.58579"
+    assert elem == (2, -1)
+
+
+BIG = st.integers(min_value=-10**12, max_value=10**12)
+
+
+@given(b=BIG, c=BIG, sign=st.sampled_from((1, -1)))
+def test_real_floor_is_the_integer_below(b, c, sign):
+    """The isqrt floor k read off _real_tile has k < a < k + 1, decided by
+    cmp_rational on the root bc_root builds, far past the audit's bounds."""
+    disc = b * b - 4 * c
+    assume(disc > 0 and not is_perfect_square(disc))
+    tile, _ = _real_tile(b, c, sign)
+    k = tile.n if tile.eps == 1 else tile.n - 1
+    a = bc_root(b, c, sign)
+    assert a.cmp_rational(k) > 0 > a.cmp_rational(k + 1)
+
+
+def _number_floor(a: AlgebraicNumber) -> int:
+    k = 0
+    while a.cmp_rational(k) < 0:
+        k -= 1
+    while a.cmp_rational(k + 1) > 0:
+        k += 1
+    return k
+
+
+def _number_tile(b, c, sign):
+    """Tile, element polynomial and member flag of (b,c)_sign on numbers:
+    its root, a floor by comparison with integers, the fractional part or
+    its reflection, and an exact compare with the elements of the built
+    2r instance."""
+    a = bc_root(b, c, sign)
+    k = _number_floor(a)
+    frac = a.minpoly.map_root(1, -k)
+    if frac.coeffs[0] >= 1:
+        tile, elem, v = TileIndex(1, k, "S2r"), frac, a.plus_int(-k)
+    else:
+        tile, elem, v = TileIndex(-1, k + 1, "S2r"), frac.reflected(), a.negated().plus_int(k + 1)
+    inst = build_set(SetSpec("2r", (elem.coeffs[0],)))
+    member = any(e.number.minpoly == elem and same_number(e.number, v) for e in inst.elements)
+    return a, tile, elem, member
+
+
+def _number_scan(a, bound):
+    """Every (eps, n) with |n| <= bound + 1 whose shifted polynomial has a
+    set element among its roots and whose unit-interval root is eps(a - n),
+    decided by refining a."""
+    hits = []
+    for eps in (1, -1):
+        for n in range(-bound - 1, bound + 2):
+            b2, c2 = a.minpoly.map_root(eps, -eps * n).coeffs
+            if c2 < 0 < 1 + b2 + c2 and b2 >= 1 and horner_in(a, (-eps * n, eps), 0, 1, 32):
+                hits.append(TileIndex(eps, n, "S2r"))
+    return hits
+
+
+def test_real_audit_matches_the_number_path():
+    """The integer audit of verify_tiling (isqrt floor, trace
+    classification, rank rule; coverage docstring) against the number path
+    it replaced, for every (b, c, sign) of every bound 1..12: the same tile,
+    element polynomial, member flag and brute-scan hits."""
+    top = 12
+    for b in range(-top, top + 1):
+        for c in range(-top, top + 1):
+            disc = b * b - 4 * c
+            if disc <= 0 or is_perfect_square(disc):
+                continue
+            for sign in (1, -1):
+                a, tile, elem, member = _number_tile(b, c, sign)
+                got_tile, got_elem = _real_tile(b, c, sign)
+                assert (got_tile, got_elem) == (tile, elem.coeffs), (b, c, sign)
+                assert _real_member_check(got_tile, got_elem, sign) == member, (b, c, sign)
+                for bound in range(max(abs(b), abs(c), 1), top + 1):
+                    assert _real_membership_scan(b, c, sign, bound) == _number_scan(a, bound), \
+                        (b, c, sign, bound)
 
 
 def test_real_tiling_exhaustive_small_bound():

@@ -84,7 +84,6 @@ LADDER_ENTRY_POINTS = {
     "binary_expansion": lambda: binary_expansion(SQRT2.plus_int(-1), 16),
     "uniformity_report 2i(5)": lambda: uniformity_report(build_set(SetSpec("2i", (5,)))),
     "uniformity_report 3tr(-1,-8)": lambda: uniformity_report(build_set(SetSpec("3tr", (-1, -8)))),
-    "verify_tiling": lambda: verify_tiling(2),
     "find_generator": lambda: find_generator(MonicIntPoly.cubic(0, 0, -2), "3ntr"),
     "render_table(1)": lambda: render_table(1),
 }
@@ -95,6 +94,18 @@ def test_every_ladder_is_capped(monkeypatch, name):
     monkeypatch.setattr(algseeds.algebraic, "MAX_BITS", -1)  # no attempt fits
     with pytest.raises(PrecisionExhausted):
         LADDER_ENTRY_POINTS[name]()
+
+
+def test_verify_tiling_refines_nothing(monkeypatch):
+    """verify_tiling decides all three domains on integers (coverage
+    docstring), so it reaches no ladder and no cell: with no attempt
+    fitting the cap it still returns ok, and no cell is asked for."""
+    monkeypatch.setattr(algseeds.algebraic, "MAX_BITS", -1)
+    cells = []
+    monkeypatch.setattr(AlgebraicNumber, "cell", lambda self, bits: cells.append(bits))
+    for domain in ("real", "imaginary", "imaginary-except-qi"):
+        assert verify_tiling(11, domain).ok
+    assert cells == []
 
 
 def _is_precision(node) -> bool:
