@@ -3,9 +3,8 @@ of quadratic and cubic algebraic integers, with tiling, search, and
 bit-extraction tooling on top.  All arithmetic is exact: integers,
 fractions, and certified interval refinement."""
 
-from .algebraic import (AffineValue, AlgebraicNumber, ComplexEnclosure,
-                        PrecisionExhausted, complex_pair, irrational_real_roots,
-                        same_number)
+from .algebraic import (AffineValue, AlgebraicNumber, PrecisionExhausted,
+                        irrational_real_roots, same_number)
 from .bits import (BitStream, ComplementReport, RunStats, binary_expansion,
                    bit_stats, complement_check)
 from .coverage import (CommonIndexResult, GeneratorWitness, InvalidTarget,
@@ -29,7 +28,7 @@ from .uniformity import (BoundCheck, TooFewElements, UniformityReport,
 
 __all__ = [
     "AffineValue", "AlgebraicNumber", "BitStream", "BoundCheck", "Collision",
-    "CommonIndexResult", "ComplementReport", "ComplexEnclosure",
+    "CommonIndexResult", "ComplementReport",
     "FieldExpression", "FieldId", "FAMILIES", "GeneratorWitness",
     "IndependenceReport", "InvalidParams", "InvalidTarget", "MonicIntPoly",
     "NotQuadratic", "ObstructionReport", "PrecisionExhausted",
@@ -38,7 +37,7 @@ __all__ = [
     "TileIndex", "TilingReport", "TooFewElements", "UniformityReport",
     "WrongSignature", "bc_root", "bc_shift_params", "binary_expansion",
     "bit_stats", "build_set", "char_poly", "classify_exception",
-    "common_index_witnesses", "complement_check", "complex_pair",
+    "common_index_witnesses", "complement_check",
     "discrepancy", "express_in", "find_common_index", "find_generator",
     "half_split", "im_fractional", "independence_report",
     "irrational_real_roots", "quad_layer_report", "quadratic_exception",

@@ -15,9 +15,22 @@ bisection stops on, as three ints (left, right, den) on the one
 denominator D 2^s* (D itself, and the number's own interval, when s* = 0).
 The cell is the only form an enclosure takes: ``refine(bits)`` builds
 ``Fraction`` ends only to hand back a number on it, ``AffineValue.cell``
-maps it exactly, and every reader takes the ints.  ``decimal`` rounds them
-half to even as they are, unnormalized; ``less_than``, ``horner_in``,
-``bits.binary_expansion`` and ``uniformity`` cross-multiply or floor them.
+maps it exactly, and every reader takes the ints.  ``less_than``,
+``horner_in``, ``bits.binary_expansion`` and ``uniformity`` cross-multiply
+or floor them.
+
+One certified decimal.  ``_cell_decimal(cell, places)`` runs one ladder
+over an int cell (left, right, den) of any value and returns the decimal
+that both ends round to, half to even, as they are, unnormalized.  When
+they agree, every point between them, the value among them, rounds the
+same, so that decimal is the correct rounding.  A value that is no
+rounding tie, an irrational one or a multiple of 1/2, is decided at some
+rung.  Every certified decimal the package prints goes through it:
+``decimal`` on a number's own cell, the real and imaginary parts of a
+cubic's complex pair in ``tables`` on cells read off the real root
+(``fields._conjugates``), and a 2i element's imaginary part sqrt(R) / 2 in
+the command line on an isqrt cell.  Each of these cells takes at most one
+``cell`` call and no ladder, so no ladder starts inside another.
 
 A quadratic's cell is found in closed form.  For p = x^2 + bx + c with
 discriminant Disc, the root is (-b + sigma sqrt(Disc)) / 2, where sigma is
@@ -163,20 +176,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .dyadic import IntIv, fp_from_cell, horner_scaled, isqrt_iv
+from .dyadic import horner_scaled, isqrt_iv
 from .polynomials import MonicIntPoly, ZeroDiscriminant, count_roots_between, root_bound_pow2
 
 # bits a ladder may add to its starting precision (module docstring)
 MAX_BITS = 4096
-# bits beyond the target taken on a real root before the other two roots of
-# its cubic are read off it by ``deflate``
-GUARD_BITS = 8
 
 FracIv = tuple[Fraction, Fraction]
-
-
-class PositiveDiscriminant(ValueError):
-    """Raised when an operation needs a complex conjugate pair but got real roots."""
 
 
 class RationalInput(ValueError):
@@ -494,12 +500,6 @@ def round_half_even(x: Fraction, places: int) -> str:
     return _round_half_even_ratio(x.numerator, x.denominator, places)
 
 
-def rounded(iv: FracIv, places: int) -> str | None:
-    """The decimal that every point of iv rounds to, or None if there is none."""
-    s = round_half_even(iv[0], places)
-    return s if s == round_half_even(iv[1], places) else None
-
-
 # ---------------------------------------------------------------------------
 # Root isolation.
 
@@ -546,60 +546,6 @@ def irrational_real_roots(p: MonicIntPoly) -> list[AlgebraicNumber]:
 
 
 # ---------------------------------------------------------------------------
-# The complex pair of a cubic with negative discriminant.
-
-
-@dataclass(frozen=True)
-class ComplexEnclosure:
-    """Rigorous rectangle around the upper conjugate of a complex pair."""
-
-    re: FracIv
-    im: FracIv
-
-
-def deflate(p: MonicIntPoly, lo: int, hi: int, s: int) -> tuple[IntIv, IntIv]:
-    """(-(b + a), sqrt|D|), both at scale 2**s, for the root a in [lo, hi] / 2**s
-    of the irreducible cubic p = x^3 + b x^2 + c x + d.  Dividing out x - a
-    leaves x^2 + (b + a) x + c + ab + a^2, whose roots, the other two roots
-    of p, are (-(b + a) -+ sqrt(D)) / 2 with D = b^2 - 4c - 2ab - 3a^2.  D has
-    the sign of disc p, so the enclosure of |D| is clamped at 0 (the
-    ``fields`` docstring)."""
-    b, c, _ = p.coeffs
-    one = 1 << s
-    # -D at scale 4**s
-    q_lo, q_hi = horner_scaled((4 * c - b * b, 2 * b, 3), lo, hi, one)
-    if p.discriminant() > 0:
-        q_lo, q_hi = -q_hi, -q_lo
-    return (-b * one - hi, -b * one - lo), isqrt_iv(max(q_lo, 0), q_hi)
-
-
-def complex_pair(p: MonicIntPoly, bits: int = 64) -> ComplexEnclosure:
-    """Upper complex root of an irreducible cubic with one real root, to 2**-bits."""
-    if p.degree != 3:
-        raise ValueError("complex_pair needs a cubic")
-    if p.discriminant() > 0:
-        raise PositiveDiscriminant(f"{p} is totally real")
-    # raises ZeroDiscriminant for disc = 0; for disc < 0, the one real root
-    # is irrational exactly when p is irreducible
-    roots = irrational_real_roots(p)
-    if not roots:
-        raise RationalInput(f"{p} is reducible")
-    root = roots[0]
-
-    def decide(work):
-        # the real root rounded outward to scale 2**work; the pair is then
-        # re = -(b + a) / 2 and im = sqrt(-D) / 2, at scale 2**(work + 1)
-        lo, hi = fp_from_cell(*root.cell(work), work)
-        (re_lo, re_hi), (im_lo, im_hi) = deflate(p, lo, hi, work)
-        den = 2 << work
-        if max(hi - lo, im_hi - im_lo) <= den >> bits:
-            return ComplexEnclosure((Fraction(re_lo, den), Fraction(re_hi, den)),
-                                    (Fraction(im_lo, den), Fraction(im_hi, den)))
-        return None
-    return refine_until(decide, bits + GUARD_BITS)
-
-
-# ---------------------------------------------------------------------------
 # Values assembled from an algebraic number by a rational affine map; these
 # show up as imaginary parts (sqrt(4c-1)/2) and only need enclosures.
 
@@ -623,9 +569,6 @@ class AffineValue:
         if p < 0:
             left, right = right, left
         return left, right, q * t * den
-
-    def decimal(self, places: int = 5) -> str:
-        return _cell_decimal(self.cell, places)
 
 
 def horner_in(theta: AlgebraicNumber, coeffs, lo, hi, bits: int,

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .algebraic import (AffineValue, AlgebraicNumber, PrecisionExhausted, RationalInput,
-                        round_half_even)
+from .algebraic import AlgebraicNumber, PrecisionExhausted, _cell_decimal, round_half_even
 from .bits import binary_expansion, bit_stats, complement_check
 from .coverage import (InvalidTarget, NotQuadratic, WrongSignature,
                        common_index_witnesses, find_common_index,
@@ -48,20 +47,19 @@ class Outcome:
 
 def _value_str(num: AlgebraicNumber) -> str:
     """The number to 5 places; an imaginary quadratic as re +- im i.  Its
-    imaginary part sqrt(4c - b^2) / 2 rests on sqrt(4c - b^2), built trusted
-    on (s, s + 1) with s = isqrt(4c - b^2): when 4c - b^2 is not a square,
-    x^2 - (4c - b^2) is irreducible and changes sign there."""
+    imaginary part sqrt(R) / 2, R = 4c - b^2, lies in the cell
+    [s, s + 1] / 2^(bits + 1) with s = isqrt(R 4^bits), exact for a square R
+    too."""
     if num.is_real:
         return num.decimal(5)
     b, c = num.minpoly.coeffs
     re = round_half_even(Fraction(-b, 2), 5)
     radicand = 4 * c - b * b
-    s = isqrt(radicand)
-    p = MonicIntPoly._trusted((0, -radicand))
-    if s * s == radicand:
-        raise RationalInput(f"{p} is reducible")
-    im = AffineValue(AlgebraicNumber._narrowed(p, Fraction(s), Fraction(s + 1)),
-                     Fraction(1, 2), Fraction(0)).decimal(5)
+
+    def cell(bits):
+        s = isqrt(radicand << 2 * bits)
+        return s, s + 1, 2 << bits
+    im = _cell_decimal(cell, 5)
     return f"{re} {'+' if num.half_plane > 0 else '-'} {im} i"
 
 
@@ -161,7 +159,6 @@ def _cmd_find_index(ns: argparse.Namespace) -> Outcome:
     rows = []
     for (j, m, c), w in zip(res.certificate, witnesses):
         rows.append((j, m, c, str(w.minpoly), _value_str(w)))
-    payload["n"] = res.n
     return Outcome(payload, ("target", "multiplier", "c", "minpoly", "value"),
                    tuple(rows), EXIT_OK)
 

@@ -129,18 +129,17 @@ def _real_member_check(tile: TileIndex, elem: tuple[int, int], sign: int) -> boo
 
 def _real_membership_scan(b: int, c: int, sign: int, bound: int) -> list[TileIndex]:
     """Brute force: every (eps, n) with |n| <= bound+1 whose tile contains
-    a = (b,c)_sign, by the coefficients of eps*(a - n) and the rank rule
-    (module docstring)."""
+    a = (b,c)_sign, by the coefficients of eps*(a - n).  By the rank rule
+    (module docstring) only eps = sign can hit, so only it is scanned."""
     hits = []
-    for eps in (1, -1):
-        for n in range(-bound - 1, bound + 2):
-            # q = x^2 + b2 x + c2, the minimal polynomial of eps*(a - n)
-            b2, c2 = bc_shift_params(b, c, -n) if eps == 1 else bc_shift_params(-b, c, n)
-            if c2 >= 0 or 1 + b2 + c2 <= 0 or b2 < 1:
-                continue  # no set element among the roots of q
-            # q has exactly one root in (0,1), its larger; is it eps*(a - n)?
-            if eps * sign == 1:
-                hits.append(TileIndex(eps, n, "S2r"))
+    for n in range(-bound - 1, bound + 2):
+        # q = x^2 + b2 x + c2, the minimal polynomial of sign*(a - n)
+        b2, c2 = bc_shift_params(b, c, -n) if sign == 1 else bc_shift_params(-b, c, n)
+        if c2 >= 0 or 1 + b2 + c2 <= 0 or b2 < 1:
+            continue  # no set element among the roots of q
+        # q has exactly one root in (0,1), its larger, and by the rank rule
+        # that root is sign*(a - n)
+        hits.append(TileIndex(sign, n, "S2r"))
     return hits
 
 

@@ -74,7 +74,8 @@ polynomial needs no test of its own:
 So every element is built trusted; the validating constructor would decide
 irreducibility a second time.  ``AlgebraicNumber.less_than`` remains the
 exact order.  The tests check the two against each other, the walk against
-a brute-force scan of r, ``reducible_free_coeffs`` and
+a brute-force scan of r, against a brute-force irreducibility scan of d
+(``reducible_free_coeffs`` in ``tests/oracles.py``) and against
 ``quadratic_exception``, and the range-end test against a brute force over
 drawn ranges, ranges on which k or s + k crosses 0 included.
 
@@ -464,12 +465,3 @@ def quadratic_exception(b: int, c: int) -> QuadraticException | None:
     # (x - (n - b)) * quad must reproduce the cubic exactly
     assert MonicIntPoly.cubic(b, c, d).deflate(n - b) == quad
     return QuadraticException(n, d, quad, _unit_interval_root(quad))
-
-
-def reducible_free_coeffs(b: int, c: int) -> list[int]:
-    """Brute-force scan: the d in [1, -b-c-2] whose cubic has an integer root."""
-    out = []
-    for d in range(1, -b - c - 1):
-        if not MonicIntPoly.cubic(b, c, d).is_irreducible():
-            out.append(d)
-    return out

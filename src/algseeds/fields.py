@@ -85,30 +85,31 @@ field keys in ``field_keys`` and builds the ``FieldId`` tuple
 reads it: ``to_json`` renders each key through ``_field_json``, the
 renderer that ``FieldId.to_json`` calls too, so the two give the same JSON.
 
-The solve reads a cubic's conjugates in one place, ``_conjugates(a, bits)``:
-fixed-point enclosures at scale 2^bits of a and of its two conjugates,
-flagged real when they are the other two real roots, ascending, and not
-when they are the real and imaginary parts of the upper complex root.  All
-three come off one cell of a itself, by deflation.  For the minimal
-polynomial f = x^3 + b x^2 + c x + d,
+The solve, and the complex columns of ``tables``, read a cubic's
+conjugates in one place, ``_conjugates(a, bits)``: fixed-point enclosures
+at scale 2^bits of a and of its two conjugates, flagged real when they are
+the other two real roots, ascending, and not when they are the real and
+imaginary parts of the upper complex root.  All three come off one cell of
+a itself, by deflation.  For the minimal polynomial
+f = x^3 + b x^2 + c x + d,
 
     f = (x - a)(x^2 + (b + a) x + c + ab + a^2),
 
 so the other two roots are (-(b + a) -+ sqrt(D)) / 2, ascending, with
 D = b^2 - 4c - 2ab - 3a^2; for D < 0 they are the complex pair with real
-part -(b + a)/2 and imaginary parts +-sqrt(-D)/2.  The cell of a at bits +
-GUARD_BITS, rounded outward to that scale (``dyadic.fp_from_cell``), gives
--(b + a) at once and sqrt|D| by one ``horner_scaled`` and one ``isqrt_iv``
-(``algebraic.deflate``, which ``complex_pair`` runs too); each result is
-rounded outward to scale 2^bits, and a's own enclosure is the same cell
-rounded to 2^bits.  D has the sign of disc(f): with q the quadratic
-factor, the product rule for discriminants gives disc(f) = disc(q)
-res(x - a, q)^2 = D q(a)^2 = D f'(a)^2, and f'(a) != 0 at a simple root.
-So the sign of disc(f) names the case, |D| > 0, and clamping the lower end
-of the enclosure of |D| at 0 loses no point of it.  The slope of sqrt|D| in
-a grows like 1/sqrt|D| where two conjugates lie close; the guard bits
-absorb that loss.  ``_real_root_enclosures`` and ``_complex_enclosure``
-cache the two cases per number and precision.
+part -(b + a)/2 and imaginary parts +-sqrt(-D)/2.  ``_deflated`` takes the
+cell of a at w = bits + GUARD_BITS, rounded outward to scale 2^w
+(``dyadic.fp_from_cell``), and gives -(b + a) at once and sqrt|D| by one
+``horner_scaled`` and one ``isqrt_iv``; each result is rounded outward to
+scale 2^bits, and a's own enclosure is the same cell rounded to 2^bits.
+D has the sign of disc(f): with q the quadratic factor, the product rule
+for discriminants gives disc(f) = disc(q) res(x - a, q)^2 = D q(a)^2 =
+D f'(a)^2, and f'(a) != 0 at a simple root.  So the sign of disc(f) names
+the case, |D| > 0, and clamping the lower end of the enclosure of |D| at 0
+loses no point of it.  The slope of sqrt|D| in a grows like 1/sqrt|D|
+where two conjugates lie close; the guard bits absorb that loss.
+``_real_root_enclosures`` and ``_complex_enclosure`` cache the two cases
+per number and precision.
 
 ``_alpha_matrix`` builds the rows of the solve from alpha's conjugates and
 caches their interval adjugate and determinant, or None when the
@@ -136,13 +137,15 @@ from fractions import Fraction
 from itertools import combinations, repeat
 from math import isqrt, lcm
 
-from .algebraic import (GUARD_BITS, MAX_BITS, AlgebraicNumber, deflate, horner_in, refine_until,
-                        same_number)
-from .dyadic import fp_add, fp_div, fp_from_cell, fp_mul, fp_neg, fp_sub
+from .algebraic import MAX_BITS, AlgebraicNumber, horner_in, refine_until, same_number
+from .dyadic import fp_add, fp_div, fp_from_cell, fp_mul, fp_neg, fp_sub, horner_scaled, isqrt_iv
 from .families import SetInstance, SetSpec, build_set, element
 from .polynomials import MonicIntPoly
 
 CUBIC_RANGE_PARAMS = (0, -1, -2, -3)
+# bits beyond the target taken on a cubic's real root before its two
+# conjugates are read off it (module docstring)
+GUARD_BITS = 8
 
 
 def squarefree_kernel(d: int) -> int:
@@ -363,13 +366,20 @@ def _integer_in(lo: int, hi: int, prec: int, t: int) -> int | None:
 
 
 def _deflated(a: AlgebraicNumber, bits: int):
-    """a at scale 2**bits, then deflate's (-(b + a), sqrt|D|) and the
-    denominator 2**(bits + GUARD_BITS + 1) of the conjugates built from
+    """a at scale 2**bits, then (-(b + a), sqrt|D|) at scale 2**w, w = bits +
+    GUARD_BITS, and the denominator 2**(w + 1) of the conjugates built from
     them, all read off one cell of a (module docstring)."""
     work = bits + GUARD_BITS
     left, right, den = a.cell(work)
+    lo, hi = fp_from_cell(left, right, den, work)
+    b, c, _ = a.minpoly.coeffs
+    one = 1 << work
+    # -D = 3a^2 + 2ab + 4c - b^2 at scale 4**work; |D| is -D or D as disc f < 0 or > 0
+    q_lo, q_hi = horner_scaled((4 * c - b * b, 2 * b, 3), lo, hi, one)
+    if a.minpoly.discriminant() > 0:
+        q_lo, q_hi = -q_hi, -q_lo
     return (fp_from_cell(left, right, den, bits),
-            deflate(a.minpoly, *fp_from_cell(left, right, den, work), work), 2 << work)
+            ((-b * one - hi, -b * one - lo), isqrt_iv(max(q_lo, 0), q_hi)), 2 << work)
 
 
 @functools.lru_cache(maxsize=4096)

@@ -274,12 +274,3 @@ def count_roots_between(p: MonicIntPoly, lo: Fraction, hi: Fraction,
     if chain is None:
         chain = sturm_chain(p)
     return _variations(chain, lo) - _variations(chain, hi)
-
-
-def count_real_roots(p: MonicIntPoly) -> int:
-    """The number of distinct real roots of p, by a Sturm count on
-    [-B, B] with B a power-of-two root bound.  No library code calls it; it
-    stays as the independent count that the isolation tests compare
-    ``irrational_real_roots`` against."""
-    m = Fraction(root_bound_pow2(p))
-    return count_roots_between(p, -m, m)

@@ -2,15 +2,20 @@
 
 Rows iterate the linear coefficient ascending, then the (negated) constant
 ascending, keeping irreducible polynomials of the requested discriminant
-sign.  Values are printed to five decimals with round-half-even, certified
-by refining enclosures until the rounding is unambiguous.
+sign.  Values are printed to five decimals with round-half-even by the one
+certified renderer, ``algebraic._cell_decimal``, which refines an int cell
+until both its ends round alike: a real root's own cell, or for the
+complex pair of a cubic with disc < 0 the upper root's real and imaginary
+parts, read at scale 2^bits off one cell of the real root by
+``fields._conjugates``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebraic import complex_pair, irrational_real_roots, refine_until, rounded
+from .algebraic import _cell_decimal, irrational_real_roots
+from .fields import _conjugates
 from .polynomials import MonicIntPoly
 
 
@@ -44,20 +49,15 @@ TABLES = {
 }
 
 
-def _complex_pair_decimals(poly: MonicIntPoly, places: int = 5) -> tuple[str, str]:
-    def decide(bits):
-        enc = complex_pair(poly, bits)
-        re, im = rounded(enc.re, places), rounded(enc.im, places)
-        return None if re is None or im is None else (re, im)
-    return refine_until(decide, 64)
-
-
 def table_row(poly: MonicIntPoly, disc_sign: int) -> str:
-    if disc_sign < 0:
-        real = irrational_real_roots(poly)[0]
-        re, im = _complex_pair_decimals(poly)
-        return f"{poly} | {real.decimal(5)} | {re} ± {im} i"
     roots = irrational_real_roots(poly)
+    if disc_sign < 0:
+        real = roots[0]
+        # the upper complex root's real and imaginary parts at scale 2**bits,
+        # read off one cell of the real root (``fields`` docstring)
+        re, im = (_cell_decimal(lambda bits: (*_conjugates(real, bits)[1][i], 1 << bits), 5)
+                  for i in (0, 1))
+        return f"{poly} | {real.decimal(5)} | {re} ± {im} i"
     return f"{poly} | " + " | ".join(r.decimal(5) for r in roots)
 
 

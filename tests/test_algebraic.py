@@ -4,28 +4,26 @@ import decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from algseeds import fields
 from algseeds.algebraic import (
     AffineValue,
     AlgebraicNumber,
-    ComplexEnclosure,
-    PositiveDiscriminant,
-    RationalInput,
+    PrecisionExhausted,
     ZeroDiscriminant,
+    _cell_decimal,
     _round_half_even_ratio,
-    complex_pair,
     irrational_real_roots,
     refine_until,
     round_half_even,
-    rounded,
     same_number,
     value_cell,
 )
 from algseeds.families import SetSpec, build_set
-from algseeds.polynomials import MonicIntPoly, count_real_roots, count_roots_between
+from algseeds.polynomials import MonicIntPoly, count_roots_between
+from oracles import count_real_roots
 
 SQRT2 = AlgebraicNumber.sqrt_of(2)
 PLASTIC = MonicIntPoly.cubic(0, -1, -1)  # one real root near 1.3247
@@ -276,11 +274,11 @@ def test_decimal_is_the_rounded_enclosure_along_its_ladder(p, index, den, places
     roots = irrational_real_roots(p)
     x = grid_interval(roots[index % len(roots)], den, 0, 5)
 
-    def ends(bits):
+    def rounded(bits):
         r = x.refine(bits)
-        return r.lo, r.hi
-    assert x.decimal(places) == refine_until(lambda bits: rounded(ends(bits), places),
-                                             4 * places + 8)
+        s = round_half_even(r.lo, places)
+        return s if s == round_half_even(r.hi, places) else None
+    assert x.decimal(places) == refine_until(rounded, 4 * places + 8)
 
 
 @settings(max_examples=150)
@@ -427,7 +425,8 @@ def test_round_half_even_matches_decimal_module(num, den, places, common):
 
 def test_negative_places_are_refused():
     """The one renderer, on a ratio or on its Fraction view, refuses negative
-    places, and both decimal methods reach it through the ladder."""
+    places, and the certified decimal of a number or of any other cell
+    reaches it through the ladder."""
     with pytest.raises(ValueError, match="places"):
         round_half_even(Fraction(1, 3), -1)
     with pytest.raises(ValueError, match="places"):
@@ -437,7 +436,7 @@ def test_negative_places_are_refused():
     with pytest.raises(ValueError, match="places"):
         irrational_real_roots(PLASTIC)[0].decimal(-3)
     with pytest.raises(ValueError, match="places"):
-        AffineValue(SQRT2, Fraction(1, 2), Fraction(0)).decimal(-2)
+        _cell_decimal(AffineValue(SQRT2, Fraction(1, 2), Fraction(0)).cell, -2)
 
 
 def test_same_number_distinguishes_conjugates():
@@ -459,7 +458,9 @@ def test_isolate_counts_complex_pairs():
     (root,) = irrational_real_roots(PLASTIC)
     assert root.decimal(5) == "1.32472"
     assert count_real_roots(PLASTIC) == 1
-    assert complex_pair(PLASTIC).im[0] > 0  # the other two roots
+    # the other two roots, a complex pair, read off the real root
+    im = _cell_decimal(lambda bits: (*fields._conjugates(root, bits)[1][1], 1 << bits), 5)
+    assert im == "0.56228"
 
 
 def test_isolate_rejects_repeated_roots():
@@ -506,54 +507,6 @@ def test_irrational_roots_are_never_rational(b, c, d):
         assert a.cmp_rational((a.lo + a.hi) / 2) in (-1, 1)
 
 
-def test_complex_pair_of_pure_cubic():
-    enc = complex_pair(MonicIntPoly.cubic(0, 0, -2))  # x^3 - 2
-    assert rounded(enc.re, 5) == "-0.62996"
-    assert rounded(enc.im, 5) == "1.09112"
-
-
-def test_complex_pair_refuses_reducible_cubic():
-    for p in (MonicIntPoly.cubic(0, 0, -1),     # (x - 1)(x^2 + x + 1)
-              MonicIntPoly.cubic(0, 1, 0),      # x (x^2 + 1)
-              MonicIntPoly.cubic(-3, 4, -4)):   # (x - 2)(x^2 - x + 2)
-        assert p.discriminant() < 0 and not p.is_irreducible()
-        with pytest.raises(RationalInput):
-            complex_pair(p)
-
-
-def _product_range(x, y):
-    ps = [u * v for u in x for v in y]
-    return min(ps), max(ps)
-
-
-@settings(max_examples=150)
-@given(b=CUBIC_COEFF, c=CUBIC_COEFF, d=CUBIC_COEFF, bits=st.integers(0, 160))
-def test_complex_pair_rectangles_nest_across_precisions(b, c, d, bits):
-    """The rectangles at bits and 2 bits intersect and are each within
-    their width; with the real root a1 they satisfy Vieta's a1 |z|^2 = -d."""
-    p = MonicIntPoly.cubic(b, c, d)
-    assume(p.discriminant() < 0)
-    assume(p.is_irreducible())
-    coarse, fine = complex_pair(p, bits), complex_pair(p, 2 * bits)
-    for enc, k in ((coarse, bits), (fine, 2 * bits)):
-        for lo, hi in (enc.re, enc.im):
-            assert 0 <= hi - lo <= Fraction(1, 2**k)
-        re2, im2 = _product_range(enc.re, enc.re), _product_range(enc.im, enc.im)
-        r = irrational_real_roots(p)[0].refine(k)
-        a1 = (r.lo, r.hi)
-        n_lo, n_hi = _product_range(a1, (re2[0] + im2[0], re2[1] + im2[1]))
-        assert n_lo <= -d <= n_hi
-    for x, y in ((coarse.re, fine.re), (coarse.im, fine.im)):
-        assert max(x[0], y[0]) <= min(x[1], y[1])
-
-
-def test_complex_pair_rejects_totally_real():
-    with pytest.raises(PositiveDiscriminant):
-        complex_pair(MonicIntPoly.cubic(0, -3, 1))
-    with pytest.raises(ZeroDiscriminant):
-        complex_pair(MonicIntPoly.cubic(0, -3, 2))   # (x - 1)^2 (x + 2)
-
-
 def test_complex_root_json_shape():
     a = AlgebraicNumber.complex_root(MonicIntPoly.quadratic(0, 1))
     assert not a.is_real
@@ -572,12 +525,12 @@ def test_real_json_shape():
 
 def test_affine_value_cell_and_decimal():
     v = AffineValue(SQRT2, Fraction(1, 2), Fraction(3))
-    assert v.decimal(5) == "3.70711"
+    assert _cell_decimal(v.cell, 5) == "3.70711"
     left, right, den = v.cell(40)
     assert Fraction(37, 10) < Fraction(left, den) < Fraction(right, den) < Fraction(38, 10)
     assert (right - left) << 40 <= den
     w = AffineValue(SQRT2, Fraction(-3, 2), Fraction(1, 3))   # 1/3 - 3 sqrt(2) / 2
-    assert w.decimal(5) == "-1.78799"
+    assert _cell_decimal(w.cell, 5) == "-1.78799"
 
 
 @settings(max_examples=150)
@@ -610,6 +563,8 @@ def test_value_cell_uniform_access():
     assert value_cell(v, 20) == v.cell(20)
 
 
-def test_complex_enclosure_rejects_wide_interval():
-    wide = ComplexEnclosure((Fraction(0), Fraction(1)), (Fraction(0), Fraction(1)))
-    assert rounded(wide.re, 5) is None
+def test_cell_decimal_of_a_cell_that_never_narrows_is_undecided():
+    """A cell whose ends never round alike gives no decimal: the renderer's
+    ladder runs to its cap."""
+    with pytest.raises(PrecisionExhausted):
+        _cell_decimal(lambda bits: (0, 1, 1), 5)

@@ -9,10 +9,11 @@ from pathlib import Path
 import pytest
 
 import algseeds.algebraic
-from algseeds.algebraic import PrecisionExhausted
-from algseeds.cli import EXIT_INTERNAL, EXIT_UNDECIDED, build_parser, main
+from algseeds.algebraic import AlgebraicNumber, PrecisionExhausted
+from algseeds.cli import EXIT_INTERNAL, EXIT_UNDECIDED, _value_str, build_parser, main
 from algseeds.families import InvalidParams, SetSpec, build_set
 from algseeds.fields import independence_report
+from algseeds.polynomials import MonicIntPoly
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -176,11 +177,21 @@ def test_precision_above_the_cap_is_still_tried(capsys, argv):
 
 
 def test_capped_ladder_exits_undecided(capsys, monkeypatch):
+    """A table's complex parts and a 2i element's imaginary part both go
+    through the capped renderer."""
     monkeypatch.setattr(algseeds.algebraic, "MAX_BITS", -1)
-    code, out, err = run(capsys, "tables", "1")
-    assert code == EXIT_UNDECIDED
-    assert out == ""
-    assert err.startswith("undecided: no decision within ")
+    for argv in (("tables", "1"), ("gen", "--family", "2i", "--n", "5")):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_UNDECIDED
+        assert out == ""
+        assert err.startswith("undecided: no decision within ")
+
+
+def test_imaginary_part_of_a_square_radicand():
+    """x^2 + 1 has 4c - b^2 = 4, a square, and its cell is exact there too."""
+    p = MonicIntPoly.quadratic(0, 1)
+    assert _value_str(AlgebraicNumber.complex_root(p)) == "0.00000 + 1.00000 i"
+    assert _value_str(AlgebraicNumber.complex_root(p, upper=False)) == "0.00000 - 1.00000 i"
 
 
 def test_internal_failure_is_not_a_usage_error(capsys, monkeypatch):

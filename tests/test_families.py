@@ -24,10 +24,10 @@ from algseeds.families import (
     half_shift_poly,
     iter_elements,
     quadratic_exception,
-    reducible_free_coeffs,
     reflect_spec,
 )
 from algseeds.polynomials import MonicIntPoly, is_perfect_square
+from oracles import reducible_free_coeffs
 
 # valid parameter strategies, kept small so instances stay cheap
 REAL_QUAD_N = st.one_of(

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from algseeds.algebraic import (AlgebraicNumber, PrecisionExhausted, complex_pair,
-                                irrational_real_roots, same_number)
+from algseeds.algebraic import (AlgebraicNumber, PrecisionExhausted, irrational_real_roots,
+                                same_number)
 from algseeds import fields
 from algseeds.families import SetElement, SetInstance, SetSpec, bc_root, build_set
 from algseeds.fields import (
@@ -456,11 +456,14 @@ def _encloses(root: AlgebraicNumber, iv, bits: int) -> bool:
 @example(b=-9, c=-6, d=-1, index=0, bits=2)    # the same for a complex pair
 def test_deflated_conjugates_match_the_slow_path(b, c, d, index, bits):
     """The conjugates read off one cell of the number by deflation, against
-    the isolated roots and complex_pair: the own entry and each real
-    enclosure hold their root, checked exactly, and the other two real roots
-    come in ascending order; the complex rectangle meets complex_pair's at
-    2 bits.  Each enclosure is at most 2 units wide at scale 2**bits over
-    these coefficients, the guard bits absorbing the deflation's loss."""
+    slow paths that share nothing with it: the own entry and each real
+    enclosure hold their root, checked exactly against the isolated roots,
+    and the other two real roots come in ascending order.  A complex pair
+    re +- i im is checked by Vieta's relations on the exact cell of the real
+    root a: 2 re = -(b + a) and a (re^2 + im^2) = -d, each as a meeting of
+    intervals over rationals.  Each enclosure is at most 2 units wide at
+    scale 2**bits over these coefficients, the guard bits absorbing the
+    deflation's loss."""
     p = MonicIntPoly.cubic(b, c, d)
     assume(p.discriminant() != 0 and p.is_irreducible())
     roots = irrational_real_roots(p)
@@ -474,9 +477,36 @@ def test_deflated_conjugates_match_the_slow_path(b, c, d, index, bits):
         assert all(_encloses(r, iv, bits) for r, iv in zip(others, (u, v)))
         assert u[0] <= v[0] and u[1] <= v[1]
     else:
-        pair = complex_pair(p, 2 * bits)
-        for (lo, hi), (flo, fhi) in ((u, pair.re), (v, pair.im)):
-            assert flo * (1 << bits) <= hi and lo <= fhi * (1 << bits)
+        left, right, den = alpha.cell(bits)
+        a = (Fraction(left, den), Fraction(right, den))
+        re, im = ((Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)) for lo, hi in (u, v))
+        assert 2 * re[0] <= -b - a[0] and -b - a[1] <= 2 * re[1]
+        re2, im2 = _product_range(re, re), _product_range(im, im)
+        norm = _product_range(a, (re2[0] + im2[0], re2[1] + im2[1]))
+        assert norm[0] <= -d <= norm[1]
+
+
+def _product_range(x, y):
+    ps = [s * t for s in x for t in y]
+    return min(ps), max(ps)
+
+
+@settings(max_examples=150)
+@given(b=st.integers(-15, 15), c=st.integers(-15, 15), d=st.integers(-15, 15),
+       bits=st.integers(0, 160))
+def test_complex_conjugates_nest_across_precisions(b, c, d, bits):
+    """The real and imaginary parts of the upper complex root that
+    _conjugates reads at bits and at 2 bits meet, and each is at most 2
+    units wide at its scale."""
+    p = MonicIntPoly.cubic(b, c, d)
+    assume(p.discriminant() < 0 and p.is_irreducible())
+    (alpha,) = irrational_real_roots(p)
+    _, coarse, real = fields._conjugates(alpha, bits)
+    _, fine, _ = fields._conjugates(alpha, 2 * bits)
+    assert not real
+    for (c_lo, c_hi), (f_lo, f_hi) in zip(coarse, fine):
+        assert c_hi - c_lo <= 2 and f_hi - f_lo <= 2
+        assert max(c_lo << bits, f_lo) <= min(c_hi << bits, f_hi)
 
 
 @pytest.mark.parametrize("coeffs", [(0, -3, 1), (0, -7, 7), (0, 0, -2), (0, -1, -1)])

@@ -2,19 +2,20 @@
 point, and a guard that no other precision loop creeps back in."""
 
 import ast
-from fractions import Fraction
+import sys
 from pathlib import Path
 
 import pytest
 
 import algseeds.algebraic
-from algseeds.algebraic import (AffineValue, AlgebraicNumber, PrecisionExhausted,
-                                complex_pair, irrational_real_roots, refine_until)
+from algseeds.algebraic import (AlgebraicNumber, PrecisionExhausted, irrational_real_roots,
+                                refine_until)
 from algseeds.bits import binary_expansion
+from algseeds.cli import main
 from algseeds.coverage import find_generator, verify_tiling
 from algseeds.families import SetSpec, build_set
 from algseeds.polynomials import MonicIntPoly
-from algseeds.tables import render_table
+from algseeds.tables import TABLES, render_table
 from algseeds.uniformity import uniformity_report
 
 SRC = Path(algseeds.algebraic.__file__).parent
@@ -78,8 +79,6 @@ def test_exhausted_message_names_the_cap():
 LADDER_ENTRY_POINTS = {
     "less_than": lambda: SQRT2.less_than(AlgebraicNumber.sqrt_of(3)),
     "AlgebraicNumber.decimal": lambda: SQRT2.decimal(5),
-    "AffineValue.decimal": lambda: AffineValue(SQRT2, Fraction(1, 2), Fraction(0)).decimal(5),
-    "complex_pair": lambda: complex_pair(MonicIntPoly.cubic(0, 0, -2)),
     "irrational_real_roots (totally real)": lambda: irrational_real_roots(MonicIntPoly.cubic(0, -3, 1)),
     "binary_expansion": lambda: binary_expansion(SQRT2.plus_int(-1), 16),
     "uniformity_report 2i(5)": lambda: uniformity_report(build_set(SetSpec("2i", (5,)))),
@@ -94,6 +93,32 @@ def test_every_ladder_is_capped(monkeypatch, name):
     monkeypatch.setattr(algseeds.algebraic, "MAX_BITS", -1)  # no attempt fits
     with pytest.raises(PrecisionExhausted):
         LADDER_ENTRY_POINTS[name]()
+
+
+def test_no_ladder_starts_inside_another(monkeypatch, capsys):
+    """Every certified decimal runs one ladder whose decide reads cells and
+    starts no ladder of its own: refine_until, wrapped with a depth counter
+    in every module that binds it, is never entered at depth > 0 while the
+    four tables and the values of 2i(61) are rendered."""
+    depth, started, nested = [0], [], []
+
+    def counted(decide, bits, max_bits=None):
+        (nested if depth[0] else started).append(bits)
+        depth[0] += 1
+        try:
+            return refine_until(decide, bits, max_bits)
+        finally:
+            depth[0] -= 1
+    bound = [m for name, m in sys.modules.items()
+             if name.startswith("algseeds") and getattr(m, "refine_until", None) is refine_until]
+    assert algseeds.algebraic in bound
+    for module in bound:
+        monkeypatch.setattr(module, "refine_until", counted)
+    for number in sorted(TABLES):
+        render_table(number)
+    assert main(["gen", "--family", "2i", "--n", "61"]) == 0
+    capsys.readouterr()
+    assert started and nested == []
 
 
 def test_verify_tiling_refines_nothing(monkeypatch):

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from algseeds.polynomials import (
     MonicIntPoly,
-    count_real_roots,
     count_roots_between,
     is_perfect_square,
     root_bound_pow2,
     sturm_chain,
 )
+from oracles import count_real_roots
 
 COEFF = st.integers(min_value=-40, max_value=40)
 

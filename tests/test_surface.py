@@ -132,14 +132,9 @@ def test_guard_catches_public_methods_that_nothing_calls():
     assert _uncalled_methods(lone, callers) == ["orphan.py:Box.public_method"]
 
 
-# Public functions that only the tests call, kept as independent oracles.
-TEST_ORACLES = {
-    # the Sturm count that the closed-form isolation is checked against
-    "polynomials.py:count_real_roots",
-    # the brute-force divisor scan that the integer-root walk of build_set
-    # is checked against
-    "families.py:reducible_free_coeffs",
-}
+# Public functions that only the tests call.  None is kept: the tests' own
+# independent oracles live in tests/oracles.py.
+TEST_ORACLES: set[str] = set()
 
 
 def _library_trees() -> dict:

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from algseeds.tables import TABLES, render_table, table_rows
+from algseeds.polynomials import MonicIntPoly
+from algseeds.tables import TABLES, render_table, table_row, table_rows
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 ROW_COUNTS = {1: 13, 2: 16, 3: 4, 4: 12}
@@ -31,6 +32,13 @@ def test_complex_tables_show_conjugate_pairs():
         for row in table_rows(number):
             assert row.count("|") == 2
             assert "±" in row and row.endswith(" i")
+
+
+def test_pure_cubic_row_reads_its_complex_pair():
+    """x^3 - 2: the real root 2^(1/3) and the pair 2^(1/3) (-1 +- i sqrt(3)) / 2,
+    both parts read off the real root's cell."""
+    row = table_row(MonicIntPoly.cubic(0, 0, -2), -1)
+    assert row == "x^3-2 | 1.25992 | -0.62996 ± 1.09112 i"
 
 
 def test_real_tables_show_three_roots():

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from algseeds.algebraic import (AffineValue, AlgebraicNumber, irrational_real_roots, refine_until,
-                                same_number)
+from algseeds.algebraic import (AffineValue, AlgebraicNumber, _cell_decimal, irrational_real_roots,
+                                refine_until, same_number)
 from algseeds.families import SetElement, SetInstance, SetSpec, build_set
 from algseeds.uniformity import (
     TooFewElements,
@@ -88,7 +88,7 @@ def test_discrepancy_range_on_rational_sets(values):
 
 def test_imaginary_fractional_parts_odd():
     vals = instance_values(build_set(SetSpec("2i", (5,))))
-    decs = [v.decimal(5) for v in vals]
+    decs = [_cell_decimal(v.cell, 5) for v in vals]
     assert decs == ["0.17945", "0.39792", "0.59808", "0.78388", "0.95804"]
 
 
