@@ -46,19 +46,6 @@ def fp_mul(a: IntIv, b: IntIv, s: int) -> IntIv:
     return (lo >> s, -((-hi) >> s))
 
 
-def fp_div(a: IntIv, b: IntIv, s: int) -> IntIv:
-    if b[0] <= 0 <= b[1]:
-        raise ZeroDivisionError("divisor interval contains zero")
-    los = []
-    his = []
-    for x in a:
-        xs = x << s
-        for y in b:
-            los.append(xs // y)
-            his.append(-((-xs) // y))
-    return (min(los), max(his))
-
-
 def horner_scaled(coeffs, lo: int, hi: int, den: int) -> IntIv:
     """Enclosure of den**n q(t) over t in [lo/den, hi/den], den > 0, for the
     int coefficients coeffs[0] + coeffs[1] t + ... + coeffs[n] t**n: interval

@@ -8,26 +8,40 @@ answers are rigorous:
     identity, g(h(x)) = 0 mod f(x) over the rationals, plus an interval
     separation argument pinning h(alpha) to beta itself;
 
-  * negatives come from rounding: every coordinate is a multiple of 1/t,
-    t = |disc(f)| (below), so once the enclosure of each t*a_i is narrower
-    than 1 it holds at most one integer.  No integer in some enclosure, or
-    an exact refutation of the one candidate, closes the case.
+  * negatives come from matched traces: each trace T_k of the system below
+    is a rational integer under the matching that beta = h(alpha) fixes,
+    so an enclosure of T_1 or T_2 that holds no integer refutes a
+    matching, and once both are narrower than 1 the one candidate is
+    exact.  Its exact refutation closes the matching too.
 
-Since every number here is an algebraic integer, coordinates over the
-power basis of alpha are multiples of 1/[O_K : Z[alpha]]: the index times
-O_K lies in Z[alpha].  The index squared divides disc(f) (below), so the
-index divides t = |disc(f)|, and every t*a_i is an integer.
+The trace form.  Over the embeddings sigma_i, beta_i = a0 + a1 alpha_i +
+a2 alpha_i^2 is a system M a = b, M's rows (1, alpha_i, alpha_i^2); for a
+complex cubic take the real root's row and the real and imaginary parts of
+the upper complex root's row, as b takes beta's.  With the weights
+W = diag(1, 1, 1) for a totally real cubic and (1, 2, -2) for a complex
+one, M^T W M = G = [Tr(alpha^(j+k))], j, k = 0, 1, 2: the Gram matrix of
+the power basis under the trace form (Cohen, GTM 138, ch. 4), an integer
+matrix built from Newton's identities on f's coefficients, with
+det G = disc(f).  For a matching m of beta's conjugates to alpha's, the
+matched sums T_k = sum_i w_i sigma_i(alpha)^k sigma_m(i)(beta) satisfy
+G a = T, and a is the unique solution of the system under m.
+T_0 = Tr(beta) = -g_2 is exact.  When beta lies in Q(alpha) and m is the
+matching it fixes, beta alpha^k is an algebraic integer of K, so T_1 and
+T_2 are rational integers.  Hence an enclosure of T_1 or T_2 that holds
+no integer refutes m at any width; once both are narrower than 1 each
+holds one integer at most, and a = adj(G) T / disc(f), exact, is the one
+candidate under m, which the composition check verifies or refutes.
 
-Both run on integers.  The solve returns fixed-point int intervals
-[lo, hi] / 2^prec, and the rounding needs (hi - lo) t < 2^prec.  The one
-candidate for t*a_i is then the ceiling h of lo t / 2^prec, kept when
-h 2^prec <= hi t (one cross-multiplication), and only h/t becomes a
-Fraction.  The solve stops at the first coordinate that has no candidate.
-The composition check clears the denominators of h once: with L their lcm
-and H = L h, an integer polynomial, g(h) = 0 mod f exactly when
-L^n g(H/L) = sum g_i H^i L^(n-i) is, n = deg g.  Horner runs that sum
-through ``_mulmod``, and since f is monic, reducing an integer polynomial
-mod f keeps it integral.
+Both run on integers.  The traces are fixed-point int intervals
+[lo, hi] / 2^prec, and the least integer they hold is the ceiling n of
+lo / 2^prec, kept when n 2^prec <= hi; none is left when it is not.  The
+traces stop at the first that holds no integer, and only the three
+coordinates of h = adj(G) T / disc(f) become Fractions.  The composition
+check clears the denominators of h once: with L their lcm and H = L h,
+an integer polynomial, g(h) = 0 mod f exactly when L^n g(H/L) =
+sum g_i H^i L^(n-i) is, n = deg g.  Horner runs that sum through
+``_mulmod``, and since f is monic, reducing an integer polynomial mod f
+keeps it integral.
 
 Most pairs never reach the solver.  If K = Q(alpha) and f is the minimal
 polynomial of the algebraic integer alpha, then
@@ -111,12 +125,13 @@ where two conjugates lie close; the guard bits absorb that loss.
 ``_real_root_enclosures`` and ``_complex_enclosure`` cache the two cases
 per number and precision.
 
-``_alpha_matrix`` builds the rows of the solve from alpha's conjugates and
-caches their interval adjugate and determinant, or None when the
-determinant's enclosure holds 0: that rung is too coarse, and both
-matchings stay open.  The rows themselves are not kept.  ``_beta_rhs_variants`` gives the two right-hand
-sides, and ``_solve`` takes each to the coordinates with one product by the
-cached adjugate and one division by the determinant per coordinate.
+``_alpha_matrix`` caches, per alpha and precision, the weighted rows
+(w y, w y^2) of the trace form at scale 2^bits: (y, y^2) for each real
+conjugate y; for a complex cubic with real root x and upper complex root
+u + iv, (x, x^2), (2u, 2(u^2 - v^2)) and (-2v, -4uv).  ``_beta_rhs_variants``
+gives beta's conjugates under the two matchings, and ``_trace`` pairs one of
+them with a column of the rows: three interval products per trace.
+``_gram_adjugate`` gives adj(G) and det G exactly, once per cubic solve.
 
 Cubic pairs with equal kernels meet one more invariant before the solve.
 For a prime p not dividing disc(f), p does not divide the index either,
@@ -138,7 +153,7 @@ from itertools import combinations, repeat
 from math import isqrt, lcm
 
 from .algebraic import MAX_BITS, AlgebraicNumber, horner_in, refine_until, same_number
-from .dyadic import fp_add, fp_div, fp_from_cell, fp_mul, fp_neg, fp_sub, horner_scaled, isqrt_iv
+from .dyadic import fp_add, fp_from_cell, fp_mul, fp_neg, fp_sub, horner_scaled, isqrt_iv
 from .families import SetInstance, SetSpec, build_set, element
 from .polynomials import MonicIntPoly
 
@@ -350,19 +365,18 @@ def _split_apart(f: MonicIntPoly, g: MonicIntPoly, df: int, dg: int) -> bool:
     return False
 
 
-def _integer_in(lo: int, hi: int, prec: int, t: int) -> int | None:
-    """The least integer h with h / t in [lo, hi] / 2**prec, for t > 0, or
-    None when there is none: the ceiling of lo t / 2**prec, checked against
-    hi by one cross-multiplication."""
-    h = -(-lo * t >> prec)
-    return h if h << prec <= hi * t else None
+def _integer_in(lo: int, hi: int, prec: int) -> int | None:
+    """The least integer in [lo, hi] / 2**prec, or None when there is none:
+    the ceiling of lo / 2**prec, checked against hi."""
+    n = -(-lo >> prec)
+    return n if n << prec <= hi else None
 
 
 # ---------------------------------------------------------------------------
-# Conjugate data, cached per number and precision, and the 3x3 interval
-# solve.  Rows pair the conjugates of alpha with the hypothesized images of
-# beta; the identity embedding fixes row one, leaving two matchings (swap the
-# remaining conjugates, or flip the sign of the imaginary part).
+# Conjugate data, cached per number and precision, and the matched traces.
+# Rows pair the conjugates of alpha with the hypothesized images of beta; the
+# identity embedding fixes row one, leaving two matchings (swap the remaining
+# conjugates, or flip the sign of the imaginary part).
 
 
 def _deflated(a: AlgebraicNumber, bits: int):
@@ -407,38 +421,37 @@ def _conjugates(a: AlgebraicNumber, bits: int):
 
 @functools.lru_cache(maxsize=4096)
 def _alpha_matrix(alpha: AlgebraicNumber, bits: int):
-    """(adjugate, det) of the interval matrix of the conjugate system, alpha's
-    own row first, or None when 0 in det."""
+    """The weighted rows (w y, w y^2) of the trace form at scale 2**bits,
+    alpha's own row first (module docstring)."""
     x, (u, v), real = _conjugates(alpha, bits)
-    one = (1 << bits, 1 << bits)
     if real:
-        m = tuple((one, y, fp_mul(y, y, bits)) for y in (x, u, v))
-    else:
-        m = ((one, x, fp_mul(x, x, bits)),
-             (one, u, fp_sub(fp_mul(u, u, bits), fp_mul(v, v, bits))),
-             ((0, 0), v, fp_add(fp_mul(u, v, bits), fp_mul(u, v, bits))))
-    c00 = fp_sub(fp_mul(m[1][1], m[2][2], bits), fp_mul(m[1][2], m[2][1], bits))
-    c01 = fp_neg(fp_sub(fp_mul(m[1][0], m[2][2], bits), fp_mul(m[1][2], m[2][0], bits)))
-    c02 = fp_sub(fp_mul(m[1][0], m[2][1], bits), fp_mul(m[1][1], m[2][0], bits))
-    det = fp_add(fp_add(fp_mul(m[0][0], c00, bits), fp_mul(m[0][1], c01, bits)),
-                 fp_mul(m[0][2], c02, bits))
-    if det[0] <= 0 <= det[1]:
-        return None
-    c10 = fp_neg(fp_sub(fp_mul(m[0][1], m[2][2], bits), fp_mul(m[0][2], m[2][1], bits)))
-    c11 = fp_sub(fp_mul(m[0][0], m[2][2], bits), fp_mul(m[0][2], m[2][0], bits))
-    c12 = fp_neg(fp_sub(fp_mul(m[0][0], m[2][1], bits), fp_mul(m[0][1], m[2][0], bits)))
-    c20 = fp_sub(fp_mul(m[0][1], m[1][2], bits), fp_mul(m[0][2], m[1][1], bits))
-    c21 = fp_neg(fp_sub(fp_mul(m[0][0], m[1][2], bits), fp_mul(m[0][2], m[1][0], bits)))
-    c22 = fp_sub(fp_mul(m[0][0], m[1][1], bits), fp_mul(m[0][1], m[1][0], bits))
-    return ((c00, c10, c20), (c01, c11, c21), (c02, c12, c22)), det
+        return tuple((y, fp_mul(y, y, bits)) for y in (x, u, v))
+    re = fp_sub(fp_mul(u, u, bits), fp_mul(v, v, bits))
+    im = fp_mul(u, v, bits)
+    return ((x, fp_mul(x, x, bits)), ((2 * u[0], 2 * u[1]), (2 * re[0], 2 * re[1])),
+            ((-2 * v[1], -2 * v[0]), (-4 * im[1], -4 * im[0])))
 
 
-def _solve(inverse, rhs, prec):
-    """Cramer solve against the cached adjugate and determinant of
-    ``_alpha_matrix``, as fixed-point int intervals at scale 2**prec."""
-    adj, det = inverse
-    return [fp_div(fp_add(fp_add(fp_mul(row[0], rhs[0], prec), fp_mul(row[1], rhs[1], prec)),
-                          fp_mul(row[2], rhs[2], prec)), det, prec) for row in adj]
+def _trace(rows, rhs, k: int, bits: int):
+    """The enclosure at scale 2**bits of the matched trace T_(k+1): column k
+    of ``_alpha_matrix``'s rows against beta's conjugates rhs."""
+    return fp_add(fp_add(fp_mul(rows[0][k], rhs[0], bits), fp_mul(rows[1][k], rhs[1], bits)),
+                  fp_mul(rows[2][k], rhs[2], bits))
+
+
+def _gram_adjugate(f: MonicIntPoly):
+    """(adj G, det G) for G = [Tr(alpha^(j+k))], j, k = 0, 1, 2, alpha a root
+    of the cubic f; the power sums come from Newton's identities, and
+    det G = disc(f) (module docstring)."""
+    b, c, d = f.coeffs
+    p1 = -b
+    p2 = -b * p1 - 2 * c
+    p3 = -b * p2 - c * p1 - 3 * d
+    p4 = -b * p3 - c * p2 - d * p1
+    a00, a01, a02 = p2 * p4 - p3 * p3, p2 * p3 - p1 * p4, p1 * p3 - p2 * p2
+    a11, a12, a22 = 3 * p4 - p2 * p2, p1 * p2 - 3 * p3, 3 * p2 - p1 * p1
+    return (((a00, a01, a02), (a01, a11, a12), (a02, a12, a22)),
+            3 * a00 + p1 * a01 + p2 * a02)
 
 
 def _beta_rhs_variants(beta: AlgebraicNumber, bits: int):
@@ -483,33 +496,36 @@ def _express_quadratic(beta: AlgebraicNumber, alpha: AlgebraicNumber, df: int, d
 
 def _express_cubic(beta: AlgebraicNumber, alpha: AlgebraicNumber,
                    start_bits: int, max_bits: int) -> FieldExpression | None:
-    """The exact solve for cubic alpha and beta of one signature, with no
-    shortcut in front of it."""
-    f, g = alpha.minpoly, beta.minpoly
-    t = abs(f.discriminant())  # every coordinate is a multiple of 1/t
+    """The solve for cubic alpha and beta of one signature, with no shortcut
+    in front of it, on the trace form (module docstring): for each matching
+    still open, the matched traces T_1 and T_2 are enclosed at the rung's
+    precision.  One that holds no integer refutes the matching; once both
+    are narrower than 1, their integers and T_0 = Tr(beta) give the one
+    candidate adj(G) T / disc(f), which the composition check verifies or
+    refutes exactly."""
+    g = beta.minpoly
+    adj, det = _gram_adjugate(alpha.minpoly)
     open_matchings = {0, 1}
 
     def decide(bits):
         """The expression, False once every matching is refuted, or None."""
-        inverse = _alpha_matrix(alpha, bits)
-        if inverse is None:
-            return None  # 0 in det: too coarse, both matchings stay open
+        rows = _alpha_matrix(alpha, bits)
         rhs_pair = _beta_rhs_variants(beta, bits)
         for m in sorted(open_matchings):
-            sol = _solve(inverse, rhs_pair[m], bits)
-            # each enclosure of t * a_i must be narrower than 1
-            if any((hi - lo) * t >= 1 << bits for lo, hi in sol):
-                continue  # too coarse, keep the matching open
-            cand = []
-            for lo, hi in sol:
-                h = _integer_in(lo, hi, bits, t)
-                if h is None:
+            traces = [-g.coeffs[0]]
+            for k in (0, 1):
+                lo, hi = _trace(rows, rhs_pair[m], k, bits)
+                n = _integer_in(lo, hi, bits)
+                if n is None:
+                    open_matchings.discard(m)  # the trace is no integer
                     break
-                cand.append(Fraction(h, t))
-            if len(cand) < 3:
-                open_matchings.discard(m)  # no admissible rational triple
+                if hi - lo >= 1 << bits:
+                    break  # may hold two integers: too coarse, keep the matching open
+                traces.append(n)
+            if len(traces) < 3:
                 continue
-            expr = FieldExpression(alpha, tuple(cand))
+            expr = FieldExpression(alpha, tuple(
+                Fraction(r[0] * traces[0] + r[1] * traces[1] + r[2] * traces[2], det) for r in adj))
             if not expr.verify_root_of(g):
                 open_matchings.discard(m)  # unique candidate refuted exactly
                 continue

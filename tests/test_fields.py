@@ -4,7 +4,6 @@ import hashlib
 import json
 from fractions import Fraction
 from itertools import permutations
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -20,12 +19,13 @@ from algseeds.fields import (
     _alpha_matrix,
     _beta_rhs_variants,
     _express_cubic,
+    _gram_adjugate,
     _integer_in,
     _mulmod,
     _progression_kernels,
     _same_kernel,
-    _solve,
     _split_apart,
+    _trace,
     _value_is_beta,
     char_poly,
     express_in,
@@ -509,46 +509,89 @@ def test_complex_conjugates_nest_across_precisions(b, c, d, bits):
         assert max(c_lo << bits, f_lo) <= min(c_hi << bits, f_hi)
 
 
+def _power_sums(f: MonicIntPoly) -> list:
+    """Tr(alpha^j), j = 0, ..., 4, for a root alpha of the cubic f: the slow
+    path, one char_poly of alpha^j mod f each."""
+    sums, power = [], [1, 0, 0]
+    for _ in range(5):
+        sums.append(-char_poly(f, power)[0])
+        power = _mulmod(power, [0, 1], f.ascending())
+    return sums
+
+
 @pytest.mark.parametrize("coeffs", [(0, -3, 1), (0, -7, 7), (0, 0, -2), (0, -1, -1)])
 def test_alpha_matrix_and_beta_rows_read_the_same_conjugates(coeffs):
-    """The inverse that _alpha_matrix caches and the first right-hand side of
-    _beta_rhs_variants read the same conjugates: solving alpha against
-    itself encloses the coordinates (0, 1, 0), for every real root of
-    totally real and complex cubics.  Each real entry of that right-hand
-    side encloses its own root, checked exactly."""
+    """The rows that _alpha_matrix caches and the first right-hand side of
+    _beta_rhs_variants read the same conjugates: alpha against itself under
+    matching 0 encloses the power sums Tr(alpha^2) and Tr(alpha^3) that
+    char_poly gives, for every real root of totally real and complex
+    cubics.  Each real entry of that right-hand side encloses its own root,
+    checked exactly."""
     p = MonicIntPoly.cubic(*coeffs)
+    sums = _power_sums(p)
     roots = irrational_real_roots(p)
     alphas = list(roots)
     if p.sign_at(Fraction(0)) != p.sign_at(Fraction(1)):
         alphas.append(AlgebraicNumber.real_root(p, 0, 1))  # as build_set holds it
     for alpha in alphas:
         column = _beta_rhs_variants(alpha, 128)[0]
-        sol = _solve(_alpha_matrix(alpha, 128), column, 128)
-        assert all(lo <= x << 128 <= hi for (lo, hi), x in zip(sol, (0, 1, 0)))
+        rows = _alpha_matrix(alpha, 128)
+        for k in (0, 1):
+            lo, hi = _trace(rows, column, k, 128)
+            assert lo <= sums[k + 2] << 128 <= hi
         own = [a for a in roots if same_number(a, alpha)]
         reals = own + [a for a in roots if a not in own] if p.discriminant() > 0 else own
         assert all(_encloses(root, iv, 128) for root, iv in zip(reals, column))
 
 
-@given(t=st.integers(1, 48), prec=st.integers(0, 12), h=st.integers(-60, 60),
-       shift=st.integers(-2, 2), back=st.integers(-1, 60))
-@example(t=4, prec=2, h=-3, shift=0, back=0)    # one point, an integer: [-3, -3]
-@example(t=3, prec=2, h=3, shift=-1, back=0)    # [9/4, 3]: hi on an integer, lo not
-@example(t=5, prec=3, h=-2, shift=0, back=-1)   # width exactly 1, lo on no integer
-@example(t=7, prec=6, h=1, shift=1, back=100)   # empty: hi < lo
-def test_integer_in_matches_brute_force(t, prec, h, shift, back):
-    """_integer_in on [lo, hi] / 2**prec names the least integer x with x / t
-    in it, found by trying every candidate, or None when there is none.  lo
-    sits near h / t, on negative h too, and falls on it whenever t divides
-    h 2**prec; the width runs from just under 1 on the t-scale, the widest
-    the solve admits, down to empty intervals."""
-    lo = (h << prec) // t + shift
-    hi = lo + ((1 << prec) - 1) // t - back
-    found = [x for x in range(((lo * t) >> prec) - 1, ((hi * t) >> prec) + 2)
-             if lo * t <= x << prec <= hi * t]
-    if (hi - lo) * t < 1 << prec:
+@settings(max_examples=80, deadline=None)
+@given(b=st.integers(-6, 6), c=st.integers(-9, 9), d=st.integers(-9, 9), index=st.integers(0, 2),
+       h=st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)))
+@example(b=0, c=-3, d=1, index=1, h=(2, 0, -1))   # a cyclic cubic: beta a conjugate of alpha
+@example(b=1, c=-2, d=8, index=0, h=(0, 1, 1))    # Dedekind's cubic, index 2
+def test_trace_form_solves_drawn_cubics(b, c, d, index, h):
+    """For drawn irreducible cubics f of both signatures, det G = disc(f)
+    and adj(G) G = disc(f) I, G the matrix of the traces that char_poly
+    gives; and express_in(h(alpha), alpha) returns the integral h exactly.
+    beta is the root of char_poly(f, h) that holds h(alpha), evaluated on
+    rationals over a cell of alpha."""
+    f = MonicIntPoly.cubic(b, c, d)
+    assume(f.is_irreducible() and h[1:] != (0, 0))
+    adj, det = _gram_adjugate(f)
+    sums = _power_sums(f)
+    gram = [sums[j:j + 3] for j in range(3)]
+    assert det == f.discriminant()
+    assert [[sum(x * y for x, y in zip(row, col)) for col in gram] for row in adj] == \
+        [[det if i == j else 0 for j in range(3)] for i in range(3)]
+    roots = irrational_real_roots(f)
+    alpha = roots[index % len(roots)]
+    left, right, den = alpha.cell(200)
+    x = (Fraction(left, den), Fraction(right, den))
+    linear, square = _product_range((h[1],), x), _product_range((h[2],), _product_range(x, x))
+    image = (h[0] + linear[0] + square[0], h[0] + linear[1] + square[1])
+    (beta,) = [r for r in irrational_real_roots(MonicIntPoly(char_poly(f, h)))
+               if r.cmp_rational(image[0]) > 0 and r.cmp_rational(image[1]) < 0]
+    assert express_in(beta, alpha).coeffs == tuple(map(Fraction, h))
+
+
+@given(prec=st.integers(0, 12), h=st.integers(-60, 60),
+       shift=st.integers(-2, 2), back=st.integers(-1, 5000))
+@example(prec=2, h=-3, shift=0, back=3)     # one point, an integer: [-3, -3]
+@example(prec=2, h=2, shift=1, back=0)      # [9/4, 3]: hi on an integer, lo not
+@example(prec=3, h=-2, shift=1, back=-1)    # width exactly 1, lo on no integer
+@example(prec=6, h=1, shift=1, back=100)    # empty: hi < lo
+def test_integer_in_matches_brute_force(prec, h, shift, back):
+    """_integer_in on [lo, hi] / 2**prec names the least integer in it, found
+    by trying every candidate, or None when there is none.  lo sits near h,
+    on negative h too, and falls on it when shift is 0; the width runs from
+    exactly 1, which a trace enclosure must stay under, down to empty
+    intervals."""
+    lo = (h << prec) + shift
+    hi = lo + (1 << prec) - 1 - back
+    found = [x for x in range((lo >> prec) - 1, (hi >> prec) + 2) if lo <= x << prec <= hi]
+    if hi - lo < 1 << prec:
         assert len(found) <= 1
-    assert _integer_in(lo, hi, prec, t) == (found[0] if found else None)
+    assert _integer_in(lo, hi, prec) == (found[0] if found else None)
 
 
 # Dedekind's x^3 + x^2 - 2x + 8 has index 2: (alpha + alpha^2)/2 is an
@@ -561,7 +604,8 @@ DEDEKIND = MonicIntPoly.cubic(1, -2, 8)
 def test_express_in_recovers_fractional_cubic_coordinates(scale):
     """beta = h0 + h1 alpha + h2 (alpha + alpha^2)/2 over a grid, expressed
     in gamma = scale * alpha: the coordinates come back exactly, with their
-    denominators 2 and 18 dividing t = |disc| of gamma's minimal polynomial."""
+    denominators 2 and 18 dividing disc of gamma's minimal polynomial, the
+    denominator of adj(G) T / disc(f)."""
     alpha = irrational_real_roots(DEDEKIND)[0]
     gamma = irrational_real_roots(MonicIntPoly.cubic(scale, -2 * scale**2, 8 * scale**3))[0]
     assert gamma.minpoly.discriminant() == scale**6 * DEDEKIND.discriminant()
@@ -593,23 +637,17 @@ def test_independence_certifies_a_half_coordinate():
 
 
 def test_width_test_refuses_an_enclosure_one_wide(monkeypatch):
-    """An enclosure of t a_i exactly 1 wide may hold two integers, so it
-    keeps the matching open.  (hi - lo) t = 2**bits needs t to divide
-    2**bits, so the base is a stand-in with minimal polynomial x^3 - 2x,
-    disc 32, and the solve hands back [k, k + 1] / t with integer ends."""
-    base = SimpleNamespace(minpoly=MonicIntPoly.cubic(0, -2, 0))
-    target = SimpleNamespace(minpoly=MonicIntPoly.cubic(0, 0, -2))
-    t = 32
-    assert base.minpoly.discriminant() == t
+    """A trace enclosure exactly 1 wide with integer ends holds two
+    integers, so it keeps the matching open, rung after rung, until the
+    cap."""
+    def one_wide(rows, rhs, k, bits):
+        return (k + 1) << bits, (k + 2) << bits
 
-    def one_wide(inverse, rhs, bits):
-        return [((k << bits) // t, ((k + 1) << bits) // t) for k in (1, 2, 3)]
-
-    monkeypatch.setattr(fields, "_alpha_matrix", lambda alpha, bits: "inverse")
+    monkeypatch.setattr(fields, "_alpha_matrix", lambda alpha, bits: None)
     monkeypatch.setattr(fields, "_beta_rhs_variants", lambda beta, bits: (None, None))
-    monkeypatch.setattr(fields, "_solve", one_wide)
+    monkeypatch.setattr(fields, "_trace", one_wide)
     with pytest.raises(PrecisionExhausted):
-        _express_cubic(target, base, 8, 64)
+        _express_cubic(CBRT4_SHIFTED, CBRT2_SHIFTED, 8, 64)
 
 
 # SHA-256 of the certificates of the test below, one JSON line each
