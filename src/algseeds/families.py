@@ -119,6 +119,19 @@ the trusted polynomial is ``==`` to the validated one, hashes alike and
 gives the same ``to_json``; the tests check this on every 2r and 2i
 instance with |n| <= 300.
 
+An instance is checked once, when it is built.  An instance is a function
+of its spec, so ``SetInstance.__post_init__`` compares its elements with
+``iter_elements(spec)`` and raises ``ValueError`` on any other list: one
+shuffled, shortened, reversed or empty, one under another spec, one with a
+conjugate in place of an element or with an element under a wrong free
+coefficient.  ``build_set`` builds its instance trusted, with
+``object.__new__`` and ``object.__setattr__`` as ``MonicIntPoly._trusted``
+does, since its elements are ``iter_elements(spec)`` by construction.  So
+every ``SetInstance`` lists its spec's elements in ``build_set`` order, and
+its readers (``fields.independence_report``, the half counts of
+``uniformity``) read the spec's integers and check the instance no more.
+The tests check each refusal, and that ``build_set`` runs no check.
+
 Imaginary instances.  2i(n) takes x^2 + b x + c with b = -1 for odd n and
 b = 0 for even n, and c >= floor(n/2)^2 + 1 over its whole range.  So disc
 = b^2 - 4c <= 1 - 4 < 0: the quadratic has no real root, so no rational
@@ -235,8 +248,15 @@ class SetElement:
 
 @dataclass(frozen=True)
 class SetInstance:
+    """One instance: spec's elements in ``build_set`` order, checked once,
+    here (module docstring)."""
     spec: SetSpec
     elements: tuple[SetElement, ...]
+
+    def __post_init__(self):
+        if tuple(self.elements) != tuple(iter_elements(self.spec)):
+            raise ValueError(f"{self.spec.family}{self.spec.params}: the elements are not "
+                             "the spec's, in build_set order")
 
     def numbers(self) -> list[AlgebraicNumber]:
         return [e.number for e in self.elements]
@@ -350,8 +370,12 @@ def iter_elements(spec: SetSpec) -> Iterator[SetElement]:
 
 
 def build_set(spec: SetSpec) -> SetInstance:
-    """Materialize one instance, elements ascending (2i: by imaginary part)."""
-    return SetInstance(spec, tuple(iter_elements(spec)))
+    """Materialize one instance, elements ascending (2i: by imaginary part),
+    built trusted: they are spec's by construction (module docstring)."""
+    inst = object.__new__(SetInstance)
+    object.__setattr__(inst, "spec", spec)
+    object.__setattr__(inst, "elements", tuple(iter_elements(spec)))
+    return inst
 
 
 # ---------------------------------------------------------------------------

@@ -59,9 +59,9 @@ For a quadratic pair that passes, a1^2 = disc(g)/disc(f), so a1 is
 +-isqrt(disc(f) disc(g)) / |disc(f)| and a0 follows from the traces.
 
 The kernels of a quadratic instance are sieved, not factored one by one.
-``build_set`` lists the elements of 2r(n) and 2i(n) as the roots of
-x^2 + b x + c for one b, with c in range order or reversed range order
-(the order theorem in the ``families`` docstring).  disc = b^2 - 4c is
+The elements of 2r(n) and 2i(n) are the roots of x^2 + b x + c for one b,
+with c in ``SetSpec.free_coeffs`` order: range order or reversed range
+order (the order theorem in the ``families`` docstring).  disc = b^2 - 4c is
 affine in c with slope -4, so the listed discriminants are d0 + 4i or
 d0 - 4i, i = 0, 1, ...: an arithmetic progression d0 + i s.
 ``_progression_kernels`` sieves it by prime squares (Crandall and
@@ -73,11 +73,13 @@ At each visited index p^2 is divided out while it divides.  The sieve is
 exact: each term is divided by squares only, so its kernel stays the same,
 and after the pass no p^2 with p <= sqrt(max |term|) divides what remains,
 while a larger prime has p^2 > |term|; so what remains is squarefree, and
-is the kernel.  ``independence_report`` checks that the minimal
-polynomials of a quadratic instance have this form before it reads the
-kernels off the sieve, and refuses any other list with a ValueError.
-``squarefree_kernel`` stays the kernel of a single value, for cubics and
-for ``FieldId.of_number``, which ``same_field`` reads.
+is the kernel.  ``independence_report`` reads b and the c range off the
+spec, for a spec and for an instance alike, and checks nothing of its own:
+a ``SetInstance`` lists its spec's elements in this order, checked once
+when it is built (the ``families`` docstring).  ``squarefree_kernel``
+stays the kernel of a single value, for cubics; ``same_field`` compares
+two quadratic kernels by ``_same_kernel``, as ``express_in`` does, with no
+factoring.
 
 Deciding an instance from its keys.  ``_bucket_report`` is the one loop
 over pairs: it takes each element's field key and bucket key, buckets the
@@ -92,12 +94,12 @@ or 2i spec they come from ``SetSpec.free_coeffs`` and ``defining_poly``,
 so ``independence_report(spec)``, which ``algseeds sweep`` and ``algseeds
 independence`` call, builds no element unless a kernel repeats, and then
 only the elements of that bucket, through ``families.element``.  Given the
-instance, the same function runs on b and the c range read off the checked
-minimal polynomials; a cubic spec is built first.  The report keeps the
-field keys in ``field_keys`` and builds the ``FieldId`` tuple
-``field_ids`` from them on first read.  Neither ``to_json`` nor the sweep
-reads it: ``to_json`` renders each key through ``_field_json``, the
-renderer that ``FieldId.to_json`` calls too, so the two give the same JSON.
+instance, the same path runs and reads those elements off the instance; a
+cubic spec is built first.  The report keeps the field keys in
+``field_keys`` and builds the ``FieldId`` tuple ``field_ids`` from them on
+first read.  Neither ``to_json`` nor the sweep reads it: ``to_json``
+renders each key through ``_field_json``, the renderer that
+``FieldId.to_json`` calls too, so the two give the same JSON.
 
 The solve, and the complex columns of ``tables``, read a cubic's
 conjugates in one place, ``_conjugates(a, bits)``: fixed-point enclosures
@@ -149,7 +151,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import combinations
 from math import isqrt, lcm
 
 from .algebraic import MAX_BITS, AlgebraicNumber, horner_in, refine_until, same_number
@@ -230,13 +232,6 @@ class FieldId:
     degree: int
     kernel: int | None = None
     representative: MonicIntPoly | None = None
-
-    @classmethod
-    def of_number(cls, a: AlgebraicNumber) -> "FieldId":
-        p = a.minpoly
-        if p.degree == 2:
-            return cls(2, kernel=squarefree_kernel(p.discriminant()))
-        return cls(3, representative=p)
 
     def to_json(self) -> dict:
         return _field_json(self.kernel if self.degree == 2 else self.representative)
@@ -564,7 +559,7 @@ def same_field(a: AlgebraicNumber, b: AlgebraicNumber) -> bool:
     if f.degree != g.degree:
         return False
     if f.degree == 2:
-        return FieldId.of_number(a) == FieldId.of_number(b)
+        return _same_kernel(f.discriminant(), g.discriminant())
     return express_in(b, a) is not None
 
 
@@ -651,42 +646,29 @@ def _bucket_report(spec: SetSpec, field_keys, bucket_keys, elem) -> Independence
                               tuple(kernel_note))
 
 
-def _progression_report(spec: SetSpec, b: int, coeffs: range, elem) -> IndependenceReport:
-    """The report on the roots of x^2 + b x + c, c in coeffs (step +-1), the
-    elements of the 2r or 2i instance spec; elem(i) is the i-th.  Kernels
-    come off one sieve (module docstring)."""
-    kernels = _progression_kernels(b * b - 4 * coeffs.start, -4 * coeffs.step, len(coeffs))
-    return _bucket_report(spec, kernels, kernels, elem)
-
-
 def independence_report(inst: SetInstance | SetSpec) -> IndependenceReport:
     """Decide every pair of elements of inst, an instance or the spec of one.
     Elements are bucketed by degree and discriminant kernel; pairs in
     different buckets generate different fields (module docstring), so only
-    pairs inside a bucket are decided exactly.  A 2r or 2i instance takes its
-    kernels from one sieve, and a 2r or 2i spec is decided from its b and c
-    range with no element built (module docstring); a cubic spec is built.
-    pairs_checked still counts every pair."""
-    if isinstance(inst, SetSpec):
-        if inst.family in ("2r", "2i"):
-            coeffs = inst.free_coeffs()
-            b = inst.defining_poly(coeffs[0]).coeffs[0] if coeffs else 0
-            return _progression_report(inst, b, coeffs, lambda i: element(inst, coeffs[i]))
-        inst = build_set(inst)
+    pairs inside a bucket are decided exactly.  A 2r or 2i instance is
+    decided from its spec's b and c range, kernels off one sieve, whether
+    the spec or the instance is given: an instance lists its spec's elements
+    in order (the ``families`` docstring), so only the elements of a repeated
+    kernel are read, off the instance or built by ``families.element``
+    (module docstring).  A cubic spec is built.  pairs_checked still counts
+    every pair."""
+    spec = inst if isinstance(inst, SetSpec) else inst.spec
+    if spec.family in ("2r", "2i"):
+        coeffs = spec.free_coeffs()
+        b = spec.defining_poly(coeffs[0]).coeffs[0]
+        kernels = _progression_kernels(b * b - 4 * coeffs.start, -4 * coeffs.step, len(coeffs))
+        elem = ((lambda i: element(spec, coeffs[i])) if inst is spec
+                else lambda i: inst.elements[i].number)
+        return _bucket_report(spec, kernels, kernels, elem)
+    if inst is spec:
+        inst = build_set(spec)
     elems = inst.numbers()
-    n = len(elems)
-    if inst.spec.family in ("2r", "2i"):
-        # the minimal polynomials must be x^2 + b x + c for one b, with c in
-        # range order or reversed (module docstring)
-        polys = [a.minpoly.coeffs for a in elems]
-        b, c = polys[0] if polys else (0, 0)
-        dc = polys[1][1] - c if n > 1 else 1
-        coeffs = range(c, c + n * dc, dc) if dc in (1, -1) else None
-        if coeffs is None or polys != list(zip(repeat(b), coeffs)):
-            raise ValueError("a quadratic instance must list x^2 + b x + c for one b, "
-                             "with c in range order or reversed")
-        return _progression_report(inst.spec, b, coeffs, elems.__getitem__)
     polys = [a.minpoly for a in elems]
     kernels = [squarefree_kernel(p.discriminant()) for p in polys]
-    return _bucket_report(inst.spec, [k if p.degree == 2 else p for p, k in zip(polys, kernels)],
+    return _bucket_report(spec, [k if p.degree == 2 else p for p, k in zip(polys, kernels)],
                           [(p.degree, k) for p, k in zip(polys, kernels)], elems.__getitem__)

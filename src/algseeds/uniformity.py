@@ -24,9 +24,10 @@ compares the same rationals as on ``Fraction`` ends, so it decides at the
 same rung.
 
 Half counts off the spec.  ``half_split`` and the report count the values
-below 1/2 on the spec's integers, one test per free coefficient k, after
-checking that the instance lists its spec's elements in ``build_set`` order
-(``_require_spec_order``; any other instance raises ``ValueError``):
+below 1/2 on the spec's integers, one test per free coefficient k.  They
+check nothing about the instance: a ``SetInstance`` lists its spec's
+elements in ``build_set`` order, checked once when it is built (the
+``families`` docstring):
 
   * A real family.  The element for k is the one root in (0, 1) of
     p_k = x^d + a_1 x^(d-1) + ... + a_(d-1) x + k, also for a reducible 3tr
@@ -54,7 +55,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from .algebraic import AffineValue, AlgebraicNumber, FracIv, refine_until, round_half_even, value_cell
-from .families import _ONE, _ZERO, MonicIntPoly, SetInstance, SetSpec, element, half_shift_poly
+from .families import MonicIntPoly, SetInstance, SetSpec, element, half_shift_poly
 
 
 class TooFewElements(ValueError):
@@ -172,44 +173,13 @@ def _discrepancy(lefts: list[int], rights: list[int], den: int) -> FracIv:
 
 def half_split(s: SetInstance) -> tuple[int, int]:
     """Exact (below 1/2, above 1/2) counts, read off the spec's integers
-    (module docstring); s must list its spec's elements in order."""
+    (module docstring)."""
     return _half_counts(s)
 
 
-def _require_spec_order(s: SetInstance) -> None:
-    """Raise ValueError unless element i of s is the root of its spec with
-    the i-th free coefficient k of ``SetSpec.free_coeffs``: free coefficient
-    k, minimal polynomial p_k (for a reducible 3tr cubic, its quotient by
-    x - r for an integer r), and the selector ``build_set`` gives, the
-    interval (0, 1) or the upper half plane."""
-    spec = s.spec
-    coeffs = spec.free_coeffs()
-    if spec.family == "2i":
-        head, selector = (-(spec.params[0] % 2),), (None, None, 1)
-    else:
-        head, selector = spec.params, (_ZERO, _ONE, 0)
-    if len(s.elements) != len(coeffs):
-        raise ValueError(f"{spec.family}{spec.params}: {len(s.elements)} elements, "
-                         f"the spec has {len(coeffs)}")
-    for e, k in zip(s.elements, coeffs):
-        a, p_k = e.number, head + (k,)
-        q = a.minpoly.coeffs
-        if q != p_k and len(q) == 2 < len(p_k):
-            # x^3 + m x^2 + n x + k = (x - r)(x^2 + u x + v) exactly when
-            # r = u - m, n = v - r u and k = -r v
-            u, v = q
-            r = u - head[0]
-            if v - r * u == head[1] and -r * v == k:
-                q = p_k
-        if e.free_coeff != k or q != p_k or (a.lo, a.hi, a.half_plane) != selector:
-            raise ValueError(f"{spec.family}{spec.params}: element {e.free_coeff} stands where "
-                             f"the spec's root for {k} belongs")
-
-
 def _half_counts(s: SetInstance) -> tuple[int, int]:
-    """(below 1/2, above 1/2) for an instance of its spec, in order, by one
-    integer test per free coefficient k (module docstring)."""
-    _require_spec_order(s)
+    """(below 1/2, above 1/2) for an instance, by one integer test per free
+    coefficient k of its spec (module docstring)."""
     spec = s.spec
     coeffs = spec.free_coeffs()
     if spec.family != "2i":

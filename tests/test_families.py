@@ -1,5 +1,6 @@
 """Unit tests for the four parametric set families."""
 
+import random
 from fractions import Fraction
 from math import isqrt
 
@@ -7,11 +8,12 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from algseeds.algebraic import AlgebraicNumber, same_number
+from algseeds.algebraic import AlgebraicNumber, irrational_real_roots, same_number
 from algseeds.families import (
     InvalidParams,
     RationalRoot,
     SetElement,
+    SetInstance,
     SetSpec,
     _elements,
     _integer_roots_by_coeff,
@@ -349,6 +351,45 @@ def test_iter_elements_streams_build_set(spec):
     stream = iter_elements(spec)
     assert not isinstance(stream, (list, tuple))
     assert tuple(stream) == build_set(spec).elements
+
+
+def test_set_instance_is_checked_once_when_it_is_built(monkeypatch):
+    """A SetInstance lists its spec's elements in build_set order (module
+    docstring); any other list is refused when the instance is built:
+    shuffled, shortened or reversed, under another spec, with a conjugate
+    in place of an element, with an element under a wrong free coefficient,
+    or empty.  build_set builds trusted and runs no check."""
+    spec = SetSpec("3tr", (-2, -20))
+    elements = build_set(spec).elements
+    assert any(e.number.minpoly.degree == 2 for e in elements)
+    assert SetInstance(spec, elements) == build_set(spec)
+    order = list(range(len(elements)))
+    random.Random(7).shuffle(order)
+    assert order != sorted(order)
+    first = elements[0]
+    conjugate = next(r for r in irrational_real_roots(first.number.minpoly)
+                     if not same_number(r, first.number))
+    imaginary = build_set(SetSpec("2i", (9,))).elements
+    for other, listed in ((spec, tuple(elements[i] for i in order)),
+                          (spec, elements[1:]),
+                          (spec, elements[::-1]),
+                          (SetSpec("2i", (9,)), imaginary[::-1]),
+                          (SetSpec("3tr", (-2, -21)), elements),
+                          # 2r(5) and 2r(-7) both have five elements
+                          (SetSpec("2r", (-7,)), build_set(SetSpec("2r", (5,))).elements),
+                          (spec, (SetElement(first.free_coeff, conjugate), *elements[1:])),
+                          (spec, (SetElement(first.free_coeff + 1, first.number), *elements[1:])),
+                          (spec, ())):
+        with pytest.raises(ValueError):
+            SetInstance(other, listed)
+
+    def refuse(self):
+        raise AssertionError("build_set ran the check")
+    monkeypatch.setattr(SetInstance, "__post_init__", refuse)
+    with pytest.raises(AssertionError):
+        SetInstance(spec, elements)
+    for s in (spec, SetSpec("2i", (9,)), SetSpec("2r", (-7,)), SetSpec("3ntr", (3, 3))):
+        assert build_set(s).elements == tuple(iter_elements(s))
 
 
 @given(n=st.integers(min_value=1, max_value=30))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from algseeds.algebraic import (AlgebraicNumber, PrecisionExhausted, irrational_real_roots,
                                 same_number)
 from algseeds import fields
-from algseeds.families import SetElement, SetInstance, SetSpec, bc_root, build_set
+from algseeds.families import SetInstance, SetSpec, bc_root, build_set
 from algseeds.fields import (
     FieldExpression,
     FieldId,
@@ -75,12 +75,11 @@ def test_same_kernel_matches_factoring(d, e):
 
 
 def test_field_id_quadratic():
-    sqrt2 = AlgebraicNumber.sqrt_of(2)
-    sqrt8 = AlgebraicNumber.sqrt_of(8)
-    sqrt3 = AlgebraicNumber.sqrt_of(3)
-    assert FieldId.of_number(sqrt2) == FieldId.of_number(sqrt8)
-    assert FieldId.of_number(sqrt2) != FieldId.of_number(sqrt3)
-    assert FieldId.of_number(sqrt2).to_json() == {"degree": 2, "kernel": 2}
+    # the fields of sqrt(k): disc(x^2 - k) = 4k
+    sqrt2, sqrt8, sqrt3 = (FieldId(2, kernel=squarefree_kernel(4 * k)) for k in (2, 8, 3))
+    assert sqrt2 == sqrt8
+    assert sqrt2 != sqrt3
+    assert sqrt2.to_json() == {"degree": 2, "kernel": 2}
 
 
 def test_express_in_identity():
@@ -303,7 +302,7 @@ def test_progression_kernels_match_squarefree_kernel(first, power, step, sign, c
     assert _progression_kernels(first, step, count) == [squarefree_kernel(t) for t in terms]
 
 
-def test_quadratic_field_ids_match_of_number():
+def test_quadratic_field_ids_match_squarefree_kernel():
     """independence_report reads quadratic kernels off the sieve; they are
     the kernels of each element's own discriminant, for 2r with
     1 <= |n| <= 300 (the one-element 2r(1) and 2r(-3) among them) and 2i
@@ -312,9 +311,8 @@ def test_quadratic_field_ids_match_of_number():
              + [SetSpec("2i", (n,)) for n in range(1, 301)])
     for spec in specs:
         inst = build_set(spec)
-        assert independence_report(inst).field_ids == tuple(map(FieldId.of_number, inst.numbers()))
-    empty = SetInstance(SetSpec("2r", (5,)), ())
-    assert independence_report(empty).field_ids == ()
+        assert independence_report(inst).field_ids == tuple(
+            FieldId(2, kernel=squarefree_kernel(a.minpoly.discriminant())) for a in inst.numbers())
 
 
 @pytest.mark.parametrize("spec", (SetSpec("2r", (60,)), SetSpec("2i", (50,)),
@@ -332,16 +330,15 @@ def test_report_json_renders_field_keys_without_field_ids(spec):
 @pytest.mark.parametrize("order", ((1, 0, 2, 3, 4), (0, 1, 3, 2, 4), (4, 0, 1, 2, 3),
                                    (0, 2, 4, 1, 3), (0, 0, 1, 2, 3)))
 def test_independence_refuses_quadratics_out_of_range_order(order):
-    """A hand-built instance whose elements are not in build_set order (or
-    reversed) is refused, not misreported: also when only the middle moves."""
+    """independence_report reads a quadratic instance's kernels off its
+    spec, so it is never handed one out of build_set order: a hand-built
+    instance is refused when it is built, also when only the middle moves
+    and also reversed (the ``families`` docstring)."""
     for spec in (SetSpec("2r", (5,)), SetSpec("2r", (-7,)), SetSpec("2i", (5,))):
         elements = build_set(spec).elements
-        shuffled = SetInstance(spec, tuple(elements[i] for i in order))
-        with pytest.raises(ValueError):
-            independence_report(shuffled)
-        backwards = SetInstance(spec, elements[::-1])
-        assert independence_report(backwards).field_ids == \
-            independence_report(build_set(spec)).field_ids[::-1]
+        for bad in (tuple(elements[i] for i in order), elements[::-1]):
+            with pytest.raises(ValueError):
+                independence_report(SetInstance(spec, bad))
 
 
 def test_spec_decision_matches_the_built_instance():
@@ -367,20 +364,18 @@ def test_cubic_spec_is_decided_on_its_built_instance():
 
 def test_repeated_kernel_is_certified_through_express_in():
     """x^2 + c for c = 1..4 has discriminants -4, -8, -12, -16, with kernels
-    -1, -2, -3, -1: i and 2i share Q(i).  The pair goes to express_in and
+    -1, -2, -3, -1: i and 2i share Q(i).  No instance lists these four, so
+    the bucket loop takes them directly.  The pair goes to express_in and
     is reported with its certificate, in either order."""
-    spec = SetSpec("2i", (2,))
-    elements = tuple(SetElement(c, AlgebraicNumber.complex_root(MonicIntPoly.quadratic(0, c)))
-                     for c in range(1, 5))
-    for inst, coeffs in ((SetInstance(spec, elements), (0, 2, 0)),
-                         (SetInstance(spec, elements[::-1]), (0, Fraction(1, 2), 0))):
-        rep = independence_report(inst)
-        assert [fid.kernel for fid in rep.field_ids] == \
-            [squarefree_kernel(a.minpoly.discriminant()) for a in inst.numbers()]
+    numbers = [AlgebraicNumber.complex_root(MonicIntPoly.quadratic(0, c)) for c in range(1, 5)]
+    for listed, coeffs in ((numbers, (0, 2, 0)), (numbers[::-1], (0, Fraction(1, 2), 0))):
+        kernels = [squarefree_kernel(a.minpoly.discriminant()) for a in listed]
+        # the spec only labels the report
+        rep = fields._bucket_report(SetSpec("2i", (2,)), kernels, kernels, listed.__getitem__)
         (col,) = rep.collisions
         assert (col.i, col.j) == (0, 3)
         assert col.certificate.coeffs == tuple(map(Fraction, coeffs))
-        assert col.certificate.verify_root_of(inst.numbers()[3].minpoly)
+        assert col.certificate.verify_root_of(listed[3].minpoly)
         assert not rep.independent and rep.pairs_checked == 6
 
 
@@ -389,7 +384,8 @@ def test_spec_decision_builds_the_right_elements_for_a_repeated_kernel(spec, mon
     """No 2r or 2i spec has a repeated kernel, so the repeat branch of the
     spec decision is reached here through a sieve that reports one: it must
     send elements i and j of build_set(spec) to express_in, and nothing
-    else."""
+    else.  Given the instance, it takes the same path and reads the two
+    elements off the instance."""
     sieve = fields._progression_kernels
     calls = []
 
@@ -404,10 +400,14 @@ def test_spec_decision_builds_the_right_elements_for_a_repeated_kernel(spec, mon
 
     monkeypatch.setattr(fields, "_progression_kernels", repeated)
     monkeypatch.setattr(fields, "express_in", express)
-    rep = independence_report(spec)
-    elems = build_set(spec).numbers()
-    assert calls == [(elems[5], elems[2])]
-    assert [(c.i, c.j) for c in rep.collisions] == [(2, 5)]
+    inst = build_set(spec)
+    elems = inst.numbers()
+    for given in (spec, inst):
+        calls.clear()
+        rep = independence_report(given)
+        assert calls == [(elems[5], elems[2])]
+        assert [(c.i, c.j) for c in rep.collisions] == [(2, 5)]
+    assert calls[0][0] is elems[5] and calls[0][1] is elems[2]
 
 
 def test_independence_finds_known_cubic_collision():

@@ -1,6 +1,5 @@
 """Unit tests for gap statistics, discrepancy, and half-interval counts."""
 
-import random
 from fractions import Fraction
 from math import isqrt
 
@@ -8,9 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from algseeds.algebraic import (AffineValue, AlgebraicNumber, _cell_decimal, irrational_real_roots,
-                                refine_until, same_number)
-from algseeds.families import SetElement, SetInstance, SetSpec, build_set
+from algseeds.algebraic import AffineValue, AlgebraicNumber, _cell_decimal, refine_until, same_number
+from algseeds.families import SetSpec, build_set
 from algseeds.uniformity import (
     TooFewElements,
     _check_bound,
@@ -302,35 +300,6 @@ def test_half_counts_match_per_value_comparison(spec):
     below = sum(_below_half_by_cmp_rational(v) for v in values)
     assert half_split(inst) == (below, len(values) - below)
     assert uniformity_report(inst, 16).half_counts == (below, len(values) - below)
-
-
-def test_half_counts_refuse_an_instance_that_is_not_its_spec_in_order():
-    """The closed form holds for the spec's elements in build_set order; a
-    shuffled or shortened instance raises, and so does one under another
-    spec, one with a conjugate in place of an element and one with an
-    element under a wrong free coefficient."""
-    spec = SetSpec("3tr", (-2, -20))
-    elements = build_set(spec).elements
-    assert any(e.number.minpoly.degree == 2 for e in elements)
-    order = list(range(len(elements)))
-    random.Random(7).shuffle(order)
-    assert order != sorted(order)
-    conjugate = irrational_real_roots(elements[0].number.minpoly)
-    swapped = SetElement(elements[0].free_coeff,
-                         next(r for r in conjugate if not same_number(r, elements[0].number)))
-    mislabelled = SetElement(elements[0].free_coeff + 1, elements[0].number)
-    for bad in (SetInstance(spec, tuple(elements[i] for i in order)),
-                SetInstance(spec, elements[1:]),
-                SetInstance(SetSpec("3tr", (-2, -21)), elements),
-                SetInstance(spec, (swapped, *elements[1:])),
-                SetInstance(spec, (mislabelled, *elements[1:]))):
-        with pytest.raises(ValueError):
-            half_split(bad)
-        with pytest.raises(ValueError):
-            uniformity_report(bad)
-    quad = build_set(SetSpec("2i", (9,))).elements
-    with pytest.raises(ValueError):
-        half_split(SetInstance(SetSpec("2i", (9,)), quad[::-1]))
 
 
 RATIONAL_LISTS = st.lists(
