@@ -3,7 +3,7 @@ of quadratic and cubic algebraic integers, with tiling, search, and
 bit-extraction tooling on top.  All arithmetic is exact: integers,
 fractions, and certified interval refinement."""
 
-from .algebraic import (AffineValue, AlgebraicNumber, PrecisionExhausted,
+from .algebraic import (AlgebraicNumber, PrecisionExhausted,
                         irrational_real_roots, same_number)
 from .bits import (BitStream, ComplementReport, RunStats, binary_expansion,
                    bit_stats, complement_check)
@@ -27,7 +27,7 @@ from .uniformity import (BoundCheck, TooFewElements, UniformityReport,
                          uniformity_report)
 
 __all__ = [
-    "AffineValue", "AlgebraicNumber", "BitStream", "BoundCheck", "Collision",
+    "AlgebraicNumber", "BitStream", "BoundCheck", "Collision",
     "CommonIndexResult", "ComplementReport",
     "FieldExpression", "FieldId", "FAMILIES", "GeneratorWitness",
     "IndependenceReport", "InvalidParams", "InvalidTarget", "MonicIntPoly",

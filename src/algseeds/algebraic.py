@@ -14,10 +14,9 @@ s* whose width w / (D 2^s*) is <= 2^-bits, which is the cell plain
 bisection stops on, as three ints (left, right, den) on the one
 denominator D 2^s* (D itself, and the number's own interval, when s* = 0).
 The cell is the only form an enclosure takes: ``refine(bits)`` builds
-``Fraction`` ends only to hand back a number on it, ``AffineValue.cell``
-maps it exactly, and every reader takes the ints.  ``less_than``,
-``horner_in``, ``bits.binary_expansion`` and ``uniformity`` cross-multiply
-or floor them.
+``Fraction`` ends only to hand back a number on it, and every reader takes
+the ints.  ``horner_in``, ``bits.binary_expansion`` and ``uniformity``
+cross-multiply or floor them, and ``uniformity`` renders them in its JSON.
 
 One certified decimal.  ``_cell_decimal(cell, places)`` runs one ladder
 over an int cell (left, right, den) of any value and returns the decimal
@@ -29,8 +28,10 @@ rung.  Every certified decimal the package prints goes through it:
 ``decimal`` on a number's own cell, the real and imaginary parts of a
 cubic's complex pair in ``tables`` on cells read off the real root
 (``fields._conjugates``), and a 2i element's imaginary part sqrt(R) / 2 in
-the command line on an isqrt cell.  Each of these cells takes at most one
-``cell`` call and no ladder, so no ladder starts inside another.
+the command line on the isqrt cell of ``half_sqrt_cell``, which also gives
+``uniformity`` the cells of an odd 2i instance's imaginary parts.  Each of
+these cells takes at most one ``cell`` call and no ladder, so no ladder
+starts inside another.
 
 A quadratic's cell is found in closed form.  For p = x^2 + bx + c with
 discriminant Disc, the root is (-b + sigma sqrt(Disc)) / 2, where sigma is
@@ -95,7 +96,7 @@ then answers ``cell`` as a copy refined from its own interval to the same
 level would.
 
 Validate once.  The public constructors (``AlgebraicNumber(...)``,
-``real_root``, ``complex_root``, ``sqrt_of``) check everything: the minimal
+``real_root``, ``complex_root``) check everything: the minimal
 polynomial is irreducible, the interval endpoints have opposite signs, and
 the interval holds exactly one root.  A sign change leaves an odd number of
 roots inside, so only a cubic with three real roots (disc > 0) needs the
@@ -258,12 +259,6 @@ class AlgebraicNumber:
     def complex_root(cls, p: MonicIntPoly, upper: bool = True) -> "AlgebraicNumber":
         return cls(p, None, None, 1 if upper else -1)
 
-    @classmethod
-    def sqrt_of(cls, n: int) -> "AlgebraicNumber":
-        """sqrt(n) for a positive nonsquare integer."""
-        s = isqrt(n)
-        return cls.real_root(MonicIntPoly.quadratic(0, -n), s, s + 1)
-
     @property
     def is_real(self) -> bool:
         return self.half_plane == 0
@@ -391,21 +386,6 @@ class AlgebraicNumber:
         p = self.minpoly
         return 1 if (p.scaled_value(num, den) > 0) == (p.scaled_value(a, base) > 0) else -1
 
-    def less_than(self, other: "AlgebraicNumber") -> bool:
-        if same_number(self, other):
-            raise ValueError("equal numbers have no strict order")
-
-        def decide(bits):
-            # the two cells, compared by cross-multiplication
-            a_left, a_right, a_den = self.cell(bits)
-            b_left, b_right, b_den = other.cell(bits)
-            if a_right * b_den <= b_left * a_den:
-                return True
-            if b_right * a_den <= a_left * b_den:
-                return False
-            return None
-        return refine_until(decide, 8)
-
     # -- affine images -------------------------------------------------------
 
     def negated(self) -> "AlgebraicNumber":
@@ -496,8 +476,12 @@ def _cell_decimal(cell, places: int) -> str:
     return refine_until(decide, 4 * places + 8)
 
 
-def round_half_even(x: Fraction, places: int) -> str:
-    return _round_half_even_ratio(x.numerator, x.denominator, places)
+def half_sqrt_cell(radicand: int, bits: int) -> tuple[int, int, int]:
+    """(left, right, den): the cell [s, s + 1] / 2^(bits + 1) of sqrt(R) / 2,
+    s = isqrt(R 4^bits), for R = radicand >= 0 and bits >= 0; it holds
+    sqrt(R) / 2 for a square R too, at its left end."""
+    s = isqrt(radicand << 2 * bits)
+    return s, s + 1, 2 << bits
 
 
 # ---------------------------------------------------------------------------
@@ -545,32 +529,6 @@ def irrational_real_roots(p: MonicIntPoly) -> list[AlgebraicNumber]:
     return [AlgebraicNumber._narrowed(rest, lo, hi) for lo, hi in _isolate_irreducible(rest)]
 
 
-# ---------------------------------------------------------------------------
-# Values assembled from an algebraic number by a rational affine map; these
-# show up as imaginary parts (sqrt(4c-1)/2) and only need enclosures.
-
-
-@dataclass(frozen=True)
-class AffineValue:
-    base: AlgebraicNumber
-    scale: Fraction
-    offset: Fraction
-
-    def cell(self, bits: int) -> tuple[int, int, int]:
-        """(left, right, den): the exact image of the base's cell at bits plus
-        the bit length of the scale's numerator under x -> scale x + offset,
-        ends swapped when the scale is negative, over den > 0."""
-        left, right, den = self.base.cell(bits + self.scale.numerator.bit_length())
-        p, q = self.scale.numerator, self.scale.denominator
-        r, t = self.offset.numerator, self.offset.denominator
-        # (p / q) (x / den) + r / t = (p t x + r q den) / (q t den)
-        shift = r * q * den
-        left, right = p * t * left + shift, p * t * right + shift
-        if p < 0:
-            left, right = right, left
-        return left, right, q * t * den
-
-
 def horner_in(theta: AlgebraicNumber, coeffs, lo, hi, bits: int,
               max_bits: int | None = None) -> bool:
     """Whether coeffs[0] + coeffs[1] theta + coeffs[2] theta^2 + ... lies in
@@ -597,7 +555,8 @@ def horner_in(theta: AlgebraicNumber, coeffs, lo, hi, bits: int,
 
 def value_cell(v, bits: int) -> tuple[int, int, int]:
     """(left, right, den), an int cell of v: (num, num, den) for a Fraction or
-    an int, and cell(bits) for an AlgebraicNumber or an AffineValue."""
+    an int, cell(bits) for an AlgebraicNumber, and v(bits) for a function
+    that returns a value's cell."""
     if isinstance(v, (int, Fraction)):
         return v.numerator, v.numerator, v.denominator
-    return v.cell(bits)
+    return v(bits) if callable(v) else v.cell(bits)

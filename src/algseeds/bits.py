@@ -9,7 +9,6 @@ refinement terminates: the number is never a cell boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import groupby
 
 from .algebraic import AlgebraicNumber, refine_until, same_number
@@ -46,10 +45,6 @@ class BitStream:
         """Nibble-packed, most significant bit first, zero-padded on the right."""
         pad = -self.length % 4
         return format(self.value << pad, f"0{(self.length + pad) // 4}x")
-
-    def fraction(self) -> Fraction:
-        """The dyadic approximation j / 2^L; within 2^-L of the source."""
-        return Fraction(self.value, 1 << self.length)
 
     def complemented(self) -> tuple[int, ...]:
         return tuple(1 - b for b in self.bits)

@@ -18,10 +18,9 @@ import io
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
-from math import isqrt
 
-from .algebraic import AlgebraicNumber, PrecisionExhausted, _cell_decimal, round_half_even
+from .algebraic import (AlgebraicNumber, PrecisionExhausted, _cell_decimal,
+                        _round_half_even_ratio, half_sqrt_cell)
 from .bits import binary_expansion, bit_stats, complement_check
 from .coverage import (InvalidTarget, NotQuadratic, WrongSignature,
                        common_index_witnesses, find_common_index,
@@ -46,20 +45,13 @@ class Outcome:
 
 
 def _value_str(num: AlgebraicNumber) -> str:
-    """The number to 5 places; an imaginary quadratic as re +- im i.  Its
-    imaginary part sqrt(R) / 2, R = 4c - b^2, lies in the cell
-    [s, s + 1] / 2^(bits + 1) with s = isqrt(R 4^bits), exact for a square R
-    too."""
+    """The number to 5 places; an imaginary quadratic as re +- im i, its
+    imaginary part sqrt(R) / 2, R = 4c - b^2, on ``half_sqrt_cell``."""
     if num.is_real:
         return num.decimal(5)
     b, c = num.minpoly.coeffs
-    re = round_half_even(Fraction(-b, 2), 5)
-    radicand = 4 * c - b * b
-
-    def cell(bits):
-        s = isqrt(radicand << 2 * bits)
-        return s, s + 1, 2 << bits
-    im = _cell_decimal(cell, 5)
+    re = _round_half_even_ratio(-b, 2, 5)
+    im = _cell_decimal(functools.partial(half_sqrt_cell, 4 * c - b * b), 5)
     return f"{re} {'+' if num.half_plane > 0 else '-'} {im} i"
 
 

@@ -72,10 +72,10 @@ polynomial needs no test of its own:
   * 2i takes no sign test: its element is selected by half-plane (below).
 
 So every element is built trusted; the validating constructor would decide
-irreducibility a second time.  ``AlgebraicNumber.less_than`` remains the
-exact order.  The tests check the two against each other, the walk against
-a brute-force scan of r, against a brute-force irreducibility scan of d
-(``reducible_free_coeffs`` in ``tests/oracles.py``) and against
+irreducibility a second time.  The tests check the order against an
+exact comparison of the numbers, the walk against a brute-force scan of r,
+against a brute-force irreducibility scan of d (``less_than`` and
+``reducible_free_coeffs`` in ``tests/oracles.py``) and against
 ``quadratic_exception``, and the range-end test against a brute force over
 drawn ranges, ranges on which k or s + k crosses 0 included.
 

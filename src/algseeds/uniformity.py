@@ -11,17 +11,20 @@ rational bounds, so ties cannot occur.  The half counts need no enclosure.
 
 One denominator.  At a precision bits, every value hands out its int cell
 [left, right] / den (``algebraic.value_cell``: a number's bisection cell,
-the exact affine image of one, or a rational as its own cell), and all of
-them are put on one denominator D, the lcm of the dens.  Everything is then
-computed on ints: the gaps over D, max |gap - 1/N| and the discrepancy over
-N D, the constant N^2 max_dev over D, and both bound checks by
-cross-multiplication with positive denominators.  Each int is the numerator
-of an exact rational function of the cell ends, so it names the same
-rational as interval arithmetic on ``Fraction`` ends would, and
-``Fraction(num, den)``, built once for the report, normalizes it to the
-same value; the JSON does not change by a byte.  Each rung of a bound check
-compares the same rationals as on ``Fraction`` ends, so it decides at the
-same rung.
+the isqrt cell of an odd 2i value, or a rational as its own cell), and all
+of them are put on one denominator D, the lcm of the dens.  Everything is
+then computed on ints, and the report keeps the ints up to its JSON: the
+gaps over D, max |gap - 1/N| and the discrepancy over N D, and the
+constant N^2 max_dev as N max_dev over D.  Both bound checks
+cross-multiply with positive denominators.  Each int is the numerator of an
+exact rational function of the cell ends, so it names the same rational as
+interval arithmetic on ``Fraction`` ends would.  The JSON writes each end
+in lowest terms by one gcd, as ``Fraction`` normalizes it, and the midpoint
+of [lo, hi] / den as (lo + hi) / (2 den) to 8 places by
+``algebraic._round_half_even_ratio``, which takes the ratio as it is; no
+``Fraction`` is built for the report.  Each rung of a bound check compares
+the same rationals as on ``Fraction`` ends, so it decides at the same
+rung.
 
 Half counts off the spec.  ``half_split`` and the report count the values
 below 1/2 on the spec's integers, one test per free coefficient k.  They
@@ -52,9 +55,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
-from .algebraic import AffineValue, AlgebraicNumber, FracIv, refine_until, round_half_even, value_cell
+from .algebraic import FracIv, _round_half_even_ratio, half_sqrt_cell, refine_until, value_cell
 from .families import MonicIntPoly, SetInstance, SetSpec, element, half_shift_poly
 
 
@@ -62,11 +65,13 @@ class TooFewElements(ValueError):
     pass
 
 
-def _iv_json(iv: FracIv, places: int = 8) -> dict:
-    lo, hi = iv
-    return {"lo": [str(lo.numerator), str(lo.denominator)],
-            "hi": [str(hi.numerator), str(hi.denominator)],
-            "decimal": round_half_even((lo + hi) / 2, places)}
+def _iv_json(lo: int, hi: int, den: int) -> dict:
+    """[lo, hi] / den, each end in lowest terms, and its midpoint to 8 places
+    (module docstring)."""
+    g_lo, g_hi = gcd(lo, den), gcd(hi, den)
+    return {"lo": [str(lo // g_lo), str(den // g_lo)],
+            "hi": [str(hi // g_hi), str(den // g_hi)],
+            "decimal": _round_half_even_ratio(lo + hi, 2 * den, 8)}
 
 
 @dataclass(frozen=True)
@@ -80,33 +85,42 @@ class BoundCheck:
 
 @dataclass(frozen=True)
 class UniformityReport:
+    """Int numerators on the cells' one denominator den (module docstring):
+    each gap over den, max_dev and the discrepancy over n den.  The constant
+    N^2 max_dev is n max_dev over den."""
     n: int
-    gaps: tuple[FracIv, ...]
-    max_dev: FracIv | None
-    constant: FracIv | None          # N^2 * max_dev
-    discrepancy: FracIv | None
-    half_counts: tuple[int, int] | None
+    den: int
+    gaps: tuple[tuple[int, int], ...]
+    max_dev: tuple[int, int] | None
+    discrepancy: tuple[int, int]
+    half_counts: tuple[int, int]
     bound_check: BoundCheck | None
 
     def to_json(self) -> dict:
-        return {"n": self.n,
-                "gaps": [_iv_json(g) for g in self.gaps],
-                "max_dev": _iv_json(self.max_dev) if self.max_dev else None,
-                "constant": _iv_json(self.constant) if self.constant else None,
-                "discrepancy": _iv_json(self.discrepancy) if self.discrepancy else None,
-                "half_counts": list(self.half_counts) if self.half_counts else None,
+        n, den, dev = self.n, self.den, self.max_dev
+        return {"n": n,
+                "gaps": [_iv_json(lo, hi, den) for lo, hi in self.gaps],
+                "max_dev": _iv_json(*dev, n * den) if dev else None,
+                "constant": _iv_json(n * dev[0], n * dev[1], den) if dev else None,
+                "discrepancy": _iv_json(*self.discrepancy, n * den),
+                "half_counts": list(self.half_counts),
                 "bound_check": self.bound_check.to_json() if self.bound_check else None}
 
 
 def im_fractional(s: SetInstance) -> list:
     """The fractional parts of the imaginary parts of a 2i instance, sorted.
-    Neither branch validates a number: each rests on the argument below.
+    The odd branch builds no number and the even one validates none: each
+    rests on the argument below.
 
-    Odd n: Im = sqrt(4c-1)/2, not an algebraic integer, carried as an
-    affine image of sqrt(4c-1), built trusted on (r, r + 1) with
-    r = isqrt(4c-1).  4c-1 = 3 mod 4 is never a square, so x^2 - (4c-1) is
-    irreducible for every c, and it changes sign on (r, r + 1).  The
-    fractional part of sqrt(4c-1)/2 is sqrt(4c-1)/2 - r // 2.
+    Odd n: Im = sqrt(4c-1)/2, not an algebraic integer, whose fractional
+    part is sqrt(4c-1)/2 - r // 2 with r = isqrt(4c-1).  It is returned as
+    the function that gives its cell at bits, ``algebraic.half_sqrt_cell``
+    at bits + 1 shifted by r // 2:
+    (s - (r // 2) D, s + 1 - (r // 2) D) / D with D = 2^(bits+2) and
+    s = isqrt((4c-1) 4^(bits+1)).  It is the bisection cell of sqrt(4c-1)
+    on (r, r + 1) at bits + 1, [s, s + 1] / 2^(bits+1), mapped by
+    x -> x/2 - r // 2.  4c-1 = 3 mod 4 is never a square, so the value is
+    irrational and lies strictly inside the cell.
 
     Even n: Im = sqrt(c), and c lies strictly between (n/2)^2 and
     (n/2 + 1)^2, so floor(sqrt(c)) = n/2 and sqrt(c) - n/2 is the root in
@@ -119,14 +133,9 @@ def im_fractional(s: SetInstance) -> list:
     if spec.family != "2i":
         raise ValueError("im_fractional applies to 2i instances")
     (n,) = spec.params
-    out = []
     if n % 2:
-        for e in s.elements:
-            r = isqrt(4 * e.free_coeff - 1)
-            base = AlgebraicNumber._narrowed(MonicIntPoly._trusted((0, 1 - 4 * e.free_coeff)),
-                                             Fraction(r), Fraction(r + 1))
-            out.append(AffineValue(base, Fraction(1, 2), Fraction(-(r // 2))))
-        return out
+        return [_odd_cell(4 * e.free_coeff - 1) for e in s.elements]
+    out = []
     spec2r = SetSpec("2r", (n,))
     for e in s.elements:
         c = e.free_coeff
@@ -135,6 +144,17 @@ def im_fractional(s: SetInstance) -> list:
         assert half_shift_poly(spec2r, c2r) == MonicIntPoly.quadratic(0, -c)
         out.append(element(spec2r, c2r))
     return out
+
+
+def _odd_cell(radicand: int):
+    """The cell function of sqrt(radicand)/2 - isqrt(radicand) // 2, for an
+    odd 2i instance (``im_fractional``)."""
+    shift = isqrt(radicand) // 2
+
+    def cell(bits: int) -> tuple[int, int, int]:
+        left, right, den = half_sqrt_cell(radicand, bits + 1)
+        return left - shift * den, right - shift * den, den
+    return cell
 
 
 def instance_values(s: SetInstance) -> list:
@@ -147,7 +167,9 @@ def instance_values(s: SetInstance) -> list:
 def discrepancy(values, bits: int = 64) -> FracIv:
     """Enclosure of D_N = 1/N + max_i(i/N - x_i) - min_i(i/N - x_i) for an
     ascending list; exact (zero width) on rational input."""
-    return _discrepancy(*_cells(values, bits))
+    lefts, rights, den = _cells(values, bits)
+    lo, hi = _discrepancy(lefts, rights, den)
+    return Fraction(lo, len(lefts) * den), Fraction(hi, len(lefts) * den)
 
 
 def _cells(values, bits: int) -> tuple[list[int], list[int], int]:
@@ -159,16 +181,15 @@ def _cells(values, bits: int) -> tuple[list[int], list[int], int]:
             [right * (den // d) for _, right, d in cells], den)
 
 
-def _discrepancy(lefts: list[int], rights: list[int], den: int) -> FracIv:
-    """D_N on cells over den: with t_i = i/N - x_i, over N den, it runs from
-    1/N + max(t_lo) - min(t_hi) to 1/N + max(t_hi) - min(t_lo)."""
+def _discrepancy(lefts: list[int], rights: list[int], den: int) -> tuple[int, int]:
+    """D_N over N den, on cells over den: with t_i = i/N - x_i, over N den,
+    it runs from 1/N + max(t_lo) - min(t_hi) to 1/N + max(t_hi) - min(t_lo)."""
     n = len(lefts)
     if n < 1:
         raise TooFewElements("discrepancy needs at least one value")
     t_lo = [i * den - n * right for i, right in enumerate(rights, 1)]
     t_hi = [i * den - n * left for i, left in enumerate(lefts, 1)]
-    return (Fraction(den + max(t_lo) - min(t_hi), n * den),
-            Fraction(den + max(t_hi) - min(t_lo), n * den))
+    return den + max(t_lo) - min(t_hi), den + max(t_hi) - min(t_lo)
 
 
 def half_split(s: SetInstance) -> tuple[int, int]:
@@ -246,18 +267,15 @@ def _check_bound(spec: SetSpec, values, bits: int) -> BoundCheck | None:
 
 
 def uniformity_report(s: SetInstance, bits: int = 64) -> UniformityReport:
-    """Everything at once: gaps, deviation constant, discrepancy, half split.
-    The ints of the module docstring become ``Fraction``s only here."""
+    """Everything at once, on the ints of the module docstring: gaps,
+    deviation, discrepancy, half split and bound check."""
     values = instance_values(s)
     n = len(values)
     lefts, rights, den = _cells(values, bits)
     disc = _discrepancy(lefts, rights, den)
     halves = _half_counts(s)
     if n < 2:
-        return UniformityReport(n, (), None, None, disc, halves, None)
+        return UniformityReport(n, den, (), None, disc, halves, None)
     gaps = _gaps(lefts, rights)
-    dev_lo, dev_hi = _max_dev(gaps, n, den)
-    return UniformityReport(n, tuple((Fraction(lo, den), Fraction(hi, den)) for lo, hi in gaps),
-                            (Fraction(dev_lo, n * den), Fraction(dev_hi, n * den)),
-                            (Fraction(dev_lo * n, den), Fraction(dev_hi * n, den)), disc, halves,
+    return UniformityReport(n, den, tuple(gaps), _max_dev(gaps, n, den), disc, halves,
                             _check_bound(s.spec, values, bits))

@@ -1,9 +1,17 @@
 """Independent slow paths that only the tests call: a Sturm count of real
 roots and a brute-force scan of reducible cubics, checked against the
-closed-form isolation and the integer-root walk of ``build_set``."""
+closed-form isolation and the integer-root walk of ``build_set``; the
+validating sqrt(n), the exact order of two numbers and a bit stream's
+dyadic value, which the tests compare trusted builds, build orders and
+truncations against; and the cell of an affine image of a number, the slow
+twin of the isqrt cells of ``uniformity.im_fractional``."""
 
+from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
+from algseeds.algebraic import AlgebraicNumber, refine_until, same_number
+from algseeds.bits import BitStream
 from algseeds.polynomials import MonicIntPoly, count_roots_between, root_bound_pow2
 
 
@@ -17,3 +25,52 @@ def count_real_roots(p: MonicIntPoly) -> int:
 def reducible_free_coeffs(b: int, c: int) -> list[int]:
     """Brute-force scan: the d in [1, -b-c-2] whose cubic has an integer root."""
     return [d for d in range(1, -b - c - 1) if not MonicIntPoly.cubic(b, c, d).is_irreducible()]
+
+
+def sqrt_of(n: int) -> AlgebraicNumber:
+    """sqrt(n) for a positive nonsquare integer, by the validating constructor."""
+    s = isqrt(n)
+    return AlgebraicNumber.real_root(MonicIntPoly.quadratic(0, -n), s, s + 1)
+
+
+def less_than(a: AlgebraicNumber, b: AlgebraicNumber) -> bool:
+    """Whether a < b, for two distinct real numbers, on their cells."""
+    if same_number(a, b):
+        raise ValueError("equal numbers have no strict order")
+
+    def decide(bits):
+        # the two cells, compared by cross-multiplication
+        a_left, a_right, a_den = a.cell(bits)
+        b_left, b_right, b_den = b.cell(bits)
+        if a_right * b_den <= b_left * a_den:
+            return True
+        if b_right * a_den <= a_left * b_den:
+            return False
+        return None
+    return refine_until(decide, 8)
+
+
+def stream_fraction(s: BitStream) -> Fraction:
+    """The dyadic approximation j / 2^L; within 2^-L of the source."""
+    return Fraction(s.value, 1 << s.length)
+
+
+@dataclass(frozen=True)
+class AffineValue:
+    base: AlgebraicNumber
+    scale: Fraction
+    offset: Fraction
+
+    def cell(self, bits: int) -> tuple[int, int, int]:
+        """(left, right, den): the exact image of the base's cell at bits plus
+        the bit length of the scale's numerator under x -> scale x + offset,
+        ends swapped when the scale is negative, over den > 0."""
+        left, right, den = self.base.cell(bits + self.scale.numerator.bit_length())
+        p, q = self.scale.numerator, self.scale.denominator
+        r, t = self.offset.numerator, self.offset.denominator
+        # (p / q) (x / den) + r / t = (p t x + r q den) / (q t den)
+        shift = r * q * den
+        left, right = p * t * left + shift, p * t * right + shift
+        if p < 0:
+            left, right = right, left
+        return left, right, q * t * den

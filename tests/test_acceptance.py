@@ -178,12 +178,13 @@ def _oracle_below_cubic(family: str, m: int, n: int) -> int:
 def test_criterion_05_gap_bounds_and_half_splits():
     rep = uniformity_report(build_set(SetSpec("2i", (101,))))
     assert rep.bound_check is not None and rep.bound_check.satisfied
-    assert rep.max_dev[1] < Fraction(1, 101 * 100)
+    # max_dev over n den, the gaps over den (uniformity docstring)
+    assert Fraction(rep.max_dev[1], rep.n * rep.den) < Fraction(1, 101 * 100)
 
     rep = uniformity_report(build_set(SetSpec("3tr", (-1, -100))))
     assert rep.bound_check is not None and rep.bound_check.satisfied
     for lo, hi in rep.gaps:
-        assert Fraction(1, Fraction(301, 3)) <= lo and hi < Fraction(1, 99)
+        assert Fraction(1, Fraction(301, 3)) <= Fraction(lo, rep.den) and Fraction(hi, rep.den) < Fraction(1, 99)
 
     for n in list(range(1, 101)) + list(range(-100, -2)):
         b, a = half_split(build_set(SetSpec("2r", (n,))))

@@ -2,6 +2,8 @@
 
 import decimal
 from fractions import Fraction
+from functools import partial
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,23 +11,22 @@ from hypothesis import strategies as st
 
 from algseeds import fields
 from algseeds.algebraic import (
-    AffineValue,
     AlgebraicNumber,
     PrecisionExhausted,
     ZeroDiscriminant,
     _cell_decimal,
     _round_half_even_ratio,
     irrational_real_roots,
+    half_sqrt_cell,
     refine_until,
-    round_half_even,
     same_number,
     value_cell,
 )
 from algseeds.families import SetSpec, build_set
 from algseeds.polynomials import MonicIntPoly, count_roots_between
-from oracles import count_real_roots
+from oracles import AffineValue, count_real_roots, less_than, sqrt_of
 
-SQRT2 = AlgebraicNumber.sqrt_of(2)
+SQRT2 = sqrt_of(2)
 PLASTIC = MonicIntPoly.cubic(0, -1, -1)  # one real root near 1.3247
 
 
@@ -38,7 +39,7 @@ def assert_revalidates(r):
 def test_sqrt_constructor():
     assert SQRT2.minpoly == MonicIntPoly.quadratic(0, -2)
     assert SQRT2.decimal(5) == "1.41421"
-    assert AlgebraicNumber.sqrt_of(5).decimal(5) == "2.23607"
+    assert sqrt_of(5).decimal(5) == "2.23607"
 
 
 def test_real_root_requires_isolating_bracket():
@@ -60,10 +61,10 @@ def test_constructor_rejects_interval_holding_three_roots():
     left, mid, right = (AlgebraicNumber.real_root(p, lo, hi) for lo, hi in ((-2, 0), (0, 1), (1, 2)))
     for a in (left, mid, right):
         assert same_number(a, a)
-    assert left.less_than(mid) and mid.less_than(right)
-    assert not right.less_than(left)
+    assert less_than(left, mid) and less_than(mid, right)
+    assert not less_than(right, left)
     with pytest.raises(ValueError, match="no strict order"):
-        left.less_than(left.refine(20))
+        less_than(left, left.refine(20))
 
 
 def test_plastic_number_decimal():
@@ -276,8 +277,8 @@ def test_decimal_is_the_rounded_enclosure_along_its_ladder(p, index, den, places
 
     def rounded(bits):
         r = x.refine(bits)
-        s = round_half_even(r.lo, places)
-        return s if s == round_half_even(r.hi, places) else None
+        s = _round_half_even_ratio(r.lo.numerator, r.lo.denominator, places)
+        return s if s == _round_half_even_ratio(r.hi.numerator, r.hi.denominator, places) else None
     assert x.decimal(places) == refine_until(rounded, 4 * places + 8)
 
 
@@ -362,8 +363,8 @@ def test_cmp_rational_exact_signs():
 
 def test_less_than_for_close_roots():
     r1, r2 = irrational_real_roots(MonicIntPoly.quadratic(-2, -1))  # 1 +- sqrt(2)
-    assert r1.less_than(r2)
-    assert not r2.less_than(r1)
+    assert less_than(r1, r2)
+    assert not less_than(r2, r1)
 
 
 def test_negated_plus_int_reflected():
@@ -399,10 +400,10 @@ def test_complex_affine_images_match_the_validating_constructor():
 def test_decimal_round_half_even_certified():
     # 1/4 boundary case through an algebraic detour: sqrt(9/16) is rational,
     # so exercise the rounding helper directly instead
-    assert round_half_even(Fraction(1, 8), 2) == "0.12"
-    assert round_half_even(Fraction(3, 8), 2) == "0.38"
-    assert round_half_even(Fraction(-1, 8), 2) == "-0.12"
-    assert round_half_even(Fraction(5), 0) == "5"
+    assert _round_half_even_ratio(1, 8, 2) == "0.12"
+    assert _round_half_even_ratio(3, 8, 2) == "0.38"
+    assert _round_half_even_ratio(-1, 8, 2) == "-0.12"
+    assert _round_half_even_ratio(5, 1, 0) == "5"
 
 
 @given(
@@ -413,7 +414,7 @@ def test_decimal_round_half_even_certified():
 )
 def test_round_half_even_matches_decimal_module(num, den, places, common):
     x = Fraction(num, den)
-    ours = round_half_even(x, places)
+    ours = _round_half_even_ratio(x.numerator, x.denominator, places)
     ctx = decimal.Context(prec=60, rounding=decimal.ROUND_HALF_EVEN)
     ref = ctx.divide(decimal.Decimal(num), decimal.Decimal(den))
     quantum = decimal.Decimal(1).scaleb(-places)
@@ -424,11 +425,8 @@ def test_round_half_even_matches_decimal_module(num, den, places, common):
 
 
 def test_negative_places_are_refused():
-    """The one renderer, on a ratio or on its Fraction view, refuses negative
-    places, and the certified decimal of a number or of any other cell
-    reaches it through the ladder."""
-    with pytest.raises(ValueError, match="places"):
-        round_half_even(Fraction(1, 3), -1)
+    """The one renderer refuses negative places, and the certified decimal
+    of a number or of any other cell reaches it through the ladder."""
     with pytest.raises(ValueError, match="places"):
         _round_half_even_ratio(2, 6, -1)
     with pytest.raises(ValueError, match="places"):
@@ -436,7 +434,7 @@ def test_negative_places_are_refused():
     with pytest.raises(ValueError, match="places"):
         irrational_real_roots(PLASTIC)[0].decimal(-3)
     with pytest.raises(ValueError, match="places"):
-        _cell_decimal(AffineValue(SQRT2, Fraction(1, 2), Fraction(0)).cell, -2)
+        _cell_decimal(partial(half_sqrt_cell, 2), -2)
 
 
 def test_same_number_distinguishes_conjugates():
@@ -472,7 +470,7 @@ def test_totally_real_cubic_roots_ascending():
     roots = irrational_real_roots(MonicIntPoly.cubic(0, -3, 1))
     assert [a.decimal(5) for a in roots] == ["-1.87939", "0.34730", "1.53209"]
     for x, y in zip(roots, roots[1:]):
-        assert x.less_than(y)
+        assert less_than(x, y)
 
 
 CUBIC_COEFF = st.integers(min_value=-15, max_value=15)
@@ -559,8 +557,21 @@ def test_value_cell_uniform_access():
     assert value_cell(Fraction(-6, 4), 10) == (-3, -3, 2)
     assert value_cell(4, 10) == (4, 4, 1)
     assert value_cell(SQRT2, 20) == SQRT2.cell(20)
-    v = AffineValue(SQRT2, Fraction(-1, 2), Fraction(1))
-    assert value_cell(v, 20) == v.cell(20)
+    assert value_cell(partial(half_sqrt_cell, 7), 20) == half_sqrt_cell(7, 20)
+
+
+@given(radicand=st.integers(0, 10**6), bits=st.integers(0, 200))
+@example(radicand=0, bits=0)
+@example(radicand=16, bits=3)
+def test_half_sqrt_cell_holds_half_the_root(radicand, bits):
+    """half_sqrt_cell(R, bits) is [s, s + 1] / 2^(bits + 1), 2^-(bits + 1)
+    wide, with s = floor(sqrt(R) 2^bits): it holds sqrt(R) / 2, at its left
+    end exactly when R 4^bits is a square."""
+    left, right, den = half_sqrt_cell(radicand, bits)
+    assert right == left + 1 and den == 2 << bits
+    scaled = radicand << 2 * bits      # (sqrt(R) 2^bits)^2
+    assert left * left <= scaled < right * right
+    assert (left * left == scaled) == (isqrt(radicand) ** 2 == radicand)
 
 
 def test_cell_decimal_of_a_cell_that_never_narrows_is_undecided():

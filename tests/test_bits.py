@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from algseeds.algebraic import AlgebraicNumber
 from algseeds.bits import (
     BitStream,
     NotInUnitInterval,
@@ -16,6 +15,7 @@ from algseeds.bits import (
     complement_check,
 )
 from algseeds.families import SetSpec, bc_root, build_set
+from oracles import sqrt_of, stream_fraction
 
 GOLDEN = bc_root(1, -1, 1)        # (sqrt(5) - 1)/2 = 0.61803
 SQRT2_FRAC = bc_root(2, -1, 1)    # sqrt(2) - 1 = 0.41421
@@ -54,14 +54,14 @@ def test_prefix_stability(short, extra):
 
 def test_fraction_approximates_source():
     s = binary_expansion(GOLDEN, 20)
-    f = s.fraction()
+    f = stream_fraction(s)
     assert GOLDEN.cmp_rational(f) == 1                          # truncation is below
     assert GOLDEN.cmp_rational(f + Fraction(1, 1 << 20)) == -1  # within one cell
 
 
 def test_input_validation():
     with pytest.raises(NotInUnitInterval):
-        binary_expansion(AlgebraicNumber.sqrt_of(2), 8)
+        binary_expansion(sqrt_of(2), 8)
     with pytest.raises(NotInUnitInterval):
         binary_expansion(bc_root(0, 1, 1), 8)  # imaginary
     with pytest.raises(ValueError):
@@ -103,7 +103,7 @@ def test_stream_value_matches_digit_oracle():
     assert s.as_text() == "011010100000"
     assert s.bits == tuple(int(ch) for ch in s.as_text())
     assert s.as_hex() == "6a0"
-    assert s.fraction() == Fraction(s.value, 1 << 12)
+    assert stream_fraction(s) == Fraction(s.value, 1 << 12)
     assert BitStream(SQRT2_FRAC, 1, 6).as_text() == "000001"
 
 

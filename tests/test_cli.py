@@ -1,12 +1,16 @@
 """End-to-end tests of the command line front end."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import algseeds.algebraic
 from algseeds.algebraic import AlgebraicNumber, PrecisionExhausted
@@ -202,6 +206,73 @@ def test_internal_failure_is_not_a_usage_error(capsys, monkeypatch):
     assert code == EXIT_INTERNAL == 4
     assert out == ""
     assert err == "internal error: ValueError: Sturm endpoints must not be roots\n"
+
+
+SMALL = st.integers(-12, 12).map(str)
+M = st.integers(-5, 2).map(str)
+# --m for any family: a cubic one needs it and a quadratic one refuses it
+FAMILY_FLAGS = st.tuples(st.just("--family"), st.sampled_from(("2r", "2i", "3ntr", "3tr")),
+                         st.just("--n"), SMALL, st.one_of(st.just(()), st.tuples(st.just("--m"), M)))
+# Each subcommand but sweep and tables, with its flags drawn small: every
+# coordinate bound included, since the default 50 makes a search seconds long.
+ARGV_HEADS = {
+    "gen": FAMILY_FLAGS,
+    "uniformity": st.tuples(FAMILY_FLAGS, st.sampled_from(((), ("--precision", "16"),
+                                                          ("--precision", "32")))),
+    "independence": FAMILY_FLAGS,
+    "exception": st.tuples(st.just("--m"), M, st.just("--n"), SMALL),
+    "tiling": st.tuples(st.just("--bound"), SMALL, st.just("--domain"),
+                        st.sampled_from(("real", "imaginary", "imaginary-except-qi"))),
+    "find-index": st.tuples(st.lists(st.integers(-3, 40).map(str), min_size=1, max_size=3),
+                            st.just("--domain"), st.sampled_from(("real", "imaginary"))),
+    "find-generator": st.tuples(st.tuples(SMALL, SMALL, SMALL), st.just("--family"),
+                                st.sampled_from(("3ntr", "3tr")), st.just("--coord-bound"),
+                                st.integers(-3, 6).map(str)),
+    "bits": st.tuples(FAMILY_FLAGS, st.just("--bits"), SMALL),
+    "complement-check": FAMILY_FLAGS,
+    "layer": st.tuples(st.just("--m"), M, st.just("--bound"), SMALL),
+}
+
+
+def _flat(parts) -> list[str]:
+    return [parts] if isinstance(parts, str) else [t for part in parts for t in _flat(part)]
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    """A drawn invocation: a subcommand and its flags, a format, and at
+    times one token dropped or a malformed one inserted."""
+    sub = draw(st.sampled_from(sorted(ARGV_HEADS)))
+    argv = [sub, *_flat(draw(ARGV_HEADS[sub]))]
+    argv += ["--format", draw(st.sampled_from(("json", "csv", "table")))]
+    edit = draw(st.sampled_from(("none", "none", "none", "drop", "insert")))
+    if edit == "drop":
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    elif edit == "insert":
+        argv.insert(draw(st.integers(0, len(argv))),
+                    draw(st.sampled_from(("--bogus", "1.5", "", "--n", "-", "x"))))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=argvs())
+def test_every_invocation_keeps_the_exit_code_contract(argv):
+    """Every exit is 0, 1, 2 or 3, and no run raises.  An exit 2 is either
+    argparse's own usage text or one ``error: `` line, and prints nothing on
+    stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+            usage = False
+        except SystemExit as exc:
+            code, usage = exc.code, True
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, err)
+    if usage:
+        assert code == 2 and out == "" and err.startswith("usage: algseeds"), argv
+    elif code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):

@@ -28,8 +28,9 @@ from algseeds.coverage import (
 )
 from algseeds.families import InvalidParams, SetSpec, bc_root, bc_shift_params, build_set
 from algseeds.polynomials import MonicIntPoly, is_perfect_square
+from oracles import sqrt_of
 
-SQRT2 = AlgebraicNumber.sqrt_of(2)
+SQRT2 = sqrt_of(2)
 
 
 def test_tile_of_sqrt2():

@@ -29,7 +29,7 @@ from algseeds.families import (
     reflect_spec,
 )
 from algseeds.polynomials import MonicIntPoly, is_perfect_square
-from oracles import reducible_free_coeffs
+from oracles import less_than, reducible_free_coeffs
 
 # valid parameter strategies, kept small so instances stay cheap
 REAL_QUAD_N = st.one_of(
@@ -149,7 +149,7 @@ def assert_ascending_in_unit_interval(inst):
         # the validating constructor must accept it
         assert AlgebraicNumber(a.minpoly, a.lo, a.hi) == a
     for x, y in zip(values, values[1:]):
-        assert x.less_than(y)
+        assert less_than(x, y)
 
 
 def test_imaginary_elements_ascend_and_match_the_validating_constructor():

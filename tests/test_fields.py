@@ -35,6 +35,7 @@ from algseeds.fields import (
     squarefree_kernel,
 )
 from algseeds.polynomials import MonicIntPoly
+from oracles import sqrt_of
 
 CBRT2_SHIFTED = irrational_real_roots(MonicIntPoly.cubic(3, 3, -1))[0]   # 2^(1/3) - 1
 CBRT4_SHIFTED = irrational_real_roots(MonicIntPoly.cubic(3, 3, -3))[0]   # 4^(1/3) - 1
@@ -122,12 +123,12 @@ def test_express_in_joins_cyclic_cubic_conjugates():
 
 
 def test_express_in_degree_mismatch():
-    assert express_in(AlgebraicNumber.sqrt_of(2), CBRT2_SHIFTED) is None
-    assert express_in(CBRT2_SHIFTED, AlgebraicNumber.sqrt_of(2)) is None
+    assert express_in(sqrt_of(2), CBRT2_SHIFTED) is None
+    assert express_in(CBRT2_SHIFTED, sqrt_of(2)) is None
 
 
 def test_express_in_distinct_quadratic_fields():
-    assert express_in(AlgebraicNumber.sqrt_of(3), AlgebraicNumber.sqrt_of(2)) is None
+    assert express_in(sqrt_of(3), sqrt_of(2)) is None
 
 
 def test_express_in_mixed_cubic_signatures():
@@ -269,10 +270,10 @@ def test_char_poly_cubic():
 
 
 def test_same_field():
-    sqrt2 = AlgebraicNumber.sqrt_of(2)
+    sqrt2 = sqrt_of(2)
     shifted = bc_root(-2, -1, 1)  # 1 + sqrt(2)
     assert same_field(sqrt2, shifted)
-    assert not same_field(sqrt2, AlgebraicNumber.sqrt_of(3))
+    assert not same_field(sqrt2, sqrt_of(3))
     assert same_field(CBRT2_SHIFTED, CBRT4_SHIFTED)
 
 

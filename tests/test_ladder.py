@@ -17,9 +17,10 @@ from algseeds.families import SetSpec, build_set
 from algseeds.polynomials import MonicIntPoly
 from algseeds.tables import TABLES, render_table
 from algseeds.uniformity import uniformity_report
+from oracles import sqrt_of
 
 SRC = Path(algseeds.algebraic.__file__).parent
-SQRT2 = AlgebraicNumber.sqrt_of(2)
+SQRT2 = sqrt_of(2)
 
 
 def recording(answers):
@@ -77,7 +78,6 @@ def test_exhausted_message_names_the_cap():
 
 # Every public entry point that reaches a ladder with the default cap.
 LADDER_ENTRY_POINTS = {
-    "less_than": lambda: SQRT2.less_than(AlgebraicNumber.sqrt_of(3)),
     "AlgebraicNumber.decimal": lambda: SQRT2.decimal(5),
     "irrational_real_roots (totally real)": lambda: irrational_real_roots(MonicIntPoly.cubic(0, -3, 1)),
     "binary_expansion": lambda: binary_expansion(SQRT2.plus_int(-1), 16),

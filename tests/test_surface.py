@@ -156,12 +156,6 @@ def test_every_public_function_is_exported_or_called():
 KEPT_METHODS = {
     # perfbench/spans.py wraps it by name, as a string
     "algebraic.py:AlgebraicNumber.refine",
-    # the exact-order oracle of the build-order tests
-    "algebraic.py:AlgebraicNumber.less_than",
-    # the form in which the bit tests check truncation
-    "bits.py:BitStream.fraction",
-    # the validating constructor that the tests compare trusted builds against
-    "algebraic.py:AlgebraicNumber.sqrt_of",
 }
 
 

@@ -1,5 +1,7 @@
 """Unit tests for gap statistics, discrepancy, and half-interval counts."""
 
+import hashlib
+import json
 from fractions import Fraction
 from math import isqrt
 
@@ -7,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from algseeds.algebraic import AffineValue, AlgebraicNumber, _cell_decimal, refine_until, same_number
+from algseeds.algebraic import _cell_decimal, refine_until, same_number
 from algseeds.families import SetSpec, build_set
+from algseeds.fields import CUBIC_RANGE_PARAMS
 from algseeds.uniformity import (
     TooFewElements,
     _check_bound,
@@ -18,23 +21,30 @@ from algseeds.uniformity import (
     instance_values,
     uniformity_report,
 )
+from oracles import AffineValue, sqrt_of
 
 
-def _dec5(iv):
-    lo, hi = iv
-    return (lo + hi) / 2
+def _over(pair, den):
+    """An int pair of the report as the Fractions it names over den."""
+    return Fraction(pair[0], den), Fraction(pair[1], den)
+
+
+def _json_iv(iv):
+    """The (lo, hi) Fractions of an interval of the report's JSON."""
+    return tuple(Fraction(int(num), int(den)) for num, den in (iv["lo"], iv["hi"]))
 
 
 def test_two_element_gap_and_deviation():
     report = uniformity_report(build_set(SetSpec("2r", (2,))))
     assert report.n == 2
     assert len(report.gaps) == 1
-    g_lo, g_hi = report.gaps[0]
+    # the gaps over den, max_dev over n den (uniformity docstring)
+    g_lo, g_hi = _over(report.gaps[0], report.den)
     # gap is sqrt(3) - sqrt(2) = 0.31783...
     assert Fraction(31783, 100000) < g_lo < g_hi < Fraction(31784, 100000)
-    d_lo, d_hi = report.max_dev
+    d_lo, d_hi = _over(report.max_dev, 2 * report.den)
     assert Fraction(18216, 100000) < d_lo < d_hi < Fraction(18217, 100000)
-    c_lo, c_hi = report.constant
+    c_lo, c_hi = _json_iv(report.to_json()["constant"])
     assert c_lo == 4 * d_lo and c_hi == 4 * d_hi
 
 
@@ -44,7 +54,7 @@ def test_singleton_report_still_carries_discrepancy_and_halves():
     assert report.gaps == ()
     assert report.max_dev is None
     assert report.half_counts == (0, 1)  # 0.61803 sits above 1/2
-    lo, hi = report.discrepancy
+    lo, hi = _over(report.discrepancy, report.den)   # over n den, n = 1
     assert lo <= 1 <= hi  # single-point sets have extreme discrepancy exactly 1
 
 
@@ -86,7 +96,7 @@ def test_discrepancy_range_on_rational_sets(values):
 
 def test_imaginary_fractional_parts_odd():
     vals = instance_values(build_set(SetSpec("2i", (5,))))
-    decs = [_cell_decimal(v.cell, 5) for v in vals]
+    decs = [_cell_decimal(v, 5) for v in vals]
     assert decs == ["0.17945", "0.39792", "0.59808", "0.78388", "0.95804"]
 
 
@@ -100,23 +110,49 @@ def test_imaginary_even_matches_real_family_shift():
         imag = im_fractional(build_set(spec))
         assert imag == build_set(SetSpec("2r", (n,))).numbers()
         for c, u in zip(spec.free_coeffs(), imag):
-            assert same_number(u.plus_int(n // 2), AlgebraicNumber.sqrt_of(c))
+            assert same_number(u.plus_int(n // 2), sqrt_of(c))
+
+
+def _odd_twin(c: int) -> AffineValue:
+    """The slow twin of the odd 2i value for c: sqrt(4c - 1), built by the
+    validating constructor, under x -> x/2 - isqrt(4c - 1) // 2."""
+    return AffineValue(sqrt_of(4 * c - 1), Fraction(1, 2), Fraction(-(isqrt(4 * c - 1) // 2)))
+
+
+def _twin_values(inst) -> list:
+    """instance_values, with each odd 2i value as its slow twin."""
+    spec = inst.spec
+    if spec.family == "2i" and spec.params[0] % 2:
+        return [_odd_twin(e.free_coeff) for e in inst.elements]
+    return instance_values(inst)
 
 
 def test_imaginary_odd_base_is_the_validated_square_root():
-    """For odd n the trusted base of each value is sqrt(4c - 1) as the
-    validating constructor builds it, and the value is its image
-    sqrt(4c - 1)/2 - floor(sqrt(4c - 1)/2)."""
+    """For odd n each value's cell at 64 bits holds
+    sqrt(4c - 1)/2 - floor(sqrt(4c - 1)/2) of the validated sqrt(4c - 1),
+    by exact comparisons of it with the cell's mapped ends, and lies inside
+    (0, 1)."""
     for n in range(1, 302, 2):
         spec = SetSpec("2i", (n,))
         for c, v in zip(spec.free_coeffs(), im_fractional(build_set(spec))):
-            slow = AlgebraicNumber.sqrt_of(4 * c - 1)
-            assert v.base == slow
-            assert v.base.to_json() == slow.to_json()
-            k = isqrt(4 * c - 1) // 2
-            assert v.cell(64) == AffineValue(slow, Fraction(1, 2), Fraction(-k)).cell(64)
-            left, right, den = v.cell(64)
+            twin = _odd_twin(c)
+            left, right, den = v(64)
             assert 0 < left < right < den
+            # x/2 + offset in [left, right] / den means x in 2 ([left, right] / den - offset)
+            ends = (2 * (Fraction(end, den) - twin.offset) for end in (left, right))
+            assert [twin.base.cmp_rational(end) for end in ends] == [1, -1]
+
+
+def test_imaginary_odd_cells_are_the_affine_images():
+    """The isqrt cells of the odd 2i values are, int for int, the cells of
+    their slow twins, the AffineValue images of the validated
+    sqrt(4c - 1), at every odd n <= 301 and five precisions."""
+    for n in range(1, 302, 2):
+        spec = SetSpec("2i", (n,))
+        for c, v in zip(spec.free_coeffs(), im_fractional(build_set(spec))):
+            twin = _odd_twin(c)
+            for bits in (1, 8, 33, 64, 129):
+                assert v(bits) == twin.cell(bits)
 
 
 def test_im_fractional_rejects_real_families():
@@ -163,9 +199,28 @@ def test_gaps_tighten_with_precision(n):
     inst = build_set(SetSpec("2r", (n,)))
     coarse = uniformity_report(inst, bits=16)
     fine = uniformity_report(inst, bits=128)
-    for (c_lo, c_hi), (f_lo, f_hi) in zip(coarse.gaps, fine.gaps):
+    for c_gap, f_gap in zip(coarse.gaps, fine.gaps):
+        (c_lo, c_hi), (f_lo, f_hi) = _over(c_gap, coarse.den), _over(f_gap, fine.den)
         assert c_lo <= f_lo <= f_hi <= c_hi
         assert f_hi - f_lo <= Fraction(1, 2**120)
+
+
+# SHA-256 of the reports of the test below, one JSON line each
+PAPER_RANGE_REPORTS_SHA256 = "6390c51f3e1551a9401ad2cd3e257f7f646b5e648875c5537c036221f2b09dc0"
+
+
+def test_reports_over_the_paper_range_are_pinned():
+    """The uniformity JSON stays byte-identical on all 1,070 instances of
+    the default ``sweep`` range: |n| <= 200 for 2r and 2i, |n| <= 60 and
+    m in CUBIC_RANGE_PARAMS for 3ntr and 3tr, at the default 64 bits."""
+    specs = [SetSpec("2r", (n,)) for n in [*range(1, 201), *range(-3, -201, -1)]]
+    specs += [SetSpec("2i", (n,)) for n in range(1, 201)]
+    specs += [SetSpec("3ntr", (m, n)) for m in CUBIC_RANGE_PARAMS for n in range(1 - m, 61)]
+    specs += [SetSpec("3tr", (m, n)) for m in CUBIC_RANGE_PARAMS for n in range(-m - 3, -61, -1)]
+    assert len(specs) == 1070
+    text = "\n".join(json.dumps(uniformity_report(build_set(spec)).to_json(), sort_keys=True)
+                     for spec in specs)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PAPER_RANGE_REPORTS_SHA256
 
 
 def test_report_json_shape():
@@ -248,28 +303,32 @@ DRAWN_SPECS = st.one_of(
 
 @settings(max_examples=80, deadline=None)
 @given(spec=DRAWN_SPECS, bits=st.sampled_from((16, 32, 64, 200)))
-@example(spec=SetSpec("2i", (45,)), bits=16)        # AffineValue cells, odd bound check
+@example(spec=SetSpec("2i", (45,)), bits=16)        # isqrt cells, odd bound check
 @example(spec=SetSpec("3tr", (-1, -41)), bits=32)   # the window check
 @example(spec=SetSpec("2r", (1,)), bits=64)         # one element: no gaps
 def test_report_matches_the_definition_on_fraction_ends(spec, bits):
     """Gaps, max_dev, constant, discrepancy and bound check of the report,
-    computed on int cells over one denominator, equal the definition
-    computed on the Fraction ends of refine(bits) and of the exact
-    AffineValue images."""
+    computed on int cells over one denominator, and the ends its JSON
+    writes, equal the definition computed on the Fraction ends of
+    refine(bits) and of the exact images of the odd 2i values' slow
+    twins."""
     inst = build_set(spec)
-    values = instance_values(inst)
+    values = _twin_values(inst)
     n = len(values)
     report = uniformity_report(inst, bits)
+    js = report.to_json()
+    den = report.den
     assert report.n == n
-    assert report.discrepancy == _defined_discrepancy(values, bits)
+    disc = _defined_discrepancy(values, bits)
+    assert _over(report.discrepancy, n * den) == disc == _json_iv(js["discrepancy"])
     gaps = _defined_gaps(values, bits)
-    assert list(report.gaps) == gaps
+    assert [_over(g, den) for g in report.gaps] == gaps == [_json_iv(g) for g in js["gaps"]]
     if n < 2:
-        assert report.max_dev is report.constant is report.bound_check is None
+        assert report.max_dev is report.bound_check is js["constant"] is None
         return
     dev = _defined_max_dev(gaps, n)
-    assert report.max_dev == dev
-    assert report.constant == (dev[0] * n * n, dev[1] * n * n)
+    assert _over(report.max_dev, n * den) == dev == _json_iv(js["max_dev"])
+    assert _json_iv(js["constant"]) == (dev[0] * n * n, dev[1] * n * n)
     expected = _defined_bound_check(spec, values, bits)
     assert (report.bound_check.satisfied if report.bound_check else None) is expected
 
@@ -296,7 +355,7 @@ def test_half_counts_match_per_value_comparison(spec):
     """The half counts read off the spec's integers (uniformity docstring)
     equal per-value comparisons with 1/2, in half_split and in the report."""
     inst = build_set(spec)
-    values = instance_values(inst)
+    values = _twin_values(inst)
     below = sum(_below_half_by_cmp_rational(v) for v in values)
     assert half_split(inst) == (below, len(values) - below)
     assert uniformity_report(inst, 16).half_counts == (below, len(values) - below)
