@@ -246,9 +246,17 @@ class AlgebraicNumber:
                   half_plane: int = 0) -> "AlgebraicNumber":
         """Trusted: the real root of the validated p isolated by (lo, hi), or
         for an imaginary quadratic p the root in half_plane, built without
-        re-validation (see the module docstring for when that holds)."""
+        re-validation (see the module docstring for when that holds).  The
+        fields go straight into the new number's __dict__, one item each in
+        field order, as ``families._elements`` writes them, so every number
+        has the dataclass ``__init__``'s fields in its order and one layout
+        (the ``families`` docstring)."""
         a = object.__new__(cls)
-        a.__dict__.update(minpoly=p, lo=lo, hi=hi, half_plane=half_plane)
+        attrs = a.__dict__
+        attrs["minpoly"] = p
+        attrs["lo"] = lo
+        attrs["hi"] = hi
+        attrs["half_plane"] = half_plane
         return a
 
     @classmethod

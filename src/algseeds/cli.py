@@ -18,6 +18,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 
 from .algebraic import (AlgebraicNumber, PrecisionExhausted, _cell_decimal,
                         _round_half_even_ratio, half_sqrt_cell)
@@ -243,9 +244,40 @@ def _cmd_sweep(ns: argparse.Namespace) -> Outcome:
                    rows, EXIT_OK if independent else EXIT_VIOLATION)
 
 
+def _json_text(value, pad: str = "") -> str:
+    """value as ``json.dumps(value, indent=2, ensure_ascii=False)`` writes it,
+    each line after the first indented by pad: one recursive writer over
+    str, int, bool, None, list, tuple and dict with str keys, where the
+    stdlib would run its pure-Python encoder, and ``json.dumps`` for
+    anything else."""
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json_text(v, inner) for v in value]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+    if isinstance(value, dict) and all(isinstance(k, str) for k in value):
+        if not value:
+            return "{}"
+        items = [f"{encode_basestring(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
+    # a line break in json.dumps output is always structure: strings escape theirs
+    return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n" + pad)
+
+
 def _render(outcome: Outcome, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(outcome.payload, indent=2, ensure_ascii=False) + "\n"
+        return _json_text(outcome.payload) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")

@@ -333,6 +333,26 @@ def _family_coeff_ok(family: str, c: int, d: int) -> bool:
     return c <= -3 and 1 <= d <= -c - 2
 
 
+def _zero_trace_shell(shell: int, t1: int, t2: int):
+    """The coords (a0, a1, a2) with max |a_i| = shell and zero trace
+    3 a0 + a1 t1 + a2 t2, for t1 = Tr theta and t2 = Tr theta^2, in
+    lexicographic order: the shell's surface alone, with a2 solved for
+    when t2 != 0."""
+    rng = range(-shell, shell + 1)
+    for a0 in rng:
+        for a1 in rng:
+            # a2 may run over the whole range only when a0 or a1 is on the surface
+            a2s = rng if abs(a0) == shell or abs(a1) == shell else (-shell, shell)
+            rest = 3 * a0 + a1 * t1
+            if t2:
+                a2, r = divmod(-rest, t2)
+                if not r and a2 in a2s:
+                    yield a0, a1, a2
+            elif not rest:
+                for a2 in a2s:
+                    yield a0, a1, a2
+
+
 def find_generator(target: MonicIntPoly, family: str, coord_bound: int = 50) -> SearchResult:
     """First element of S_0^{family} (shells by max coordinate, then
     lexicographic) that generates the field of the target polynomial.
@@ -351,7 +371,15 @@ def find_generator(target: MonicIntPoly, family: str, coord_bound: int = 50) -> 
     integer roots in one scan, and the target is irreducible exactly when
     it keeps a real root whose minimal polynomial is the target itself: a
     cubic has a real root, and a reducible one leaves its quadratic factor
-    or nothing."""
+    or nothing.
+
+    A family polynomial has no x^2 term, which is minus the trace of the
+    candidate a0 + a1 theta + a2 theta^2, 3 a0 + a1 Tr theta + a2 Tr theta^2:
+    linear in the coordinates.  So ``_zero_trace_shell`` walks the surface
+    of each shell and yields only the candidates of zero trace, in the
+    order of a walk over the whole cube, and ``char_poly`` is built for
+    those alone.  Zero trace also rules out a1 = a2 = 0, which would leave
+    3 a0 = 0 off every shell."""
     if target.degree != 3:
         raise InvalidTarget(f"{target} is not an irreducible cubic")
     disc = target.discriminant()
@@ -363,32 +391,24 @@ def find_generator(target: MonicIntPoly, family: str, coord_bound: int = 50) -> 
     if (disc < 0) != (family == "3ntr"):
         raise WrongSignature(f"disc({target}) = {disc} does not fit {family}")
     theta = roots[0]
+    b, c, _ = target.coeffs
     for shell in range(1, coord_bound + 1):
-        rng = range(-shell, shell + 1)
-        for a0 in rng:
-            for a1 in rng:
-                for a2 in rng:
-                    if max(abs(a0), abs(a1), abs(a2)) != shell:
-                        continue
-                    if a1 == 0 and a2 == 0:
-                        continue
-                    coords = (a0, a1, a2)
-                    char = MonicIntPoly(char_poly(target, coords))
-                    if char.coeffs[0] != 0:
-                        continue  # family polynomials have zero trace
-                    _, c, d = char.coeffs
-                    if not _family_coeff_ok(family, c, d):
-                        continue
-                    elem = _unit_interval_root(char)
-                    if elem.minpoly.degree != 3:
-                        continue  # char has an integer root
-                    if not horner_in(theta, coords, 0, 1, 64):
-                        continue  # the value, a root of char, is irrational
-                    spec = SetSpec(family, (0, c))
-                    cert = FieldExpression(theta, tuple(Fraction(x) for x in coords))
-                    assert cert.verify_root_of(char)
-                    return SearchResult(True, GeneratorWitness(
-                        coords, char, spec, d, elem, cert), coord_bound)
+        # Tr theta = -b and Tr theta^2 = b^2 - 2c
+        for coords in _zero_trace_shell(shell, -b, b * b - 2 * c):
+            char = MonicIntPoly(char_poly(target, coords))
+            _, c1, d = char.coeffs
+            if not _family_coeff_ok(family, c1, d):
+                continue
+            elem = _unit_interval_root(char)
+            if elem.minpoly.degree != 3:
+                continue  # char has an integer root
+            if not horner_in(theta, coords, 0, 1, 64):
+                continue  # the value, a root of char, is irrational
+            spec = SetSpec(family, (0, c1))
+            cert = FieldExpression(theta, tuple(Fraction(x) for x in coords))
+            assert cert.verify_root_of(char)
+            return SearchResult(True, GeneratorWitness(
+                coords, char, spec, d, elem, cert), coord_bound)
     return SearchResult(False, None, coord_bound)
 
 

@@ -81,18 +81,31 @@ drawn ranges, ranges on which k or s + k crosses 0 included.
 
 One loop per instance.  ``_elements`` builds every ``MonicIntPoly``,
 ``AlgebraicNumber`` and ``SetElement`` of an instance inline, with
-``object.__new__`` and one ``object.__setattr__`` per field in field order,
-as a dataclass ``__init__`` stores them.  These are the fields and values,
-in the same order, that ``MonicIntPoly._trusted``,
-``AlgebraicNumber._narrowed`` and ``SetElement(...)`` store, without a call
-per element, and the loop never touches ``__dict__``.  The polynomial is
-x^2 + b x + k or x^3 + m x^2 + n x + k, or the quotient
+``object.__new__`` and its fields stored in field order, as a dataclass
+``__init__`` stores them: one ``object.__setattr__`` per field for the
+polynomial and the element, and one item write per field into the
+number's ``__dict__``, as ``AlgebraicNumber._narrowed`` writes them.  These
+are the fields and values, in the same order, that
+``MonicIntPoly._trusted``, ``_narrowed`` and ``SetElement(...)`` store,
+without a call per element.  A number gets its ``__dict__`` when it is
+built, not at its first ``cell``, so every number has one layout, whichever
+builder made it.  Under CPython 3.11 that costs 64 B more per element
+until the first ``cell``, which would make the dict anyway, and builds an
+element in about a quarter less time.  The dict shares its keys with the
+class, and attribute reads on such a dict do not specialize, so they run
+slower than on inline fields or on a dict of its own; a dict of its own
+builds slower and larger (ROADMAP, "Measured and left").  The polynomial
+and the element keep their inline fields; building them through
+``__dict__`` too would make every element larger for good.  The
+polynomial is x^2 + b x + k or x^3 + m x^2 + n x + k, or the quotient
 x^2 + (m + r) x + n + r(m + r) when k has the root r; a real element has
 the interval (0, 1) and a 2i element half-plane +1.  The tests check that
 ``build_set`` equals the per-element builders on ``==``, ``hash``,
 ``to_json`` and ``vars()`` of each number and its minimal polynomial, for
 every 2r and 2i instance with |n| <= 300 and every cubic instance with m
-in -6..3 and |n| <= 120.
+in -6..3 and |n| <= 120, and that the numbers of the loop, of
+``_narrowed`` and of the affine images built through it hold the fields of
+the validating constructor, in its order.
 
 Shared builders.  ``_unit_interval_root`` builds the root in (0,1) of one
 polynomial, a reducible cubic included: ``split_integer_roots`` finds r in
@@ -330,7 +343,8 @@ def _elements(spec: SetSpec, coeffs: range) -> Iterator[SetElement]:
     new, store = object.__new__, object.__setattr__
     for k in coeffs:
         # the fields of MonicIntPoly._trusted, AlgebraicNumber._narrowed and
-        # SetElement(...), stored one by one as a dataclass __init__ does
+        # SetElement(...), stored in field order as a dataclass __init__ does;
+        # the number's straight into its __dict__, as _narrowed stores them
         p = new(MonicIntPoly)
         if k in roots:
             # the quotient of x^3 + m x^2 + n x + k by x - r
@@ -339,10 +353,11 @@ def _elements(spec: SetSpec, coeffs: range) -> Iterator[SetElement]:
         else:
             store(p, "coeffs", head + (k,))
         a = new(AlgebraicNumber)
-        store(a, "minpoly", p)
-        store(a, "lo", lo)
-        store(a, "hi", hi)
-        store(a, "half_plane", half_plane)
+        attrs = a.__dict__
+        attrs["minpoly"] = p
+        attrs["lo"] = lo
+        attrs["hi"] = hi
+        attrs["half_plane"] = half_plane
         e = new(SetElement)
         store(e, "free_coeff", k)
         store(e, "number", a)

@@ -68,7 +68,13 @@ d0 - 4i, i = 0, 1, ...: an arithmetic progression d0 + i s.
 Pomerance, Prime Numbers: A Computational Perspective, ch. 3).  For each
 prime p <= sqrt(max |term|) that does not divide s, p^2 divides d0 + i s
 exactly when i = -d0 s^-1 (mod p^2), so only those indices are visited, in
-strides of p^2; a prime dividing s (here only 2) is tried at every index.
+strides of p^2.  A prime dividing s (here only 2, with s = +-4) takes two
+shortcuts first.  While 4 divides both d0 and s, both are divided by 4,
+which divides every term by 4.  Then a prime whose square divides s but
+not d0 is skipped, since every term is d0 mod p^2.  Any other prime
+dividing s is tried at every index: one that divides s once, or an odd one
+whose square divides both d0 and s.  A quadratic progression meets
+neither, so it takes no every-index pass.
 At each visited index p^2 is divided out while it divides.  The sieve is
 exact: each term is divided by squares only, so its kernel stays the same,
 and after the pass no p^2 with p <= sqrt(max |term|) divides what remains,
@@ -114,7 +120,7 @@ f = x^3 + b x^2 + c x + d,
 so the other two roots are (-(b + a) -+ sqrt(D)) / 2, ascending, with
 D = b^2 - 4c - 2ab - 3a^2; for D < 0 they are the complex pair with real
 part -(b + a)/2 and imaginary parts +-sqrt(-D)/2.  ``_deflated`` takes the
-cell of a at w = bits + GUARD_BITS, rounded outward to scale 2^w
+cell of a at w = bits + guard, rounded outward to scale 2^w
 (``dyadic.fp_from_cell``), and gives -(b + a) at once and sqrt|D| by one
 ``horner_scaled`` and one ``isqrt_iv``; each result is rounded outward to
 scale 2^bits, and a's own enclosure is the same cell rounded to 2^bits.
@@ -123,7 +129,13 @@ for discriminants gives disc(f) = disc(q) res(x - a, q)^2 = D q(a)^2 =
 D f'(a)^2, and f'(a) != 0 at a simple root.  So the sign of disc(f) names
 the case, |D| > 0, and clamping the lower end of the enclosure of |D| at 0
 loses no point of it.  The slope of sqrt|D| in a grows like 1/sqrt|D|
-where two conjugates lie close; the guard bits absorb that loss.
+where two conjugates lie close, so no fixed guard absorbs the loss: for
+x^3 + 12x^2 - 7x + 1 at bits 8, a guard of 8 bits leaves the imaginary
+part 3 units wide.  So the guard starts at GUARD_BITS and doubles until
+each conjugate's enclosure is at most 2 units wide at scale 2^bits.  It
+gets there, since the enclosures shrink to the conjugates as the cell of
+a does, and ``refine_until`` raises ``PrecisionExhausted`` past
+GUARD_BITS + MAX_BITS.
 ``_real_root_enclosures`` and ``_complex_enclosure`` cache the two cases
 per number and precision.
 
@@ -160,8 +172,8 @@ from .families import SetInstance, SetSpec, build_set, element
 from .polynomials import MonicIntPoly
 
 CUBIC_RANGE_PARAMS = (0, -1, -2, -3)
-# bits beyond the target taken on a cubic's real root before its two
-# conjugates are read off it (module docstring)
+# the first guard: bits beyond the target taken on a cubic's real root
+# before its two conjugates are read off it (module docstring)
 GUARD_BITS = 8
 
 
@@ -195,6 +207,9 @@ def squarefree_kernel(d: int) -> int:
 def _progression_kernels(first: int, step: int, count: int) -> list[int]:
     """The signed squarefree kernels of first + i*step for i < count, with
     step != 0 and no term 0, sieved by p^2 (module docstring)."""
+    # 4 divides every term when it divides first and step, and leaves its kernel
+    while first % 4 == 0 and step % 4 == 0:
+        first, step = first // 4, step // 4
     rest = list(range(first, first + count * step, step))
     if not rest:
         return rest
@@ -207,9 +222,15 @@ def _progression_kernels(first: int, step: int, count: int) -> list[int]:
         if not is_prime[p]:
             continue
         q = p * p
-        # p^2 divides term i exactly when i = -first / step mod p^2; step
-        # has no inverse mod p^2 when p divides it, and then every term is tried
-        start, stride = (-first * pow(step, -1, q) % q, q) if step % p else (0, 1)
+        if step % p:
+            # p^2 divides term i exactly when i = -first / step mod p^2
+            start, stride = -first * pow(step, -1, q) % q, q
+        elif step % q == 0 and first % q:
+            # every term is first mod p^2, so p^2 divides none
+            continue
+        else:
+            # step has no inverse mod p^2: every term is tried
+            start, stride = 0, 1
         for i in range(start, count, stride):
             while rest[i] % q == 0:
                 rest[i] //= q
@@ -374,38 +395,50 @@ def _integer_in(lo: int, hi: int, prec: int) -> int | None:
 # conjugates, or flip the sign of the imaginary part).
 
 
-def _deflated(a: AlgebraicNumber, bits: int):
-    """a at scale 2**bits, then (-(b + a), sqrt|D|) at scale 2**w, w = bits +
-    GUARD_BITS, and the denominator 2**(w + 1) of the conjugates built from
-    them, all read off one cell of a (module docstring)."""
-    work = bits + GUARD_BITS
-    left, right, den = a.cell(work)
-    lo, hi = fp_from_cell(left, right, den, work)
+def _deflated(a: AlgebraicNumber, bits: int, real: bool):
+    """(own, (x, y), real) at scale 2**bits: a, then its other two real roots
+    x < y when real, or else the real and imaginary parts of its upper complex
+    root, all read off one cell of a at w = bits + guard.  The guard starts at
+    GUARD_BITS and doubles until x and y are each at most 2 units wide
+    (module docstring)."""
     b, c, _ = a.minpoly.coeffs
-    one = 1 << work
-    # -D = 3a^2 + 2ab + 4c - b^2 at scale 4**work; |D| is -D or D as disc f < 0 or > 0
-    q_lo, q_hi = horner_scaled((4 * c - b * b, 2 * b, 3), lo, hi, one)
-    if a.minpoly.discriminant() > 0:
-        q_lo, q_hi = -q_hi, -q_lo
-    return (fp_from_cell(left, right, den, bits),
-            ((-b * one - hi, -b * one - lo), isqrt_iv(max(q_lo, 0), q_hi)), 2 << work)
+
+    def decide(guard):
+        work = bits + guard
+        left, right, den = a.cell(work)
+        lo, hi = fp_from_cell(left, right, den, work)
+        one = 1 << work
+        # -D = 3a^2 + 2ab + 4c - b^2 at scale 4**work; |D| is -D or D as disc f < 0 or > 0
+        q_lo, q_hi = horner_scaled((4 * c - b * b, 2 * b, 3), lo, hi, one)
+        if real:
+            q_lo, q_hi = -q_hi, -q_lo
+        # -(b + a) and sqrt|D| at scale 2**work; the conjugates are over 2**(work + 1)
+        s_lo, s_hi = -b * one - hi, -b * one - lo
+        r_lo, r_hi = isqrt_iv(max(q_lo, 0), q_hi)
+        over = 2 << work
+        if real:
+            x = fp_from_cell(s_lo - r_hi, s_hi - r_lo, over, bits)
+            y = fp_from_cell(s_lo + r_lo, s_hi + r_hi, over, bits)
+        else:
+            x, y = fp_from_cell(s_lo, s_hi, over, bits), fp_from_cell(r_lo, r_hi, over, bits)
+        if x[1] - x[0] <= 2 and y[1] - y[0] <= 2:
+            return fp_from_cell(left, right, den, bits), (x, y), real
+        return None
+    return refine_until(decide, GUARD_BITS)
 
 
 @functools.lru_cache(maxsize=4096)
 def _real_root_enclosures(a: AlgebraicNumber, bits: int):
     """(own, (u, v), True): a and the other two real roots of its minimal
     polynomial, u < v, at scale 2**bits."""
-    own, ((s_lo, s_hi), (r_lo, r_hi)), den = _deflated(a, bits)
-    return own, (fp_from_cell(s_lo - r_hi, s_hi - r_lo, den, bits),
-                 fp_from_cell(s_lo + r_lo, s_hi + r_hi, den, bits)), True
+    return _deflated(a, bits, True)
 
 
 @functools.lru_cache(maxsize=4096)
 def _complex_enclosure(a: AlgebraicNumber, bits: int):
     """(own, (re, im), False): a and the real and imaginary parts of the upper
     complex root of its minimal polynomial, at scale 2**bits."""
-    own, (re, im), den = _deflated(a, bits)
-    return own, (fp_from_cell(*re, den, bits), fp_from_cell(*im, den, bits)), False
+    return _deflated(a, bits, False)
 
 
 def _conjugates(a: AlgebraicNumber, bits: int):

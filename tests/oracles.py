@@ -4,14 +4,20 @@ closed-form isolation and the integer-root walk of ``build_set``; the
 validating sqrt(n), the exact order of two numbers and a bit stream's
 dyadic value, which the tests compare trusted builds, build orders and
 truncations against; and the cell of an affine image of a number, the slow
-twin of the isqrt cells of ``uniformity.im_fractional``."""
+twin of the isqrt cells of ``uniformity.im_fractional``; and the generator
+search over the whole cube of each shell, the slow twin of
+``coverage.find_generator``."""
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from algseeds.algebraic import AlgebraicNumber, refine_until, same_number
+from algseeds.algebraic import (AlgebraicNumber, horner_in, irrational_real_roots, refine_until,
+                                same_number)
 from algseeds.bits import BitStream
+from algseeds.coverage import GeneratorWitness, SearchResult, _family_coeff_ok
+from algseeds.families import SetSpec, _unit_interval_root
+from algseeds.fields import FieldExpression, char_poly
 from algseeds.polynomials import MonicIntPoly, count_roots_between, root_bound_pow2
 
 
@@ -74,3 +80,25 @@ class AffineValue:
         if p < 0:
             left, right = right, left
         return left, right, q * t * den
+
+
+def find_generator_brute(target: MonicIntPoly, family: str, coord_bound: int) -> SearchResult:
+    """find_generator for an irreducible cubic target of family's signature,
+    by a walk over every point of each shell's cube in lexicographic order,
+    with the full char_poly of every candidate on its surface."""
+    theta = irrational_real_roots(target)[0]
+    for shell in range(1, coord_bound + 1):
+        rng = range(-shell, shell + 1)
+        for coords in ((a0, a1, a2) for a0 in rng for a1 in rng for a2 in rng):
+            if max(map(abs, coords)) != shell or coords[1] == coords[2] == 0:
+                continue
+            char = MonicIntPoly(char_poly(target, coords))
+            trace, c, d = char.coeffs
+            if trace or not _family_coeff_ok(family, c, d):
+                continue
+            elem = _unit_interval_root(char)
+            if elem.minpoly.degree == 3 and horner_in(theta, coords, 0, 1, 64):
+                cert = FieldExpression(theta, tuple(Fraction(x) for x in coords))
+                return SearchResult(True, GeneratorWitness(
+                    coords, char, SetSpec(family, (0, c)), d, elem, cert), coord_bound)
+    return SearchResult(False, None, coord_bound)

@@ -9,12 +9,12 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import algseeds.algebraic
 from algseeds.algebraic import AlgebraicNumber, PrecisionExhausted
-from algseeds.cli import EXIT_INTERNAL, EXIT_UNDECIDED, _value_str, build_parser, main
+from algseeds.cli import EXIT_INTERNAL, EXIT_UNDECIDED, _json_text, _value_str, build_parser, main
 from algseeds.families import InvalidParams, SetSpec, build_set
 from algseeds.fields import independence_report
 from algseeds.polynomials import MonicIntPoly
@@ -581,3 +581,25 @@ def test_readme_cli_block_lists_every_subcommand():
     subparsers, = (a for a in build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
     assert sorted(documented) == sorted(subparsers.choices)
+
+
+# JSON leaves and nests: text with non-ASCII letters, quotes, backslashes and
+# control characters; floats and dicts with non-str keys take json.dumps
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.text()
+                | st.floats(allow_nan=False))
+_JSON_PAYLOADS = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+                   | st.dictionaries(st.integers(-9, 9), inner, max_size=3)),
+    max_leaves=25)
+
+
+@given(payload=_JSON_PAYLOADS)
+@example(payload={"t\u00e9\"x": ["\\", "\n\t\x00\u2028", {"\u00fc": [], "k": {}}],
+                  "n": [True, 1, 1.0, False, 0, None, -7]})
+@example(payload={"outer": {1: {"inner": ["a\nb"]}, 2: [0.5]}})
+def test_json_writer_matches_the_stdlib(payload):
+    """The CLI's JSON writer gives the bytes of json.dumps(indent=2,
+    ensure_ascii=False) on any nest of the JSON types."""
+    assert _json_text(payload) == json.dumps(payload, indent=2, ensure_ascii=False)

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from algseeds.algebraic import AlgebraicNumber, horner_in, irrational_real_roots, same_number
@@ -18,6 +18,7 @@ from algseeds.coverage import (
     _real_member_check,
     _real_membership_scan,
     _real_tile,
+    _zero_trace_shell,
     common_index_witnesses,
     find_common_index,
     find_generator,
@@ -28,7 +29,7 @@ from algseeds.coverage import (
 )
 from algseeds.families import InvalidParams, SetSpec, bc_root, bc_shift_params, build_set
 from algseeds.polynomials import MonicIntPoly, is_perfect_square
-from oracles import sqrt_of
+from oracles import find_generator_brute, sqrt_of
 
 SQRT2 = sqrt_of(2)
 
@@ -314,6 +315,31 @@ def test_generator_search_scans_each_candidate_once(monkeypatch):
     w = find_generator(target, "3ntr").witness
     assert [p for p in scanned if p.degree == 3 and p != target] == [w.minpoly]
     assert scanned.count(target) == 1
+
+
+@given(shell=st.integers(1, 5), t1=st.integers(-20, 20), t2=st.integers(-20, 20))
+@example(shell=2, t1=0, t2=0)     # x^3 - 2: every a2 of a zero-trace (a0, a1)
+@example(shell=3, t1=3, t2=0)
+@example(shell=4, t1=0, t2=6)     # x^3 - 3x + 1
+def test_zero_trace_shell_is_the_cube_walk_filtered(shell, t1, t2):
+    """The surface walk yields the points of the cube walk with max |a_i| =
+    shell and zero trace 3 a0 + a1 t1 + a2 t2, in the same order."""
+    rng = range(-shell, shell + 1)
+    cube = [(a0, a1, a2) for a0 in rng for a1 in rng for a2 in rng
+            if max(abs(a0), abs(a1), abs(a2)) == shell and 3 * a0 + a1 * t1 + a2 * t2 == 0]
+    assert list(_zero_trace_shell(shell, t1, t2)) == cube
+
+
+@pytest.mark.parametrize("coeffs,family", (((0, 0, -2), "3ntr"), ((0, -3, 1), "3tr"),
+                                           ((-12, 12, -12), "3ntr"), ((-1, -2, 1), "3tr")))
+def test_generator_search_matches_the_whole_cube_walk(coeffs, family):
+    """The zero-trace surface walk finds the first witness, or none, that a
+    walk over every point of each shell's cube finds, up to coord_bound 6:
+    the two targets of criterion 09 (Tr theta^2 = 0 and 6), a target with
+    no witness, and one with both traces nonzero."""
+    target = MonicIntPoly.cubic(*coeffs)
+    for bound in range(1, 7):
+        assert find_generator(target, family, bound) == find_generator_brute(target, family, bound)
 
 
 @pytest.mark.parametrize("family", ("3ntr", "3tr"))

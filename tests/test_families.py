@@ -272,6 +272,27 @@ def test_quadratic_build_set_matches_the_per_element_builder():
         assert_built_like_the_per_element_builder(SetSpec("2i", (n,)))
 
 
+@pytest.mark.parametrize("spec", [SetSpec("2r", (9,)), SetSpec("2r", (-9,)), SetSpec("2i", (8,)),
+                                  SetSpec("2i", (9,)), SetSpec("3ntr", (-3, 9)),
+                                  SetSpec("3tr", (0, -9)), SetSpec("3tr", (-2, -9))])
+def test_trusted_numbers_keep_the_dataclass_field_order(spec):
+    """Every trusted builder writes a number's fields into its __dict__ in
+    field order, as the validated constructor stores them: the loop of
+    build_set, _narrowed itself, and the images that reflected and plus_int
+    build through _narrowed, with their grid ints and cell memo after the
+    fields."""
+    for e in build_set(spec).elements:
+        a, memo = e.number, []
+        if a.is_real:
+            a.cell(40)
+            memo = ["_ints", "_cell"]
+        for x, tail in ((element(spec, e.free_coeff), []), (a, memo), (a.reflected(), memo),
+                        (a.plus_int(3), memo), (a.plus_int(-2), memo)):
+            validated = AlgebraicNumber(x.minpoly, x.lo, x.hi, x.half_plane)
+            assert list(vars(x).items())[:4] == list(vars(validated).items())
+            assert list(vars(x))[4:] == tail
+
+
 @given(spec=st.one_of(REAL_QUAD_N.map(lambda n: SetSpec("2r", (n,))),
                       ntr_params(-6, 4).map(lambda mn: SetSpec("3ntr", mn)),
                       tr_params(-6, 4).map(lambda mn: SetSpec("3tr", mn))),

@@ -287,15 +287,18 @@ def test_independence_of_quadratic_instance():
 
 
 # the sieve against squarefree_kernel, on positive and negative terms: steps
-# divisible by p or p^2 for p = 2, 3, 5, 7 and 11 (so that p is tried at
-# every term), and first terms carrying p^4 and p^6, so that p^2 has to be
-# divided out more than once
+# divisible by p or p^2 for p = 2, 3, 5, 7 and 11 (so that p is skipped, or
+# tried at every term), and first terms carrying p^4 and p^6, so that p^2
+# has to be divided out more than once, or 4 out of first and step
 @given(first=st.integers(-3000, 3000),
        power=st.sampled_from((1, 2**4, 3**4, 5**4, 7**4, 2**6, 3**6)),
        step=st.sampled_from((1, 4, 12, 9, 25, 49, 121)),
        sign=st.sampled_from((1, -1)), count=st.integers(0, 80))
 @example(first=121, power=1, step=4, sign=-1, count=3)    # the largest term is 11^2
 @example(first=-9, power=1, step=4, sign=-1, count=5)     # 2i-like terms, all negative
+@example(first=5, power=1, step=4, sign=-1, count=60)     # 1 mod 4: p = 2 is skipped
+@example(first=-3, power=2**4, step=4, sign=-1, count=60) # 0 mod 16: 4 is divided out
+@example(first=3, power=2**4, step=4, sign=1, count=60)
 def test_progression_kernels_match_squarefree_kernel(first, power, step, sign, count):
     first, step = first * power, step * sign
     terms = [first + i * step for i in range(count)]
@@ -463,8 +466,7 @@ def test_deflated_conjugates_match_the_slow_path(b, c, d, index, bits):
     re +- i im is checked by Vieta's relations on the exact cell of the real
     root a: 2 re = -(b + a) and a (re^2 + im^2) = -d, each as a meeting of
     intervals over rationals.  Each enclosure is at most 2 units wide at
-    scale 2**bits over these coefficients, the guard bits absorbing the
-    deflation's loss."""
+    scale 2**bits, the guard growing until it is."""
     p = MonicIntPoly.cubic(b, c, d)
     assume(p.discriminant() != 0 and p.is_irreducible())
     roots = irrational_real_roots(p)
@@ -495,6 +497,10 @@ def _product_range(x, y):
 @settings(max_examples=150)
 @given(b=st.integers(-15, 15), c=st.integers(-15, 15), d=st.integers(-15, 15),
        bits=st.integers(0, 160))
+# |D| so small that a guard of 8 bits left the imaginary part 3 units wide
+@example(b=12, c=-7, d=1, bits=4)
+@example(b=-12, c=-7, d=-1, bits=4)
+@example(b=-12, c=-7, d=-1, bits=8)
 def test_complex_conjugates_nest_across_precisions(b, c, d, bits):
     """The real and imaginary parts of the upper complex root that
     _conjugates reads at bits and at 2 bits meet, and each is at most 2
