@@ -402,7 +402,7 @@ def find_generator(target: MonicIntPoly, family: str, coord_bound: int = 50) -> 
             elem = _unit_interval_root(char)
             if elem.minpoly.degree != 3:
                 continue  # char has an integer root
-            if not horner_in(theta, coords, 0, 1, 64):
+            if not horner_in(theta, coords, (0, 1, 1), 64):
                 continue  # the value, a root of char, is irrational
             spec = SetSpec(family, (0, c1))
             cert = FieldExpression(theta, tuple(Fraction(x) for x in coords))

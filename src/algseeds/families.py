@@ -83,15 +83,19 @@ One loop per instance.  ``_elements`` builds every ``MonicIntPoly``,
 ``AlgebraicNumber`` and ``SetElement`` of an instance inline, with
 ``object.__new__`` and its fields stored in field order, as a dataclass
 ``__init__`` stores them: one ``object.__setattr__`` per field for the
-polynomial and the element, and one item write per field into the
-number's ``__dict__``, as ``AlgebraicNumber._narrowed`` writes them.  These
+polynomial and the element, and one item write for each of the number's
+three fields (``minpoly``, the int cell ``interval`` and ``half_plane``)
+into its ``__dict__``, as ``AlgebraicNumber._narrowed`` writes them.  These
 are the fields and values, in the same order, that
 ``MonicIntPoly._trusted``, ``_narrowed`` and ``SetElement(...)`` store,
-without a call per element.  A number gets its ``__dict__`` when it is
-built, not at its first ``cell``, so every number has one layout, whichever
-builder made it.  Under CPython 3.11 that costs 64 B more per element
-until the first ``cell``, which would make the dict anyway, and builds an
-element in about a quarter less time.  The dict shares its keys with the
+without a call per element; every real element shares the one cell
+(0, 1, 1).  A number gets its ``__dict__`` when it is built, not at its
+first ``cell``, so every number has one layout, whichever builder made it.
+Under CPython 3.11 an element of 2r(1) to 2r(300) holds 424 B under
+tracemalloc when built and 512 B after its first ``cell``, which adds only
+the memo.  Writing the dict at build, rather than inline fields and a dict
+that the first ``cell`` makes, builds an element in about a quarter less
+time (measured with four fields).  The dict shares its keys with the
 class, and attribute reads on such a dict do not specialize, so they run
 slower than on inline fields or on a dict of its own; a dict of its own
 builds slower and larger (ROADMAP, "Measured and left").  The polynomial
@@ -99,7 +103,7 @@ and the element keep their inline fields; building them through
 ``__dict__`` too would make every element larger for good.  The
 polynomial is x^2 + b x + k or x^3 + m x^2 + n x + k, or the quotient
 x^2 + (m + r) x + n + r(m + r) when k has the root r; a real element has
-the interval (0, 1) and a 2i element half-plane +1.  The tests check that
+the interval (0, 1, 1) and a 2i element half-plane +1.  The tests check that
 ``build_set`` equals the per-element builders on ``==``, ``hash``,
 ``to_json`` and ``vars()`` of each number and its minimal polynomial, for
 every 2r and 2i instance with |n| <= 300 and every cubic instance with m
@@ -159,7 +163,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 
 from .algebraic import AlgebraicNumber, irrational_real_roots
@@ -280,8 +283,8 @@ class SetInstance:
                 "elements": [e.to_json() for e in self.elements]}
 
 
-# the ends of the isolating interval (0, 1) of every real element
-_ZERO, _ONE = Fraction(0), Fraction(1)
+# the isolating interval (0, 1) of every real element, as an int cell
+_UNIT = (0, 1, 1)
 
 
 def _sign_checked_root(p: MonicIntPoly) -> AlgebraicNumber:
@@ -290,7 +293,7 @@ def _sign_checked_root(p: MonicIntPoly) -> AlgebraicNumber:
     # p(0) is the constant term and p(1) the sum of the coefficients
     if p.coeffs[-1] * (1 + sum(p.coeffs)) >= 0:
         raise ValueError(f"{p} has no sign change on (0,1)")
-    return AlgebraicNumber._narrowed(p, _ZERO, _ONE)
+    return AlgebraicNumber._narrowed(p, _UNIT)
 
 
 def _unit_interval_root(p: MonicIntPoly) -> AlgebraicNumber:
@@ -339,7 +342,7 @@ def _elements(spec: SetSpec, coeffs: range) -> Iterator[SetElement]:
         # a 3ntr cubic has no integer root (module docstring)
         if family == "3tr":
             roots = _integer_roots_by_coeff(*head, coeffs)
-    lo, hi, half_plane = (None, None, 1) if family == "2i" else (_ZERO, _ONE, 0)
+    interval, half_plane = (None, 1) if family == "2i" else (_UNIT, 0)
     new, store = object.__new__, object.__setattr__
     for k in coeffs:
         # the fields of MonicIntPoly._trusted, AlgebraicNumber._narrowed and
@@ -355,8 +358,7 @@ def _elements(spec: SetSpec, coeffs: range) -> Iterator[SetElement]:
         a = new(AlgebraicNumber)
         attrs = a.__dict__
         attrs["minpoly"] = p
-        attrs["lo"] = lo
-        attrs["hi"] = hi
+        attrs["interval"] = interval
         attrs["half_plane"] = half_plane
         e = new(SetElement)
         store(e, "free_coeff", k)

@@ -493,7 +493,7 @@ def _value_is_beta(expr: FieldExpression, beta: AlgebraicNumber, max_bits: int) 
     """expr's value is known to be a root of beta's minimal polynomial;
     decide via interval separation whether it is beta itself: beta's
     isolating interval holds no other root."""
-    return horner_in(expr.base, expr.coeffs, beta.lo, beta.hi, 64, max_bits)
+    return horner_in(expr.base, expr.coeffs, beta.interval, 64, max_bits)
 
 
 # ---------------------------------------------------------------------------

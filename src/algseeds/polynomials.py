@@ -85,11 +85,6 @@ class MonicIntPoly:
         the sign of p(num/den)."""
         return _scaled_value((1,) + self.coeffs, num, den)
 
-    def sign_at(self, x: Fraction) -> int:
-        """Exact sign of p(x) at a rational point."""
-        v = self.scaled_value(x.numerator, x.denominator)
-        return (v > 0) - (v < 0)
-
     def discriminant(self) -> int:
         if len(self.coeffs) == 2:
             b, c = self.coeffs

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .algebraic import FracIv, _round_half_even_ratio, half_sqrt_cell, refine_until, value_cell
+from .algebraic import _round_half_even_ratio, half_sqrt_cell, refine_until, value_cell
 from .families import MonicIntPoly, SetInstance, SetSpec, element, half_shift_poly
 
 
@@ -164,7 +164,7 @@ def instance_values(s: SetInstance) -> list:
     return [e.number for e in s.elements]
 
 
-def discrepancy(values, bits: int = 64) -> FracIv:
+def discrepancy(values, bits: int = 64) -> tuple[Fraction, Fraction]:
     """Enclosure of D_N = 1/N + max_i(i/N - x_i) - min_i(i/N - x_i) for an
     ascending list; exact (zero width) on rational input."""
     lefts, rights, den = _cells(values, bits)

@@ -3,9 +3,11 @@ roots and a brute-force scan of reducible cubics, checked against the
 closed-form isolation and the integer-root walk of ``build_set``; the
 validating sqrt(n), the exact order of two numbers and a bit stream's
 dyadic value, which the tests compare trusted builds, build orders and
-truncations against; and the cell of an affine image of a number, the slow
-twin of the isqrt cells of ``uniformity.im_fractional``; and the generator
-search over the whole cube of each shell, the slow twin of
+truncations against; the ``Fraction`` ends of a number's int cell, their
+JSON rendering and the sign of a polynomial at a rational point, which the
+tests read intervals through; and the cell of an affine image of a number,
+the slow twin of the isqrt cells of ``uniformity.im_fractional``; and the
+generator search over the whole cube of each shell, the slow twin of
 ``coverage.find_generator``."""
 
 from dataclasses import dataclass
@@ -19,6 +21,23 @@ from algseeds.coverage import GeneratorWitness, SearchResult, _family_coeff_ok
 from algseeds.families import SetSpec, _unit_interval_root
 from algseeds.fields import FieldExpression, char_poly
 from algseeds.polynomials import MonicIntPoly, count_roots_between, root_bound_pow2
+
+
+def ends(x: AlgebraicNumber) -> tuple[Fraction, Fraction]:
+    """The ends of the isolating interval of the real number x, as Fractions."""
+    left, right, den = x.interval
+    return Fraction(left, den), Fraction(right, den)
+
+
+def interval_json(x: AlgebraicNumber) -> list[list[str]]:
+    """The "interval" of x's ``to_json``, rendered from its Fraction ends."""
+    return [[str(q.numerator), str(q.denominator)] for q in ends(x)]
+
+
+def sign_at(p: MonicIntPoly, x: Fraction | int) -> int:
+    """The exact sign of p(x) at a rational point."""
+    v = p.scaled_value(x.numerator, x.denominator)
+    return (v > 0) - (v < 0)
 
 
 def count_real_roots(p: MonicIntPoly) -> int:
@@ -97,7 +116,7 @@ def find_generator_brute(target: MonicIntPoly, family: str, coord_bound: int) ->
             if trace or not _family_coeff_ok(family, c, d):
                 continue
             elem = _unit_interval_root(char)
-            if elem.minpoly.degree == 3 and horner_in(theta, coords, 0, 1, 64):
+            if elem.minpoly.degree == 3 and horner_in(theta, coords, (0, 1, 1), 64):
                 cert = FieldExpression(theta, tuple(Fraction(x) for x in coords))
                 return SearchResult(True, GeneratorWitness(
                     coords, char, SetSpec(family, (0, c)), d, elem, cert), coord_bound)

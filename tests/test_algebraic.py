@@ -3,7 +3,7 @@
 import decimal
 from fractions import Fraction
 from functools import partial
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,7 +24,8 @@ from algseeds.algebraic import (
 )
 from algseeds.families import SetSpec, build_set
 from algseeds.polynomials import MonicIntPoly, count_roots_between
-from oracles import AffineValue, count_real_roots, less_than, sqrt_of
+from oracles import (AffineValue, count_real_roots, ends, interval_json, less_than, sign_at,
+                     sqrt_of)
 
 SQRT2 = sqrt_of(2)
 PLASTIC = MonicIntPoly.cubic(0, -1, -1)  # one real root near 1.3247
@@ -33,7 +34,7 @@ PLASTIC = MonicIntPoly.cubic(0, -1, -1)  # one real root near 1.3247
 def assert_revalidates(r):
     """r, built by a trusted path without validation, equals its rebuild through
     the validating constructor (which raises if the invariant broke)."""
-    assert AlgebraicNumber(r.minpoly, r.lo, r.hi) == r
+    assert AlgebraicNumber(r.minpoly, r.interval) == r
 
 
 def test_sqrt_constructor():
@@ -48,6 +49,11 @@ def test_real_root_requires_isolating_bracket():
     assert a.decimal(5) == "1.41421"
     with pytest.raises(Exception):
         AlgebraicNumber.real_root(p, Fraction(-2), Fraction(2))  # two roots
+    # the ends in any rational form reduce to one int cell
+    golden = MonicIntPoly.quadratic(1, -1)
+    assert (AlgebraicNumber.real_root(golden, Fraction(2, 4), 1)
+            == AlgebraicNumber.real_root(golden, "2/4", 1.0)
+            == AlgebraicNumber(golden, (1, 2, 2)))
 
 
 def test_constructor_rejects_interval_holding_three_roots():
@@ -57,7 +63,7 @@ def test_constructor_rejects_interval_holding_three_roots():
     with pytest.raises(ValueError, match="exactly one root"):
         AlgebraicNumber.real_root(p, -2, 2)
     with pytest.raises(ValueError, match="exactly one root"):
-        AlgebraicNumber(p, Fraction(-2), Fraction(2))
+        AlgebraicNumber(p, (-2, 2, 1))
     left, mid, right = (AlgebraicNumber.real_root(p, lo, hi) for lo, hi in ((-2, 0), (0, 1), (1, 2)))
     for a in (left, mid, right):
         assert same_number(a, a)
@@ -76,7 +82,8 @@ def test_refine_tightens_width():
     a = irrational_real_roots(PLASTIC)[0]
     for bits in (8, 32, 100):
         r = a.refine(bits)
-        assert r.hi - r.lo <= Fraction(1, 2**bits)
+        lo, hi = ends(r)
+        assert hi - lo <= Fraction(1, 2**bits)
         assert same_number(a, r)
         assert_revalidates(r)
     # non-dyadic endpoints
@@ -91,7 +98,7 @@ def grid_interval(a, den, below, above):
     end one cell short of a neighbouring root."""
     p = a.minpoly
     while True:
-        lo = a.refine(64).lo
+        lo = ends(a.refine(64))[0]
         k = (lo * den).__floor__()
         if a.cmp_rational(Fraction(k + 1, den)) == 1:
             k += 1
@@ -101,7 +108,7 @@ def grid_interval(a, den, below, above):
     while True:
         lo, hi = Fraction(k - below, den), Fraction(k + 1 + above, den)
         if count_roots_between(p, lo, hi) == 1:
-            return AlgebraicNumber(p, lo, hi)
+            return AlgebraicNumber.real_root(p, lo, hi)
         if below and count_roots_between(p, lo, Fraction(k, den)):
             below -= 1
         else:
@@ -131,13 +138,14 @@ def assert_bisection_cell(x, bits, r):
     """r is the cell of the bisection grid of x's interval at the first level
     s* whose width W/2**s* is <= 2**-bits, and it holds the number: checked
     from the definition, without bisecting."""
-    big, width = x.hi - x.lo, r.hi - r.lo
+    (x_lo, x_hi), (r_lo, r_hi) = ends(x), ends(r)
+    big, width = x_hi - x_lo, r_hi - r_lo
     steps = big / width
     s = steps.numerator.bit_length() - 1
     assert steps == 2**s
     assert width <= Fraction(1, 2**bits) and (s == 0 or 2 * width > Fraction(1, 2**bits))
-    assert ((r.lo - x.lo) / width).denominator == 1
-    assert x.cmp_rational(r.lo) == 1 and x.cmp_rational(r.hi) == -1
+    assert ((r_lo - x_lo) / width).denominator == 1
+    assert x.cmp_rational(r_lo) == 1 and x.cmp_rational(r_hi) == -1
     assert_revalidates(r)
 
 
@@ -166,14 +174,14 @@ def test_quadratic_closed_form_is_the_bisection_cell_at_scale(n, index, upper, d
     on both roots of 2r(n) elements, |n| <= 1000, on grid intervals with
     denominators 3, 5 and 7, and at up to 4096 bits."""
     x = grid_interval(quadratic_2r_root(n, index, upper), den, below, above)
-    assert (x.minpoly.sign_at(x.hi) > 0) == upper
+    assert (sign_at(x.minpoly, ends(x)[1]) > 0) == upper
     assert_bisection_cell(x, bits, x.refine(bits))
 
 
 def bisection_index(x, level):
     """The index of the level-`level` bisection cell of x's interval that
     holds x, found by plain bisection: one exact sign test per level."""
-    lo, hi, j = x.lo, x.hi, 0
+    (lo, hi), j = ends(x), 0
     for _ in range(level):
         mid = (lo + hi) / 2
         j *= 2
@@ -203,13 +211,14 @@ def test_quadratic_memo_hands_over_both_ways(n, index, upper, den, level, stored
     if stored_by_bisection:
         x.__dict__["_cell"] = (level, bisection_index(x, level))
         # the width is about 2**e, so that cell answers about level - e bits
-        width = x.hi - x.lo
+        lo, hi = ends(x)
+        width = hi - lo
         level -= width.numerator.bit_length() - width.denominator.bit_length()
     else:
         x.refine(level)
     for bits in [*range(max(level - 3, 0), level + 4), *requests]:
         r = x.refine(bits)
-        assert r == AlgebraicNumber._narrowed(x.minpoly, x.lo, x.hi).refine(bits)
+        assert r == AlgebraicNumber._narrowed(x.minpoly, x.interval).refine(bits)
         assert_bisection_cell(x, bits, r)
 
 
@@ -240,7 +249,7 @@ def test_affine_images_keep_the_cell(p, index, den, below, above, bits, k, deepe
             if memo is not None:
                 level, j = memo
                 assert image.__dict__["_cell"] == (level, j if eps > 0 else (1 << level) - 1 - j)
-            fresh = AlgebraicNumber(image.minpoly, image.lo, image.hi)
+            fresh = AlgebraicNumber(image.minpoly, image.interval)
             assert image == fresh
             assert image.cell(b) == fresh.cell(b)
             assert image.cmp_rational(0) == fresh.cmp_rational(Fraction(0))
@@ -260,9 +269,10 @@ def test_cell_is_the_interval_of_refine(p, index, den, below, above, bits):
     assert cell_den > 0
     cell = (Fraction(left, cell_den), Fraction(right, cell_den))
     r = x.refine(bits)
-    assert cell == (r.lo, r.hi)
-    if x.hi - x.lo <= Fraction(1, 2**max(bits, 0)):
-        assert cell == (x.lo, x.hi) and r is x
+    assert cell == ends(r)
+    lo, hi = ends(x)
+    if hi - lo <= Fraction(1, 2**max(bits, 0)):
+        assert cell == (lo, hi) and r is x
 
 
 @settings(max_examples=100)
@@ -276,9 +286,9 @@ def test_decimal_is_the_rounded_enclosure_along_its_ladder(p, index, den, places
     x = grid_interval(roots[index % len(roots)], den, 0, 5)
 
     def rounded(bits):
-        r = x.refine(bits)
-        s = _round_half_even_ratio(r.lo.numerator, r.lo.denominator, places)
-        return s if s == _round_half_even_ratio(r.hi.numerator, r.hi.denominator, places) else None
+        lo, hi = ends(x.refine(bits))
+        s = _round_half_even_ratio(lo.numerator, lo.denominator, places)
+        return s if s == _round_half_even_ratio(hi.numerator, hi.denominator, places) else None
     assert x.decimal(places) == refine_until(rounded, 4 * places + 8)
 
 
@@ -301,7 +311,7 @@ def test_refine_from_the_finest_known_cell_matches_a_fresh_refine(p, index, den,
     x = grid_interval(roots[index % len(roots)], den, below, above)
     for bits, descend in calls:
         r = x.refine(bits)
-        assert r == AlgebraicNumber._narrowed(x.minpoly, x.lo, x.hi).refine(bits)
+        assert r == AlgebraicNumber._narrowed(x.minpoly, x.interval).refine(bits)
         assert_revalidates(r)
         if descend:
             x = r
@@ -333,9 +343,57 @@ def test_same_number_sign_test_matches_sturm_count(p, i, j, dens, widen, bits):
     roots = irrational_real_roots(p)
     a = grid_interval(roots[i % len(roots)], dens[0], widen[0], widen[1]).refine(bits[0])
     b = grid_interval(roots[j % len(roots)], dens[1], widen[2], widen[3]).refine(bits[1])
-    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+    (a_lo, a_hi), (b_lo, b_hi) = ends(a), ends(b)
+    lo, hi = max(a_lo, b_lo), min(a_hi, b_hi)
     counted = lo < hi and count_roots_between(p, lo, hi) == 1
     assert same_number(a, b) == counted == (i % len(roots) == j % len(roots))
+
+
+def _flat_values(x):
+    """The values of x's fields and memo, with tuples opened one level."""
+    return [v for value in vars(x).values()
+            for v in (value if isinstance(value, tuple) else (value,))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=IRREDUCIBLE_REAL, index=st.integers(0, 2), den=st.sampled_from((1, 2, 3, 6, 64)),
+       below=st.integers(0, 20), above=st.integers(0, 20), bits=st.integers(0, 200),
+       k=st.integers(-9, 9), scale=st.integers(2, 12))
+@example(p=MonicIntPoly.quadratic(1, -1), index=1, den=2, below=0, above=0, bits=0, k=0,
+         scale=2)   # (1/2, 1), as (2/4, 1) too
+@example(p=MonicIntPoly.cubic(0, -7, 7), index=1, den=1, below=0, above=0, bits=30, k=-3,
+         scale=6)
+def test_int_cell_is_the_fraction_ends_in_lowest_terms(p, index, den, below, above, bits, k,
+                                                       scale):
+    """Every number's interval, from the validating constructor, refine, the
+    closed-form isolation and the affine images, is the int cell of its
+    Fraction ends in lowest terms: the same ends in unreduced forms build an
+    equal number with an equal hash, to_json prints the Fraction ends, no
+    field or memo holds a Fraction, and the validating constructor refuses
+    the cell unreduced, reversed or over a denominator <= 0.  Each affine
+    image's ends are the Fraction image of the number's."""
+    roots = irrational_real_roots(p)
+    x = grid_interval(roots[index % len(roots)], den, below, above)
+    r = x.refine(bits)
+    for y in (x, r, r.negated(), r.reflected(), x.plus_int(k), *roots):
+        lo, hi = ends(y)
+        left, right, d = y.interval
+        assert d > 0 and gcd(left, right, d) == 1
+        unreduced = (f"{lo.numerator * scale}/{lo.denominator * scale}",
+                     Fraction(hi.numerator * scale, hi.denominator * scale))
+        for twin in (AlgebraicNumber.real_root(y.minpoly, lo, hi),
+                     AlgebraicNumber.real_root(y.minpoly, *unreduced)):
+            assert twin == y and hash(twin) == hash(y)
+        assert y.to_json()["interval"] == interval_json(y)
+        assert not any(isinstance(v, Fraction) for v in _flat_values(y))
+        for bad in ((left * scale, right * scale, d * scale), (right, left, d), (left, right, 0),
+                    (-left, -right, -d)):
+            with pytest.raises(ValueError):
+                AlgebraicNumber(y.minpoly, bad)
+    lo, hi = ends(r)
+    for image, fraction_image in ((r.negated(), (-hi, -lo)), (r.plus_int(k), (lo + k, hi + k)),
+                                  (r.reflected(), (1 - hi, 1 - lo))):
+        assert ends(image) == fraction_image
 
 
 def test_enclosure_brackets_value():
@@ -354,11 +412,12 @@ def test_cmp_rational_exact_signs():
     # the half of the interval that the answer names passes validation, the
     # other half does not
     for q in (Fraction(665857, 470832), Fraction(470832, 332929), Fraction(3, 2), Fraction(5, 4)):
-        below, above = (SQRT2.lo, q), (q, SQRT2.hi)
+        lo, hi = ends(SQRT2)
+        below, above = (lo, q), (q, hi)
         named, other = (above, below) if SQRT2.cmp_rational(q) > 0 else (below, above)
-        AlgebraicNumber(SQRT2.minpoly, *named)
+        AlgebraicNumber.real_root(SQRT2.minpoly, *named)
         with pytest.raises(ValueError):
-            AlgebraicNumber(SQRT2.minpoly, *other)
+            AlgebraicNumber.real_root(SQRT2.minpoly, *other)
 
 
 def test_less_than_for_close_roots():
@@ -487,10 +546,11 @@ def test_isolation_intervals_each_contain_one_sign_change(b, c, d):
     irr = irrational_real_roots(p)
     assert len(irr) == count_real_roots(p) - len(p.integer_roots())
     for x, y in zip(irr, irr[1:]):
-        assert x.hi <= y.lo
+        assert ends(x)[1] <= ends(y)[0]
     for a in irr:
-        assert a.lo < a.hi
-        assert count_roots_between(a.minpoly, a.lo, a.hi) == 1
+        lo, hi = ends(a)
+        assert lo < hi
+        assert count_roots_between(a.minpoly, lo, hi) == 1
         for r in (a, a.refine(40), a.negated(), a.plus_int(-4)):
             assert_revalidates(r)
 
@@ -502,7 +562,20 @@ def test_irrational_roots_are_never_rational(b, c, d):
         return
     for a in irrational_real_roots(p):
         assert a.minpoly.is_irreducible()
-        assert a.cmp_rational((a.lo + a.hi) / 2) in (-1, 1)
+        assert a.cmp_rational(sum(ends(a)) / 2) in (-1, 1)
+
+
+@pytest.mark.parametrize("half_plane", [5, -5, 2, -2])
+def test_constructor_refuses_a_half_plane_other_than_plus_or_minus_one(half_plane):
+    """A tag outside {-1, 0, +1} would print "upper" or "lower" and yet equal
+    neither root of x^2 + 1, and negated() would scale it."""
+    p = MonicIntPoly.quadratic(0, 1)
+    with pytest.raises(ValueError, match="half_plane"):
+        AlgebraicNumber(p, None, half_plane)
+    with pytest.raises(ValueError, match="half_plane"):
+        AlgebraicNumber(SQRT2.minpoly, SQRT2.interval, half_plane)
+    assert AlgebraicNumber(p, None, 1) == AlgebraicNumber.complex_root(p)
+    assert AlgebraicNumber(p, None, -1) == AlgebraicNumber.complex_root(p, upper=False)
 
 
 def test_complex_root_json_shape():
@@ -546,8 +619,8 @@ def test_affine_value_cell_is_the_exact_image_of_the_base_cell(p, index, scale, 
     v = AffineValue(roots[index % len(roots)], scale, offset)
     left, right, den = v.cell(bits)
     assert den > 0 and left < right
-    r = v.base.refine(bits + scale.numerator.bit_length())
-    image = (r.lo * scale + offset, r.hi * scale + offset)
+    lo, hi = ends(v.base.refine(bits + scale.numerator.bit_length()))
+    image = (lo * scale + offset, hi * scale + offset)
     assert (Fraction(left, den), Fraction(right, den)) == (image if scale > 0 else image[::-1])
     assert (right - left) << bits <= den
 

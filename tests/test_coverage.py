@@ -149,7 +149,7 @@ def _number_scan(a, bound):
     for eps in (1, -1):
         for n in range(-bound - 1, bound + 2):
             b2, c2 = a.minpoly.map_root(eps, -eps * n).coeffs
-            if c2 < 0 < 1 + b2 + c2 and b2 >= 1 and horner_in(a, (-eps * n, eps), 0, 1, 32):
+            if c2 < 0 < 1 + b2 + c2 and b2 >= 1 and horner_in(a, (-eps * n, eps), (0, 1, 1), 32):
                 hits.append(TileIndex(eps, n, "S2r"))
     return hits
 

