@@ -20,9 +20,33 @@ not a square, and s = isqrt(D), so sqrt(D) lies strictly in (s, s + 1):
     the order of the two roots for eps = +1 and reverses it for eps = -1,
     so eps(a - n) is that root exactly when eps * sign = 1.
 
-The member check and the brute scan of ``verify_tiling`` read their
-answers off these rules; ``tests/test_coverage.py`` checks them against
-the number path (roots, floor by comparison, exact membership).
+Uniqueness of a tile, by convexity.  ``verify_tiling`` checks that a point
+lies in no tile but the one located for it.  It tests the located tile
+alone, and these two lemmas show that no other index can hit:
+
+  * crossing lemma (real).  Write p = x^2 + b x + c.  By the rank rule
+    only eps = sign can put a = (b,c)_sign into a tile, and sign*(a - n)
+    has the minimal polynomial x^2 + B'x + C' with B' = sign*(2n + b) and
+    C' = p(n) (``bc_shift_params``).  It has a set element among its roots
+    exactly when C' < 0 < 1 + B' + C' = p(n + sign) and B' >= 1.  So the
+    shift n is a hit exactly when p(n) < 0 < p(n + sign),
+    sign*(2n + b) >= 1 and |n| <= bound + 1.  p is negative on one run of
+    consecutive integers, those strictly between its roots, and positive
+    on every other integer.  p(n) < 0 < p(n + 1) holds only at the last
+    integer of the run, and p(n) < 0 < p(n - 1) only at the first.  So
+    there is at most one hit, and a scan over every n finds exactly the
+    located tile when that tile has eps = sign and passes the test;
+  * parity (imaginary).  The shift n puts (b,c)_sign into eps*S-hat, with
+    b0 = b + 2n, exactly when b0 is 0 or -sign and c - n^2 + b0 n >= 1.
+    b0 = b (mod 2), and 0 and -sign have opposite parities, so just one of
+    them is reachable and at most one n hits: the located tile's, when it
+    passes the test.
+
+So each audited point costs a few integer operations, and the real audit
+is O(bound^2), not O(bound^3).  ``tests/test_coverage.py`` checks the
+member check against the number path (roots, floor by comparison, exact
+membership) and each tile check against the brute scans over every n in
+``tests/oracles.py``, at every bound up to 30.
 """
 
 from __future__ import annotations
@@ -127,23 +151,27 @@ def _real_member_check(tile: TileIndex, elem: tuple[int, int], sign: int) -> boo
     return cp in SetSpec("2r", (bp,)).free_coeff_range() and tile.eps * sign == 1
 
 
-def _real_membership_scan(b: int, c: int, sign: int, bound: int) -> list[TileIndex]:
-    """Brute force: every (eps, n) with |n| <= bound+1 whose tile contains
-    a = (b,c)_sign, by the coefficients of eps*(a - n).  By the rank rule
-    (module docstring) only eps = sign can hit, so only it is scanned."""
-    hits = []
-    for n in range(-bound - 1, bound + 2):
-        # q = x^2 + b2 x + c2, the minimal polynomial of sign*(a - n)
-        b2, c2 = bc_shift_params(b, c, -n) if sign == 1 else bc_shift_params(-b, c, n)
-        if c2 >= 0 or 1 + b2 + c2 <= 0 or b2 < 1:
-            continue  # no set element among the roots of q
-        # q has exactly one root in (0,1), its larger, and by the rank rule
-        # that root is sign*(a - n)
-        hits.append(TileIndex(sign, n, "S2r"))
-    return hits
+def _real_tile_hit(b: int, c: int, sign: int, tile: TileIndex, bound: int) -> bool:
+    """Whether the tile's own shift n is a hit for a = (b,c)_sign: eps =
+    sign, |n| <= bound + 1, sign*(2n + b) >= 1 and p(n) < 0 < p(n + sign)
+    for p = x^2 + b x + c.  By the crossing lemma (module docstring) no
+    other (eps, n) hits, so this is the brute scan's hits == [tile]."""
+    n = tile.n
+    return (tile.eps == sign and abs(n) <= bound + 1 and sign * (2 * n + b) >= 1
+            and n * (n + b) + c < 0 < (n + sign) * (n + sign + b) + c)
 
 
 def verify_tiling(bound: int, domain: str = "real") -> TilingReport:
+    """Audit the tiling of the quadratic integers (b,c)_sign with |b| and
+    |c| at most bound: each point's located tile must be its one tile among
+    the shifts |n| <= bound + 1 (the uniqueness lemmas of the module
+    docstring), and in the real domain and the unhatted imaginary one its
+    representative must be an element of the instance it names.  The
+    domain is "real" (x^2 + b x + c with a nonsquare discriminant D > 0),
+    "imaginary" (c > b^2/4, against the hatted sets) or
+    "imaginary-except-qi" (the same points against the sets themselves,
+    which must miss exactly the points of Q(sqrt -1)).  A point that fails
+    is listed in ``violations``."""
     if bound < 1:
         raise ValueError("bound must be positive")
     if domain == "real":
@@ -166,12 +194,11 @@ def _verify_real(bound: int) -> TilingReport:
                 tile, elem = _real_tile(b, c, sign)
                 # cross-check one: the representative is an element of its instance
                 member = _real_member_check(tile, elem, sign)
-                # cross-check two: the brute scan finds exactly this tile
-                hits = _real_membership_scan(b, c, sign, bound)
-                if not member or hits != [tile]:
+                # cross-check two: no other shift holds the point
+                hit = _real_tile_hit(b, c, sign, tile, bound)
+                if not member or not hit:
                     violations.append({"b": b, "c": c, "sign": sign,
-                                       "tile": tile.to_json(),
-                                       "scan": [h.to_json() for h in hits],
+                                       "tile": tile.to_json(), "hit": hit,
                                        "member": member})
     return TilingReport("real", bound, checked, tuple(violations), 0, not violations)
 
@@ -201,6 +228,16 @@ def _s2i_member_check(b0: int, c0: int) -> bool:
     return c0 in spec.free_coeff_range() and spec.defining_poly(c0).coeffs == (b0, c0)
 
 
+def _imaginary_tile_hit(b: int, c: int, sign: int, tile: TileIndex, bound: int) -> bool:
+    """Whether the tile's own shift n puts (b,c)_sign into eps*S-hat: b0 =
+    b + 2n is 0 or -sign, c - n^2 + b0 n >= 1 and |n| <= bound + 1.  By
+    parity (module docstring) no other n does, so this is the brute scan's
+    hits == [tile.n]."""
+    n = tile.n
+    b0 = b + 2 * n
+    return b0 in (0, -sign) and c - n * n + b0 * n >= 1 and abs(n) <= bound + 1
+
+
 def _verify_imaginary(bound: int, hatted: bool) -> TilingReport:
     checked = 0
     violations = []
@@ -214,17 +251,11 @@ def _verify_imaginary(bound: int, hatted: bool) -> TilingReport:
                 in_qi = b % 2 == 0 and is_perfect_square(c - b * b // 4)
                 if in_qi:
                     qi += 1
-                # uniqueness scan: any other shift with admissible coordinates?
-                hits = []
-                for n in range(-bound - 1, bound + 2):
-                    bb = b + 2 * n
-                    admissible = (0, -1) if sign > 0 else (0, 1)
-                    if bb in admissible and c - n * n + bb * n >= 1:
-                        hits.append(n)
-                unique = hits == [tile.n]
+                unique = _imaginary_tile_hit(b, c, sign, tile, bound)
                 if hatted:
                     if not unique:
-                        violations.append({"b": b, "c": c, "sign": sign, "hits": hits})
+                        violations.append({"b": b, "c": c, "sign": sign,
+                                           "tile": tile.to_json()})
                     continue
                 # unhatted: the unshifted coordinates must name an actual set
                 # element, except exactly for the Gaussian rationals Q(sqrt -1)

@@ -472,24 +472,56 @@ class QuadraticException:
                 "element": self.element.to_json()}
 
 
+def _exception_cases(b: int, c: int, n: int) -> list[ExceptionRule]:
+    """The cases of ``classify_exception`` that hold for (b, c) at index n."""
+    upper = -n * n + (b - 1) * n - 1
+    lower = -n * n + b * n
+    hits = []
+    if c == upper and n >= DELTA[b]:
+        hits.append(ExceptionRule(b, c, "boundary-upper", n))
+    if c == lower and n >= 1 + EPS[b] - EPS[-3 - b]:
+        hits.append(ExceptionRule(b, c, "boundary-lower", n))
+    if upper < c < lower and n >= 1 + EPS[b]:
+        hits.append(ExceptionRule(b, c, "strip-pos", n))
+    if lower < c < upper and n <= -3 - EPS[-3 - b]:
+        hits.append(ExceptionRule(b, c, "strip-neg", n))
+    return hits
+
+
 def classify_exception(b: int, c: int) -> ExceptionRule:
+    """The one case and index n that hold for (b, c): c on the parabola
+    upper(n) = -n^2 + (b-1)n - 1 or lower(n) = -n^2 + b n, or strictly
+    between them, each with its floor on n.  upper and lower differ by
+    n + 1 and agree at n = -1; every floor asks n >= 0 or n <= -3.
+
+    Two-candidate lemma: with D = b^2 - 4c and s = isqrt(D), only
+    n = (b - s)//2 and n = (b + s)//2 can hit.  Write f(n) = n^2 - b n + c
+    = c - lower(n), so c - upper(n) = f(n) + n + 1.  f has the roots
+    r = (b -+ sqrt(D))/2, and c <= -b - 3 gives D >= (b + 2)^2 + 8 >= 8,
+    so the lower root is below -1 and the upper one is >= 0.
+
+      * n >= 0 (the boundaries and strip-pos) needs -(n+1) <= f(n) <= 0,
+        so n is at most the upper root.  One step or more below it,
+        -f(n) = (n - lower root)(upper root - n) >= n - lower root > n + 1.
+        So n is the floor of (b + sqrt(D))/2, which is (b + s)//2: b + x
+        is even for no x strictly between s and s + 1.
+      * n <= -3 (strip-neg) needs 0 < f(n) < -(n+1), so n is below the
+        lower root, and f(n) >= (lower root - n)(-n) forces that root to
+        lie within 1 above n.  When b - s is odd, that n is (b - s)//2.
+        When b - s is even, it is k - 1 with k = (b - s)/2, and
+        D = s^2 + 4j (D = b^2 = s^2 mod 4) with 0 <= j <= s/2 (D < (s+1)^2)
+        gives f(k - 1) = s + 1 - j >= s/2 + 1 >= -k = (s - b)/2 for
+        b >= -2; for b = -3, s is odd, so j <= (s - 1)/2 and
+        f(k - 1) >= (s + 3)/2 = -k.  Either way k - 1 misses.
+
+    ``tests/test_families.py`` checks this against the scan over every n
+    in ``tests/oracles.py``, for b in {0,-1,-2,-3} and c down to -5,000."""
     if b not in DELTA:
         raise InvalidParams(f"classification needs b in {{0,-1,-2,-3}}, got {b}")
     if c > -b - 3:
         raise InvalidParams(f"classification needs c <= {-b - 3}, got {c}")
-    hits = []
-    limit = isqrt(-c) + abs(b) + 3
-    for n in range(-limit, limit + 1):
-        upper = -n * n + (b - 1) * n - 1
-        lower = -n * n + b * n
-        if c == upper and n >= DELTA[b]:
-            hits.append(ExceptionRule(b, c, "boundary-upper", n))
-        if c == lower and n >= 1 + EPS[b] - EPS[-3 - b]:
-            hits.append(ExceptionRule(b, c, "boundary-lower", n))
-        if upper < c < lower and n >= 1 + EPS[b]:
-            hits.append(ExceptionRule(b, c, "strip-pos", n))
-        if lower < c < upper and n <= -3 - EPS[-3 - b]:
-            hits.append(ExceptionRule(b, c, "strip-neg", n))
+    s = isqrt(b * b - 4 * c)
+    hits = _exception_cases(b, c, (b - s) // 2) + _exception_cases(b, c, (b + s) // 2)
     assert len(hits) == 1, f"classification must be exclusive, got {hits} for ({b},{c})"
     return hits[0]
 

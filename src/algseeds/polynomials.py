@@ -23,17 +23,6 @@ def is_perfect_square(n: int) -> bool:
     return r * r == n
 
 
-def _taylor_shift(coeffs: list[int], k: int) -> list[int]:
-    # coeffs ascending; returns coefficients of p(x + k), ascending.
-    out = list(coeffs)
-    n = len(out) - 1
-    # repeated synthetic division by (x - (-k)) accumulates p(x+k)
-    for i in range(n):
-        for j in range(n - 1, i - 1, -1):
-            out[j] += k * out[j + 1]
-    return out
-
-
 @dataclass(frozen=True)
 class MonicIntPoly:
     """x^2 + b x + c stored as (b, c), or x^3 + b x^2 + c x + d as (b, c, d)."""
@@ -144,21 +133,28 @@ class MonicIntPoly:
         return roots, (None if roots else self)
 
     def map_root(self, eps: int, shift: int) -> "MonicIntPoly":
-        """Monic polynomial whose roots are eps*alpha + shift (eps = +-1, shift
-        in Z).  A Taylor shift of ints by an int gives ints, two or three of
-        them, so the result is built through ``_trusted``."""
+        """Monic polynomial whose roots are y = eps*alpha + shift (eps = +-1,
+        shift in Z).  It is eps^deg p(eps (y - k)) for k = shift, expanded in
+        closed form with e = eps*b:
+
+          x^2 + b x + c      ->  y^2 + (e - 2k) y + (k^2 - e k + c),
+          x^3 + b x^2 + c x + d  ->  y^3 + (e - 3k) y^2 + (3k^2 - 2e k + c) y
+                                      + ((e - k) k^2 - c k + eps d).
+
+        Ints in give ints out, so the result is built through ``_trusted``."""
         if eps not in (1, -1):
             raise ValueError("eps must be +-1")
         if not isinstance(shift, int):
             raise TypeError("shift must be an int")
+        k = shift
         if self.degree == 2:
             b, c = self.coeffs
-            flipped = [c, eps * b, 1]
-        else:
-            b, c, d = self.coeffs
-            flipped = [eps * d, c, eps * b, 1]
-        out = _taylor_shift(flipped, -shift)
-        return MonicIntPoly._trusted(tuple(reversed(out[:-1])))
+            e = eps * b
+            return MonicIntPoly._trusted((e - 2 * k, k * k - e * k + c))
+        b, c, d = self.coeffs
+        e = eps * b
+        return MonicIntPoly._trusted((e - 3 * k, 3 * k * k - 2 * e * k + c,
+                                      (e - k) * k * k - c * k + eps * d))
 
     def reflected(self) -> "MonicIntPoly":
         """Roots alpha -> 1 - alpha."""

@@ -6,9 +6,12 @@ dyadic value, which the tests compare trusted builds, build orders and
 truncations against; the ``Fraction`` ends of a number's int cell, their
 JSON rendering and the sign of a polynomial at a rational point, which the
 tests read intervals through; and the cell of an affine image of a number,
-the slow twin of the isqrt cells of ``uniformity.im_fractional``; and the
+the slow twin of the isqrt cells of ``uniformity.im_fractional``; the
 generator search over the whole cube of each shell, the slow twin of
-``coverage.find_generator``."""
+``coverage.find_generator``; the scans over every index n, slow twins of
+the tile checks of ``coverage.verify_tiling`` and of
+``families.classify_exception``; and a Taylor shift by synthetic
+division, the slow twin of the closed form of ``MonicIntPoly.map_root``."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,8 +20,9 @@ from math import isqrt
 from algseeds.algebraic import (AlgebraicNumber, horner_in, irrational_real_roots, refine_until,
                                 same_number)
 from algseeds.bits import BitStream
-from algseeds.coverage import GeneratorWitness, SearchResult, _family_coeff_ok
-from algseeds.families import SetSpec, _unit_interval_root
+from algseeds.coverage import GeneratorWitness, SearchResult, TileIndex, _family_coeff_ok
+from algseeds.families import (ExceptionRule, SetSpec, _exception_cases, _unit_interval_root,
+                               bc_shift_params)
 from algseeds.fields import FieldExpression, char_poly
 from algseeds.polynomials import MonicIntPoly, count_roots_between, root_bound_pow2
 
@@ -121,3 +125,56 @@ def find_generator_brute(target: MonicIntPoly, family: str, coord_bound: int) ->
                 return SearchResult(True, GeneratorWitness(
                     coords, char, SetSpec(family, (0, c)), d, elem, cert), coord_bound)
     return SearchResult(False, None, coord_bound)
+
+
+def real_membership_scan(b: int, c: int, sign: int, bound: int) -> list[TileIndex]:
+    """Brute force: every (eps, n) with |n| <= bound+1 whose tile contains
+    a = (b,c)_sign, by the coefficients of eps*(a - n).  By the rank rule
+    (``coverage`` docstring) only eps = sign can hit, so only it is scanned."""
+    hits = []
+    for n in range(-bound - 1, bound + 2):
+        # q = x^2 + b2 x + c2, the minimal polynomial of sign*(a - n)
+        b2, c2 = bc_shift_params(b, c, -n) if sign == 1 else bc_shift_params(-b, c, n)
+        if c2 >= 0 or 1 + b2 + c2 <= 0 or b2 < 1:
+            continue  # no set element among the roots of q
+        # q has exactly one root in (0,1), its larger, and by the rank rule
+        # that root is sign*(a - n)
+        hits.append(TileIndex(sign, n, "S2r"))
+    return hits
+
+
+def imaginary_scan(b: int, c: int, sign: int, bound: int) -> list[int]:
+    """Brute force: every n with |n| <= bound+1 whose shift puts the
+    imaginary (b,c)_sign into sign*S-hat, with admissible coordinates
+    b + 2n in {0, -sign} and c - n^2 + (b + 2n) n >= 1."""
+    hits = []
+    for n in range(-bound - 1, bound + 2):
+        bb = b + 2 * n
+        admissible = (0, -1) if sign > 0 else (0, 1)
+        if bb in admissible and c - n * n + bb * n >= 1:
+            hits.append(n)
+    return hits
+
+
+def classify_exception_scan(b: int, c: int) -> list[ExceptionRule]:
+    """Every case of ``classify_exception`` that holds for (b, c), over
+    every n with |n| <= isqrt(-c) + |b| + 3."""
+    limit = isqrt(-c) + abs(b) + 3
+    return [rule for n in range(-limit, limit + 1) for rule in _exception_cases(b, c, n)]
+
+
+def map_root_by_taylor_shift(p: MonicIntPoly, eps: int, shift: int) -> MonicIntPoly:
+    """The monic polynomial with roots eps*alpha + shift: the polynomial with
+    roots eps*alpha, shifted to q(x - shift) by repeated synthetic division
+    of its ascending coefficients."""
+    if p.degree == 2:
+        b, c = p.coeffs
+        out = [c, eps * b, 1]
+    else:
+        b, c, d = p.coeffs
+        out = [eps * d, c, eps * b, 1]
+    n = len(out) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            out[j] -= shift * out[j + 1]
+    return MonicIntPoly(tuple(reversed(out[:-1])))

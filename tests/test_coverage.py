@@ -6,7 +6,9 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from algseeds import coverage
 from algseeds.algebraic import AlgebraicNumber, horner_in, irrational_real_roots, same_number
+from algseeds.cli import main
 from algseeds.coverage import (
     EXCLUDED_INDICES,
     GOLDEN_PLUS,
@@ -15,9 +17,11 @@ from algseeds.coverage import (
     NotQuadratic,
     TileIndex,
     WrongSignature,
+    _imaginary_tile_coords,
+    _imaginary_tile_hit,
     _real_member_check,
-    _real_membership_scan,
     _real_tile,
+    _real_tile_hit,
     _zero_trace_shell,
     common_index_witnesses,
     find_common_index,
@@ -29,7 +33,7 @@ from algseeds.coverage import (
 )
 from algseeds.families import InvalidParams, SetSpec, bc_root, bc_shift_params, build_set
 from algseeds.polynomials import MonicIntPoly, is_perfect_square
-from oracles import find_generator_brute, sqrt_of
+from oracles import find_generator_brute, imaginary_scan, real_membership_scan, sqrt_of
 
 SQRT2 = sqrt_of(2)
 
@@ -171,7 +175,7 @@ def test_real_audit_matches_the_number_path():
                 assert (got_tile, got_elem) == (tile, elem.coeffs), (b, c, sign)
                 assert _real_member_check(got_tile, got_elem, sign) == member, (b, c, sign)
                 for bound in range(max(abs(b), abs(c), 1), top + 1):
-                    assert _real_membership_scan(b, c, sign, bound) == _number_scan(a, bound), \
+                    assert real_membership_scan(b, c, sign, bound) == _number_scan(a, bound), \
                         (b, c, sign, bound)
 
 
@@ -184,8 +188,9 @@ def test_real_tiling_exhaustive_small_bound():
 
 
 def test_scan_shift_closed_form_matches_map_root():
-    """_real_membership_scan reads the minimal polynomial of eps*(a - n) off
-    bc_shift_params; over the tiling bound 5 that is what map_root builds."""
+    """The scan twin of the real tile check reads the minimal polynomial of
+    eps*(a - n) off bc_shift_params; over the tiling bound 5 that is what
+    map_root builds."""
     bound = 5
     for b in range(-bound, bound + 1):
         for c in range(-bound, bound + 1):
@@ -193,6 +198,89 @@ def test_scan_shift_closed_form_matches_map_root():
             for n in range(-bound - 1, bound + 2):
                 assert p.map_root(1, -n).coeffs == bc_shift_params(b, c, -n)
                 assert p.map_root(-1, n).coeffs == bc_shift_params(-b, c, n)
+
+
+def _near_tiles(tile: TileIndex) -> list[TileIndex]:
+    """The tile, its neighbours n -+ 1 and its mirror -eps: every check
+    below must accept the first and reject the others."""
+    eps, n, union = tile.eps, tile.n, tile.family_union
+    return [tile, TileIndex(eps, n - 1, union), TileIndex(eps, n + 1, union),
+            TileIndex(-eps, n, union)]
+
+
+def test_tile_checks_match_the_scans_at_every_bound():
+    """The closed-form tile checks of verify_tiling (crossing lemma and
+    parity, coverage docstring) against the scans over every n, per point
+    of every bound 1..30: the check of the located tile, of its neighbours
+    and, for a real point, of its mirror is the scan's hits == [that
+    tile].  The two imaginary domains share their check."""
+    top = 30
+    for bound in range(1, top + 1):
+        for b in range(-bound, bound + 1):
+            for c in range(-bound, bound + 1):
+                disc = b * b - 4 * c
+                for sign in (1, -1):
+                    if disc > 0 and not is_perfect_square(disc):
+                        tile, _ = _real_tile(b, c, sign)
+                        hits = real_membership_scan(b, c, sign, bound)
+                        assert _real_tile_hit(b, c, sign, tile, bound), (b, c, sign, bound)
+                        for t in _near_tiles(tile):
+                            assert _real_tile_hit(b, c, sign, t, bound) == (hits == [t]), \
+                                (b, c, sign, bound, t)
+                    elif disc < 0:
+                        tile = _imaginary_tile_coords(b, c, sign)[0]
+                        hits = imaginary_scan(b, c, sign, bound)
+                        assert _imaginary_tile_hit(b, c, sign, tile, bound), (b, c, sign, bound)
+                        for t in _near_tiles(tile)[:3]:
+                            assert _imaginary_tile_hit(b, c, sign, t, bound) == (hits == [t.n]), \
+                                (b, c, sign, bound, t)
+
+
+def _shifted(tile: TileIndex) -> TileIndex:
+    return TileIndex(tile.eps, tile.n + 1, tile.family_union)
+
+
+def test_a_shifted_real_tile_is_reported(monkeypatch, capsys):
+    """A locator that is one index off fails every real point: the shifted
+    tile is no hit, while its representative is still a set element."""
+    located = coverage._real_tile
+
+    def off_by_one(b, c, sign):
+        tile, elem = located(b, c, sign)
+        return _shifted(tile), elem
+    monkeypatch.setattr(coverage, "_real_tile", off_by_one)
+    rep = verify_tiling(5, "real")
+    assert not rep.ok
+    assert len(rep.violations) == rep.checked > 0
+    for v in rep.violations:
+        assert list(v) == ["b", "c", "sign", "tile", "hit", "member"]
+        assert v["hit"] is False and v["member"] is True
+        assert v["tile"] == _shifted(located(v["b"], v["c"], v["sign"])[0]).to_json()
+    assert main(["tiling", "--bound", "3"]) == 1
+    assert '"ok": false' in capsys.readouterr().out
+
+
+def test_a_shifted_imaginary_tile_is_reported(monkeypatch, capsys):
+    """One index off, every hatted point fails its check, and the unhatted
+    audit reports every point outside Q(sqrt -1) as uncovered."""
+    located = coverage._imaginary_tile_coords
+
+    def off_by_one(b, c, sign):
+        tile, b0, c0 = located(b, c, sign)
+        return _shifted(tile), b0, c0
+    monkeypatch.setattr(coverage, "_imaginary_tile_coords", off_by_one)
+    hatted = verify_tiling(5, "imaginary")
+    assert not hatted.ok
+    assert len(hatted.violations) == hatted.checked > 0
+    for v in hatted.violations:
+        assert list(v) == ["b", "c", "sign", "tile"]
+        assert v["tile"] == _shifted(located(v["b"], v["c"], v["sign"])[0]).to_json()
+    unhatted = verify_tiling(5, "imaginary-except-qi")
+    assert not unhatted.ok
+    assert len(unhatted.violations) == unhatted.checked - unhatted.qi_excluded > 0
+    assert all(v["covered"] is False and v["qi"] is False for v in unhatted.violations)
+    assert main(["tiling", "--bound", "3", "--domain", "imaginary"]) == 1
+    assert '"ok": false' in capsys.readouterr().out
 
 
 def test_imaginary_tiling_exhaustive_small_bound():
@@ -430,6 +518,17 @@ def test_quad_layer_m_minus1_sees_both_goldens():
     assert rep.ok
     assert rep.golden_plus_seen
     assert rep.golden_refl_seen
+
+
+def test_quad_layer_reports_an_index_it_must_exclude(monkeypatch, capsys):
+    """With index 2 wrongly excluded for m = 0, the exception at c = -6
+    (index 2) is reported, and ``algseeds layer`` exits 1."""
+    monkeypatch.setitem(EXCLUDED_INDICES, 0, EXCLUDED_INDICES[0] + (2,))
+    rep = quad_layer_report(0, 20)
+    assert not rep.ok
+    assert {"c": -6, "index": 2, "reason": "excluded index"} in rep.violations
+    assert main(["layer", "--m", "0", "--bound", "20"]) == 1
+    capsys.readouterr()
 
 
 def test_quad_layer_validation():

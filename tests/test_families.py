@@ -29,7 +29,7 @@ from algseeds.families import (
     reflect_spec,
 )
 from algseeds.polynomials import MonicIntPoly, is_perfect_square
-from oracles import less_than, reducible_free_coeffs, sign_at
+from oracles import classify_exception_scan, less_than, reducible_free_coeffs, sign_at
 
 # valid parameter strategies, kept small so instances stay cheap
 REAL_QUAD_N = st.one_of(
@@ -550,6 +550,15 @@ def test_exception_invalid_inputs():
         classify_exception(1, -5)
     with pytest.raises(InvalidParams):
         classify_exception(0, -2)
+
+
+def test_classification_matches_the_scan_over_every_index():
+    """The two candidates of classify_exception (its docstring) against the
+    scan over every n, for b in {0,-1,-2,-3} and c from -b - 3 down to
+    -5,000: the scan finds one case, and it is the one returned."""
+    for b in (0, -1, -2, -3):
+        for c in range(-b - 3, -5001, -1):
+            assert classify_exception_scan(b, c) == [classify_exception(b, c)], (b, c)
 
 
 @given(

@@ -13,7 +13,7 @@ from algseeds.polynomials import (
     root_bound_pow2,
     sturm_chain,
 )
-from oracles import count_real_roots, sign_at
+from oracles import count_real_roots, map_root_by_taylor_shift, sign_at
 
 COEFF = st.integers(min_value=-40, max_value=40)
 
@@ -144,6 +144,15 @@ def test_map_root_transports_evaluation(b, c, eps, k):
         lhs = q.evaluate(y)
         rhs = p.evaluate(eps * (y - k))
         assert lhs == rhs or lhs == -rhs
+
+
+@given(coeffs=st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=3),
+       eps=st.sampled_from((1, -1)), k=st.integers(-10**4, 10**4))
+def test_map_root_closed_form_is_the_taylor_shift(coeffs, eps, k):
+    """The closed form of map_root against a Taylor shift by synthetic
+    division, in degrees 2 and 3."""
+    p = MonicIntPoly(tuple(coeffs))
+    assert p.map_root(eps, k) == map_root_by_taylor_shift(p, eps, k)
 
 
 def test_reflected_maps_root_to_one_minus_root():
