@@ -14,7 +14,7 @@ from .coverage import (CommonIndexResult, GeneratorWitness, InvalidTarget,
                        find_generator, quad_layer_report, tile_locate,
                        trace_obstruction_demo, verify_tiling)
 from .families import (FAMILIES, InvalidParams, QuadraticException,
-                       RationalRoot, SetElement, SetInstance, SetSpec,
+                       RationalRoot, SetInstance, SetSpec,
                        bc_root, bc_shift_params, build_set, classify_exception,
                        quadratic_exception, reflect_spec)
 from .fields import (Collision, FieldExpression, FieldId, IndependenceReport,
@@ -33,7 +33,7 @@ __all__ = [
     "IndependenceReport", "InvalidParams", "InvalidTarget", "MonicIntPoly",
     "NotQuadratic", "ObstructionReport", "PrecisionExhausted",
     "QuadLayerReport", "QuadraticException", "RationalRoot", "RunStats",
-    "SearchResult", "SetElement", "SetInstance", "SetSpec", "TABLES",
+    "SearchResult", "SetInstance", "SetSpec", "TABLES",
     "TileIndex", "TilingReport", "TooFewElements", "UniformityReport",
     "WrongSignature", "bc_root", "bc_shift_params", "binary_expansion",
     "bit_stats", "build_set", "char_poly", "classify_exception",

@@ -113,11 +113,11 @@ def complement_check(inst: SetInstance) -> ComplementReport:
     if inst.spec.family == "2i":
         raise ValueError("complement check needs a real family")
     violations = []
-    for e in inst.elements:
-        refl_poly = e.number.minpoly.reflected()
-        refl_num = e.number.reflected()
-        for f in inst.elements:
-            if f.number.minpoly == refl_poly and same_number(f.number, refl_num):
-                violations.append({"free_coeff": e.free_coeff,
-                                   "mirror_of": f.free_coeff})
+    coeffs = inst.spec.free_coeffs()
+    for c, a in zip(coeffs, inst.elements):
+        refl_poly = a.minpoly.reflected()
+        refl_num = a.reflected()
+        for k, b in zip(coeffs, inst.elements):
+            if b.minpoly == refl_poly and same_number(b, refl_num):
+                violations.append({"free_coeff": c, "mirror_of": k})
     return ComplementReport(inst.spec, len(inst.elements), tuple(violations))

@@ -79,10 +79,10 @@ def _cmd_gen(ns: argparse.Namespace) -> Outcome:
     inst = build_set(spec)
     payload = inst.to_json()
     rows = []
-    for i, e in enumerate(inst.elements):
-        payload["elements"][i]["value"] = _value_str(e.number)
-        rows.append((spec.family, " ".join(map(str, spec.params)), e.free_coeff,
-                     str(e.number.minpoly), payload["elements"][i]["value"]))
+    for c, a, js in zip(spec.free_coeffs(), inst.elements, payload["elements"]):
+        js["value"] = _value_str(a)
+        rows.append((spec.family, " ".join(map(str, spec.params)), c,
+                     str(a.minpoly), js["value"]))
     return Outcome(payload, ("family", "params", "free_coeff", "minpoly", "value"),
                    tuple(rows), EXIT_OK)
 
@@ -176,12 +176,12 @@ def _cmd_bits(ns: argparse.Namespace) -> Outcome:
     inst = build_set(spec)
     streams = []
     rows = []
-    for e in inst.elements:
-        s = binary_expansion(e.number, ns.stream_bits)
+    for c, a in zip(spec.free_coeffs(), inst.elements):
+        s = binary_expansion(a, ns.stream_bits)
         st = bit_stats(s)
-        streams.append({"free_coeff": e.free_coeff, "bits": s.as_text(),
+        streams.append({"free_coeff": c, "bits": s.as_text(),
                         "hex": s.as_hex(), "stats": st.to_json()})
-        rows.append((e.free_coeff, s.as_text(), s.as_hex(),
+        rows.append((c, s.as_text(), s.as_hex(),
                      st.ones, st.zeros, st.longest_run, st.runs_count))
     payload = {"spec": spec.to_json(), "length": ns.stream_bits,
                "streams": streams}

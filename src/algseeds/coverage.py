@@ -57,7 +57,7 @@ from math import isqrt
 
 from .algebraic import AlgebraicNumber, horner_in, irrational_real_roots
 from .families import (InvalidParams, SetSpec, _unit_interval_root, bc_root, bc_shift_params,
-                       iter_elements, quadratic_exception)
+                       classify_exception, iter_elements)
 from .fields import FieldExpression, char_poly, express_in, squarefree_kernel
 from .polynomials import MonicIntPoly, is_perfect_square
 
@@ -481,7 +481,10 @@ class QuadLayerReport:
 def quad_layer_report(m: int, c_bound: int) -> QuadLayerReport:
     """Scan the quadratic exceptions of S_m^{3,tr} for instance parameters
     down to -c_bound and audit them against the layer identity: every
-    exception lies in I_n^{2,r} for an index n outside EXCLUDED_INDICES[m]."""
+    exception lies in I_n^{2,r} for an index n outside EXCLUDED_INDICES[m].
+    Each exception's polynomial x^2 + n x + c_q is read off the rule of
+    ``classify_exception``, c_q = c + n^2 - m n as in
+    ``quadratic_exception``, with no polynomial or number built."""
     if m not in EXCLUDED_INDICES:
         raise InvalidParams("layer identity needs m in {0,-1,-2,-3}")
     if c_bound < 3:
@@ -491,18 +494,19 @@ def quad_layer_report(m: int, c_bound: int) -> QuadLayerReport:
     violations = []
     g_plus = g_refl = False
     for c in range(-m - 3, -c_bound - 1, -1):
-        q = quadratic_exception(m, c)
-        if q is None:
+        rule = classify_exception(m, c)
+        if rule.case.startswith("boundary"):
             continue
-        n_idx, quad_const = q.minpoly.coeffs
+        n_idx = rule.n
+        quad_const = c + n_idx * n_idx - m * n_idx
         exceptions.append((c, n_idx, quad_const))
         if n_idx in excluded:
             violations.append({"c": c, "index": n_idx, "reason": "excluded index"})
         in_range = (-n_idx <= quad_const <= -1) if n_idx >= 1 else (1 <= quad_const <= -n_idx - 2)
         if not in_range:
             violations.append({"c": c, "index": n_idx, "reason": "outside instance range"})
-        g_plus = g_plus or q.minpoly == GOLDEN_PLUS
-        g_refl = g_refl or q.minpoly == GOLDEN_REFL
+        g_plus = g_plus or (n_idx, quad_const) == GOLDEN_PLUS.coeffs
+        g_refl = g_refl or (n_idx, quad_const) == GOLDEN_REFL.coeffs
     indices = tuple(sorted({n for _, n, _ in exceptions}))
     return QuadLayerReport(m, c_bound, tuple(exceptions), indices,
                            tuple(violations), g_plus, g_refl)
@@ -536,9 +540,10 @@ def trace_obstruction_demo(c_max: int = 60) -> ObstructionReport:
     hits = []
     for c in range(2, c_max + 1):
         # streamed: no instance is held, so the scan allocates next to nothing
-        for e in iter_elements(SetSpec("3ntr", (-1, c))):
+        spec = SetSpec("3ntr", (-1, c))
+        for d, a in zip(spec.free_coeffs(), iter_elements(spec)):
             checked += 1
-            assert e.number.minpoly.coeffs[0] == -1  # trace 1
-            if express_in(e.number, theta) is not None:
-                hits.append({"c": c, "free_coeff": e.free_coeff})
+            assert a.minpoly.coeffs[0] == -1  # trace 1
+            if express_in(a, theta) is not None:
+                hits.append({"c": c, "free_coeff": d})
     return ObstructionReport(c_max, checked, tuple(hits))

@@ -79,37 +79,39 @@ against a brute-force irreducibility scan of d (``less_than`` and
 ``quadratic_exception``, and the range-end test against a brute force over
 drawn ranges, ranges on which k or s + k crosses 0 included.
 
-One loop per instance.  ``_elements`` builds every ``MonicIntPoly``,
-``AlgebraicNumber`` and ``SetElement`` of an instance inline, with
-``object.__new__`` and its fields stored in field order, as a dataclass
-``__init__`` stores them: one ``object.__setattr__`` per field for the
-polynomial and the element, and one item write for each of the number's
-three fields (``minpoly``, the int cell ``interval`` and ``half_plane``)
-into its ``__dict__``, as ``AlgebraicNumber._narrowed`` writes them.  These
-are the fields and values, in the same order, that
-``MonicIntPoly._trusted``, ``_narrowed`` and ``SetElement(...)`` store,
-without a call per element; every real element shares the one cell
-(0, 1, 1).  A number gets its ``__dict__`` when it is built, not at its
-first ``cell``, so every number has one layout, whichever builder made it.
-Under CPython 3.11 an element of 2r(1) to 2r(300) holds 424 B under
-tracemalloc when built and 512 B after its first ``cell``, which adds only
-the memo.  Writing the dict at build, rather than inline fields and a dict
-that the first ``cell`` makes, builds an element in about a quarter less
-time (measured with four fields).  The dict shares its keys with the
-class, and attribute reads on such a dict do not specialize, so they run
-slower than on inline fields or on a dict of its own; a dict of its own
-builds slower and larger (ROADMAP, "Measured and left").  The polynomial
-and the element keep their inline fields; building them through
-``__dict__`` too would make every element larger for good.  The
-polynomial is x^2 + b x + k or x^3 + m x^2 + n x + k, or the quotient
-x^2 + (m + r) x + n + r(m + r) when k has the root r; a real element has
-the interval (0, 1, 1) and a 2i element half-plane +1.  The tests check that
-``build_set`` equals the per-element builders on ``==``, ``hash``,
-``to_json`` and ``vars()`` of each number and its minimal polynomial, for
-every 2r and 2i instance with |n| <= 300 and every cubic instance with m
-in -6..3 and |n| <= 120, and that the numbers of the loop, of
-``_narrowed`` and of the affine images built through it hold the fields of
-the validating constructor, in its order.
+One loop per instance, two objects per element.  An element is its
+``AlgebraicNumber`` and nothing else: its free coefficient is its
+position's entry of ``SetSpec.free_coeffs``, so no element stores it.
+``_elements`` builds each ``MonicIntPoly`` and ``AlgebraicNumber`` inline,
+with ``object.__new__`` and its fields stored in field order, as a
+dataclass ``__init__`` stores them: one ``object.__setattr__`` for the
+polynomial's ``coeffs``, and one item write for each of the number's three
+fields (``minpoly``, the int cell ``interval`` and ``half_plane``) into
+its ``__dict__``, as ``AlgebraicNumber._narrowed`` writes them.  These are
+the fields and values, in the same order, that ``MonicIntPoly._trusted``
+and ``_narrowed`` store, without a call per element; every real element
+shares the one cell (0, 1, 1).  A number gets its ``__dict__`` when it is
+built, not at its first ``cell``, so every number has one layout,
+whichever builder made it.  Under CPython 3.11, ``build_set`` over 2r(1)
+to 2r(300) takes about 0.8 us per element (best of 7 over the 45,150
+elements, 2 vCPUs), and an element holds 336 B under tracemalloc when
+built and 424 B after its first ``cell``, which adds only the memo.
+Writing the dict at build, rather than inline fields and a dict that the
+first ``cell`` makes, builds an element in about a quarter less time
+(measured with four fields).  The dict shares its keys with the class, and
+attribute reads on such a dict do not specialize, so they run slower than
+on inline fields or on a dict of its own; a dict of its own builds slower
+and larger (ROADMAP, "Measured and left").  The polynomial keeps its
+inline field; building it through ``__dict__`` too would make every
+element larger for good.  The polynomial is x^2 + b x + k or
+x^3 + m x^2 + n x + k, or the quotient x^2 + (m + r) x + n + r(m + r) when
+k has the root r; a real element has the interval (0, 1, 1) and a 2i
+element half-plane +1.  The tests check that ``build_set`` equals the per-element
+builders on ``==``, ``hash``, ``to_json`` and ``vars()`` of each number
+and its minimal polynomial, for every 2r and 2i instance with |n| <= 300
+and every cubic instance with m in -6..3 and |n| <= 120, and that the
+numbers of the loop, of ``_narrowed`` and of the affine images built
+through it hold the fields of the validating constructor, in its order.
 
 Shared builders.  ``_unit_interval_root`` builds the root in (0,1) of one
 polynomial, a reducible cubic included: ``split_integer_roots`` finds r in
@@ -137,16 +139,18 @@ gives the same ``to_json``; the tests check this on every 2r and 2i
 instance with |n| <= 300.
 
 An instance is checked once, when it is built.  An instance is a function
-of its spec, so ``SetInstance.__post_init__`` compares its elements with
+of its spec, so ``SetInstance.__post_init__`` compares its numbers with
 ``iter_elements(spec)`` and raises ``ValueError`` on any other list: one
 shuffled, shortened, reversed or empty, one under another spec, one with a
-conjugate in place of an element or with an element under a wrong free
-coefficient.  ``build_set`` builds its instance trusted, with
-``object.__new__`` and ``object.__setattr__`` as ``MonicIntPoly._trusted``
-does, since its elements are ``iter_elements(spec)`` by construction.  So
-every ``SetInstance`` lists its spec's elements in ``build_set`` order, and
-its readers (``fields.independence_report``, the half counts of
-``uniformity``) read the spec's integers and check the instance no more.
+conjugate or another element's number in place of an element.
+``build_set`` builds its instance trusted, with ``object.__new__`` and
+``object.__setattr__`` as ``MonicIntPoly._trusted`` does, since its
+elements are ``iter_elements(spec)`` by construction.  So every
+``SetInstance`` lists its spec's elements in ``build_set`` order, element
+i having the free coefficient ``spec.free_coeffs()[i]``.  Its readers
+(``fields.independence_report``, the half counts of ``uniformity``) read
+the spec's integers and check the instance no more, and every output that
+prints a free coefficient zips ``spec.free_coeffs()`` with the numbers.
 The tests check each refusal, and that ``build_set`` runs no check.
 
 Imaginary instances.  2i(n) takes x^2 + b x + c with b = -1 for odd n and
@@ -254,20 +258,12 @@ class SetSpec:
 
 
 @dataclass(frozen=True)
-class SetElement:
-    free_coeff: int
-    number: AlgebraicNumber
-
-    def to_json(self) -> dict:
-        return {"free_coeff": self.free_coeff, **self.number.to_json()}
-
-
-@dataclass(frozen=True)
 class SetInstance:
-    """One instance: spec's elements in ``build_set`` order, checked once,
-    here (module docstring)."""
+    """One instance: spec's elements, the ``AlgebraicNumber``s themselves,
+    in ``build_set`` order, element i with the free coefficient
+    ``spec.free_coeffs()[i]``; checked once, here (module docstring)."""
     spec: SetSpec
-    elements: tuple[SetElement, ...]
+    elements: tuple[AlgebraicNumber, ...]
 
     def __post_init__(self):
         if tuple(self.elements) != tuple(iter_elements(self.spec)):
@@ -275,12 +271,13 @@ class SetInstance:
                              "the spec's, in build_set order")
 
     def numbers(self) -> list[AlgebraicNumber]:
-        return [e.number for e in self.elements]
+        return list(self.elements)
 
     def to_json(self) -> dict:
         return {"spec": self.spec.to_json(),
                 "cardinality": len(self.elements),
-                "elements": [e.to_json() for e in self.elements]}
+                "elements": [{"free_coeff": k, **a.to_json()}
+                             for k, a in zip(self.spec.free_coeffs(), self.elements)]}
 
 
 # the isolating interval (0, 1) of every real element, as an int cell
@@ -325,7 +322,7 @@ def _integer_roots_by_coeff(m: int, n: int, coeffs: range) -> dict[int, int]:
     return roots
 
 
-def _elements(spec: SetSpec, coeffs: range) -> Iterator[SetElement]:
+def _elements(spec: SetSpec, coeffs: range) -> Iterator[AlgebraicNumber]:
     """The elements of spec's family and params with free coefficients
     coeffs, in that order, after one sign test for the whole range, each
     built inline (module docstring).  Raises ValueError before the first
@@ -345,9 +342,9 @@ def _elements(spec: SetSpec, coeffs: range) -> Iterator[SetElement]:
     interval, half_plane = (None, 1) if family == "2i" else (_UNIT, 0)
     new, store = object.__new__, object.__setattr__
     for k in coeffs:
-        # the fields of MonicIntPoly._trusted, AlgebraicNumber._narrowed and
-        # SetElement(...), stored in field order as a dataclass __init__ does;
-        # the number's straight into its __dict__, as _narrowed stores them
+        # the fields of MonicIntPoly._trusted and AlgebraicNumber._narrowed,
+        # stored in field order as a dataclass __init__ does; the number's
+        # straight into its __dict__, as _narrowed stores them
         p = new(MonicIntPoly)
         if k in roots:
             # the quotient of x^3 + m x^2 + n x + k by x - r
@@ -360,10 +357,7 @@ def _elements(spec: SetSpec, coeffs: range) -> Iterator[SetElement]:
         attrs["minpoly"] = p
         attrs["interval"] = interval
         attrs["half_plane"] = half_plane
-        e = new(SetElement)
-        store(e, "free_coeff", k)
-        store(e, "number", a)
-        yield e
+        yield a
 
 
 def _upper_root(p: MonicIntPoly) -> AlgebraicNumber:
@@ -379,10 +373,11 @@ def element(spec: SetSpec, coeff: int) -> AlgebraicNumber:
     return root(spec.defining_poly(coeff))
 
 
-def iter_elements(spec: SetSpec) -> Iterator[SetElement]:
-    """The elements of one instance, one at a time, in ``build_set`` order:
-    ascending (2i: by imaginary part).  A caller that looks at each element
-    once keeps only that one alive."""
+def iter_elements(spec: SetSpec) -> Iterator[AlgebraicNumber]:
+    """The elements of one instance, the numbers alone, one at a time, in
+    ``build_set`` order: ascending (2i: by imaginary part), the order of
+    ``spec.free_coeffs()``, which gives each its free coefficient.  A caller
+    that looks at each element once keeps only that one alive."""
     return _elements(spec, spec.free_coeffs())
 
 

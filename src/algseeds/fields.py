@@ -696,7 +696,7 @@ def independence_report(inst: SetInstance | SetSpec) -> IndependenceReport:
         b = spec.defining_poly(coeffs[0]).coeffs[0]
         kernels = _progression_kernels(b * b - 4 * coeffs.start, -4 * coeffs.step, len(coeffs))
         elem = ((lambda i: element(spec, coeffs[i])) if inst is spec
-                else lambda i: inst.elements[i].number)
+                else inst.elements.__getitem__)
         return _bucket_report(spec, kernels, kernels, elem)
     if inst is spec:
         inst = build_set(spec)

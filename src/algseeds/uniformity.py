@@ -134,11 +134,10 @@ def im_fractional(s: SetInstance) -> list:
         raise ValueError("im_fractional applies to 2i instances")
     (n,) = spec.params
     if n % 2:
-        return [_odd_cell(4 * e.free_coeff - 1) for e in s.elements]
+        return [_odd_cell(4 * c - 1) for c in spec.free_coeffs()]
     out = []
     spec2r = SetSpec("2r", (n,))
-    for e in s.elements:
-        c = e.free_coeff
+    for c in spec.free_coeffs():
         c2r = n * n // 4 - c
         assert -n <= c2r <= -1
         assert half_shift_poly(spec2r, c2r) == MonicIntPoly.quadratic(0, -c)
@@ -161,7 +160,7 @@ def instance_values(s: SetInstance) -> list:
     """Sorted real values the uniformity statistics run on."""
     if s.spec.family == "2i":
         return im_fractional(s)
-    return [e.number for e in s.elements]
+    return list(s.elements)
 
 
 def discrepancy(values, bits: int = 64) -> tuple[Fraction, Fraction]:

@@ -90,8 +90,8 @@ def test_criterion_03_known_cubic_collision_is_certified(capsys):
     assert len(rep.collisions) == 1
     assert not rep.in_guaranteed_range
     col = rep.collisions[0]
-    a = inst.elements[col.i].number
-    b = inst.elements[col.j].number
+    a = inst.elements[col.i]
+    b = inst.elements[col.j]
     assert {a.minpoly, b.minpoly} == {MonicIntPoly.cubic(3, 3, -1),
                                       MonicIntPoly.cubic(3, 3, -3)}
     # beta = 2*alpha + alpha^2 exactly, re-verified against beta's minpoly
@@ -305,7 +305,7 @@ def test_criterion_08_least_common_index_with_certified_witnesses():
             for (j, m, c), w in zip(res.certificate, witnesses):
                 assert c == m * m * j
                 assert res.n ** 2 < c < (res.n + 1) ** 2
-                assert any(same_number(e.number, w) for e in inst.elements)
+                assert any(same_number(a, w) for a in inst.elements)
 
     rng = random.Random(31)
     squarefree = [j for j in range(2, 40)

@@ -154,7 +154,7 @@ def quadratic_2r_root(n, index, upper):
     of the minimal polynomial of an element of 2r(n): one of the two is the
     element, the other its conjugate."""
     elements = build_set(SetSpec("2r", (n,))).elements
-    roots = irrational_real_roots(elements[index % len(elements)].number.minpoly)
+    roots = irrational_real_roots(elements[index % len(elements)].minpoly)
     return roots[upper]
 
 

@@ -88,7 +88,7 @@ def test_bit_stats_anchor():
 @given(n=st.integers(min_value=2, max_value=10), length=st.integers(min_value=4, max_value=40))
 def test_stats_are_consistent(n, length):
     inst = build_set(SetSpec("2r", (n,)))
-    s = binary_expansion(inst.elements[0].number, length)
+    s = binary_expansion(inst.elements[0], length)
     stats = bit_stats(s)
     assert stats.ones + stats.zeros == length
     assert 1 <= stats.runs_count <= length

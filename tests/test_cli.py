@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import re
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -14,10 +15,12 @@ from hypothesis import strategies as st
 
 import algseeds.algebraic
 from algseeds.algebraic import AlgebraicNumber, PrecisionExhausted
+from algseeds.bits import binary_expansion
 from algseeds.cli import EXIT_INTERNAL, EXIT_UNDECIDED, _json_text, _value_str, build_parser, main
-from algseeds.families import InvalidParams, SetSpec, build_set
+from algseeds.families import InvalidParams, SetSpec, build_set, element
 from algseeds.fields import independence_report
 from algseeds.polynomials import MonicIntPoly
+from algseeds.uniformity import im_fractional
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -394,6 +397,56 @@ def test_complement_check_subcommand(capsys):
     code, out, _ = run(capsys, "complement-check", "--family", "2r", "--n", "2")
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+# 2r(5) and 3ntr(-1, 4) list their free coefficients against range order;
+# 3tr(0, -5) holds at d = 2 the reducible element of x^2 + 2x - 1, and
+# 3tr(-3, -7) at d = 6 that of x^2 - 5x + 3: constants other than d
+REDUCIBLE = {SetSpec("3tr", (0, -5)): (2, [2, -1]), SetSpec("3tr", (-3, -7)): (6, [-5, 3])}
+
+
+@pytest.mark.parametrize("spec", [SetSpec("2r", (5,)), SetSpec("3ntr", (-1, 4)),
+                                  *REDUCIBLE, SetSpec("2i", (7,)), SetSpec("2i", (8,))])
+def test_free_coeffs_follow_the_spec(capsys, monkeypatch, spec):
+    """An instance holds its numbers alone, so every output that names a
+    free coefficient takes it from spec.free_coeffs(), position for
+    position: the instance and gen JSON, bits, complement-check and
+    im_fractional.  Each is checked against the number element(spec, c)."""
+    coeffs = list(spec.free_coeffs())
+    built = [element(spec, c) for c in coeffs]
+    flags = ["--family", spec.family, "--n", str(spec.params[-1])]
+    if len(spec.params) == 2:
+        flags += ["--m", str(spec.params[0])]
+    _, out, _ = run(capsys, "gen", *flags, "--format", "csv")
+    assert [line.split(",")[2] for line in out.splitlines()[1:]] == list(map(str, coeffs))
+    _, out, _ = run(capsys, "gen", *flags)
+    for js in (build_set(spec).to_json(), json.loads(out)):
+        assert [e["free_coeff"] for e in js["elements"]] == coeffs
+        assert [e["minpoly"] for e in js["elements"]] == [a.minpoly.to_json() for a in built]
+        if spec in REDUCIBLE:
+            d, quotient = REDUCIBLE[spec]
+            assert js["elements"][coeffs.index(d)]["minpoly"] == quotient
+    if spec.family == "2i":
+        (n,) = spec.params
+        for c, u in zip(coeffs, im_fractional(build_set(spec))):
+            if n % 2:
+                # sqrt(4c - 1)/2 - isqrt(4c - 1)//2 lies inside the cell
+                left, right, den = u(20)
+                k = isqrt(4 * c - 1) // 2 * den
+                assert (2 * (left + k)) ** 2 < (4 * c - 1) * den ** 2 < (2 * (right + k)) ** 2
+            else:
+                assert u.plus_int(n // 2).minpoly == MonicIntPoly.quadratic(0, -c)
+        return
+    _, out, _ = run(capsys, "bits", *flags, "--bits", "24")
+    streams = json.loads(out)["streams"]
+    assert [s["free_coeff"] for s in streams] == coeffs
+    assert [s["bits"] for s in streams] == [binary_expansion(a, 24).as_text() for a in built]
+    # no instance holds a mirror pair; with reflection made the identity,
+    # every element is reported as its own mirror, under its coefficient
+    monkeypatch.setattr(MonicIntPoly, "reflected", lambda p: p)
+    monkeypatch.setattr("algseeds.bits.same_number", lambda a, b: True)
+    _, out, _ = run(capsys, "complement-check", *flags)
+    assert json.loads(out)["violations"] == [{"free_coeff": c, "mirror_of": c} for c in coeffs]
 
 
 def test_layer_subcommand(capsys):

@@ -31,7 +31,8 @@ from algseeds.coverage import (
     trace_obstruction_demo,
     verify_tiling,
 )
-from algseeds.families import InvalidParams, SetSpec, bc_root, bc_shift_params, build_set
+from algseeds.families import (InvalidParams, SetSpec, bc_root, bc_shift_params, build_set,
+                               quadratic_exception)
 from algseeds.polynomials import MonicIntPoly, is_perfect_square
 from oracles import find_generator_brute, imaginary_scan, real_membership_scan, sqrt_of
 
@@ -141,7 +142,7 @@ def _number_tile(b, c, sign):
     else:
         tile, elem, v = TileIndex(-1, k + 1, "S2r"), frac.reflected(), a.negated().plus_int(k + 1)
     inst = build_set(SetSpec("2r", (elem.coeffs[0],)))
-    member = any(e.number.minpoly == elem and same_number(e.number, v) for e in inst.elements)
+    member = any(e.minpoly == elem and same_number(e, v) for e in inst.elements)
     return a, tile, elem, member
 
 
@@ -346,7 +347,7 @@ def test_common_index_witnesses_are_set_elements():
     witnesses = common_index_witnesses(res)
     inst = build_set(SetSpec("2r", (2,)))
     for w in witnesses:
-        assert any(same_number(w, e.number) for e in inst.elements)
+        assert any(same_number(w, e) for e in inst.elements)
     assert [w.decimal(5) for w in witnesses] == ["0.41421", "0.73205"]
 
     imag = find_common_index([2, 3], domain="imaginary")
@@ -354,7 +355,7 @@ def test_common_index_witnesses_are_set_elements():
     imag_inst = build_set(SetSpec("2i", (2,)))
     for w in iw:
         assert any(
-            e.number.minpoly == w.minpoly and e.number.half_plane == w.half_plane
+            e.minpoly == w.minpoly and e.half_plane == w.half_plane
             for e in imag_inst.elements
         )
 
@@ -518,6 +519,22 @@ def test_quad_layer_m_minus1_sees_both_goldens():
     assert rep.ok
     assert rep.golden_plus_seen
     assert rep.golden_refl_seen
+
+
+def test_quad_layer_reads_what_quadratic_exception_builds():
+    """quad_layer_report takes each exception's n and c_q off the rule of
+    classify_exception, building no polynomial; for every m and c down to
+    -2,000 it lists the (c, n, c_q) of the built quadratic_exception, whose
+    minimal polynomial is x^2 + n x + c_q, and sees a golden polynomial
+    exactly when one is built."""
+    for m in EXCLUDED_INDICES:
+        rep = quad_layer_report(m, 2000)
+        built = [(c, q) for c in range(-m - 3, -2001, -1)
+                 if (q := quadratic_exception(m, c)) is not None]
+        assert rep.exceptions == tuple((c, q.n, q.minpoly.coeffs[1]) for c, q in built)
+        assert all(q.minpoly.coeffs[0] == q.n for _, q in built)
+        assert rep.golden_plus_seen == any(q.minpoly == GOLDEN_PLUS for _, q in built)
+        assert rep.golden_refl_seen == any(q.minpoly == GOLDEN_REFL for _, q in built)
 
 
 def test_quad_layer_reports_an_index_it_must_exclude(monkeypatch, capsys):

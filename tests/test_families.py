@@ -12,7 +12,6 @@ from algseeds.algebraic import AlgebraicNumber, irrational_real_roots, same_numb
 from algseeds.families import (
     InvalidParams,
     RationalRoot,
-    SetElement,
     SetInstance,
     SetSpec,
     _elements,
@@ -141,7 +140,9 @@ def assert_ascending_in_unit_interval(inst):
     """build_set orders by the free coefficient alone (the order theorem in
     the families docstring); check it against the exact order less_than."""
     values = inst.numbers()
-    assert sorted(e.free_coeff for e in inst.elements) == list(inst.spec.free_coeff_range())
+    spec = inst.spec
+    assert sorted(spec.free_coeffs()) == list(spec.free_coeff_range())
+    assert values == [element(spec, c) for c in spec.free_coeffs()]
     for a in values:
         assert a.cmp_rational(Fraction(0)) == 1
         assert a.cmp_rational(Fraction(1)) == -1
@@ -160,12 +161,13 @@ def test_imaginary_elements_ascend_and_match_the_validating_constructor():
     for n in range(1, 201):
         spec = SetSpec("2i", (n,))
         inst = build_set(spec)
-        assert [e.free_coeff for e in inst.elements] == list(spec.free_coeff_range())
-        for e in inst.elements:
-            twin = AlgebraicNumber.complex_root(spec.defining_poly(e.free_coeff), upper=True)
-            assert e.number == twin
-            assert hash(e.number) == hash(twin)
-            assert e.number.to_json() == twin.to_json()
+        assert list(spec.free_coeffs()) == list(spec.free_coeff_range())
+        assert len(inst.elements) == len(spec.free_coeffs())
+        for c, a in zip(spec.free_coeffs(), inst.elements):
+            twin = AlgebraicNumber.complex_root(spec.defining_poly(c), upper=True)
+            assert a == twin
+            assert hash(a) == hash(twin)
+            assert a.to_json() == twin.to_json()
         squares = [-a.minpoly.discriminant() for a in inst.numbers()]
         assert all(0 < x < y for x, y in zip(squares, squares[1:]))
 
@@ -203,7 +205,7 @@ def test_totally_real_cubic_elements_sorted_inside_unit_interval(spec):
     m, n = spec.params
     if spec.family == "3tr" and m in (0, -1, -2, -3):
         exc = quadratic_exception(m, n)
-        quadratic = [e.number for e in inst.elements if e.number.minpoly.degree == 2]
+        quadratic = [a for a in inst.elements if a.minpoly.degree == 2]
         assert quadratic == ([] if exc is None else [exc.element])
 
 
@@ -245,10 +247,10 @@ def assert_built_like_the_per_element_builder(spec):
     number and minimal polynomial must equal, hash, serialize and hold the
     same attributes, in the same order, as element(spec, c) builds them."""
     inst = build_set(spec)
-    reference = tuple(SetElement(c, element(spec, c)) for c in spec.free_coeffs())
+    reference = tuple(element(spec, c) for c in spec.free_coeffs())
     assert inst.elements == reference
-    for e, twin in zip(inst.elements, reference):
-        for x, y in ((e.number, twin.number), (e.number.minpoly, twin.number.minpoly)):
+    for a, twin in zip(inst.elements, reference):
+        for x, y in ((a, twin), (a.minpoly, twin.minpoly)):
             assert type(x) is type(y)
             assert x == y and hash(x) == hash(y) and x.to_json() == y.to_json()
             assert list(vars(x).items()) == list(vars(y).items())
@@ -278,14 +280,16 @@ def test_quadratic_build_set_matches_the_per_element_builder():
 def test_trusted_numbers_keep_the_dataclass_field_order(spec):
     """Every trusted builder writes a number's fields into its __dict__ in
     field order, as the validated constructor stores them: the loop of
-    build_set, _narrowed itself, and the images that reflected and plus_int
-    build through _narrowed, with their cell memo after the fields."""
-    for e in build_set(spec).elements:
-        a, memo = e.number, []
+    build_set, whose elements are the numbers themselves, _narrowed itself,
+    and the images that reflected and plus_int build through _narrowed, with
+    their cell memo after the fields."""
+    for c, a in zip(spec.free_coeffs(), build_set(spec).elements):
+        assert type(a) is AlgebraicNumber
+        memo = []
         if a.is_real:
             a.cell(40)
             memo = ["_cell"]
-        for x, tail in ((element(spec, e.free_coeff), []), (a, memo), (a.reflected(), memo),
+        for x, tail in ((element(spec, c), []), (a, memo), (a.reflected(), memo),
                         (a.plus_int(3), memo), (a.plus_int(-2), memo)):
             validated = AlgebraicNumber(x.minpoly, x.interval, x.half_plane)
             assert list(vars(x).items())[:3] == list(vars(validated).items())
@@ -312,7 +316,7 @@ def test_range_end_sign_test_matches_a_brute_force(spec, ends):
     s = 1 + sum(spec.params)
     stream = _elements(spec, coeffs)
     if all(k * (s + k) < 0 for k in coeffs):
-        assert tuple(stream) == tuple(SetElement(k, _unit_interval_root(spec.defining_poly(k)))
+        assert tuple(stream) == tuple(_unit_interval_root(spec.defining_poly(k))
                                       for k in coeffs)
     else:
         with pytest.raises(ValueError):
@@ -337,30 +341,33 @@ def test_walk_marks_the_reducible_coeffs_and_the_quadratic_exception():
 
 def test_known_instance_values():
     inst = build_set(SetSpec("2r", (4,)))
-    assert [e.number.decimal(5) for e in inst.elements] == [
+    assert [a.decimal(5) for a in inst.elements] == [
         "0.23607", "0.44949", "0.64575", "0.82843",
     ]
-    assert [e.free_coeff for e in inst.elements] == [-1, -2, -3, -4]
+    assert list(inst.spec.free_coeffs()) == [-1, -2, -3, -4]
+    assert [a.minpoly.coeffs[1] for a in inst.elements] == [-1, -2, -3, -4]
 
     golden = build_set(SetSpec("2r", (1,)))
     assert len(golden.elements) == 1
-    assert golden.elements[0].number.minpoly == MonicIntPoly.quadratic(1, -1)
-    assert golden.elements[0].number.decimal(5) == "0.61803"
+    assert golden.elements[0].minpoly == MonicIntPoly.quadratic(1, -1)
+    assert golden.elements[0].decimal(5) == "0.61803"
 
 
 def test_imaginary_instance_structure():
     inst = build_set(SetSpec("2i", (3,)))
-    assert [e.free_coeff for e in inst.elements] == [2, 3, 4]
-    for e in inst.elements:
-        assert not e.number.is_real
-        assert e.number.half_plane == 1
-        assert e.number.minpoly.coeffs[0] == -1  # odd n: x^2 - x + c
-        assert e.number.minpoly.discriminant() < 0
+    assert list(inst.spec.free_coeffs()) == [2, 3, 4]
+    assert [a.minpoly.coeffs[1] for a in inst.elements] == [2, 3, 4]
+    for a in inst.elements:
+        assert not a.is_real
+        assert a.half_plane == 1
+        assert a.minpoly.coeffs[0] == -1  # odd n: x^2 - x + c
+        assert a.minpoly.discriminant() < 0
 
     even = build_set(SetSpec("2i", (4,)))
-    assert [e.free_coeff for e in even.elements] == [5, 6, 7, 8]
-    for e in even.elements:
-        assert e.number.minpoly.coeffs[0] == 0  # even n: x^2 + c
+    assert list(even.spec.free_coeffs()) == [5, 6, 7, 8]
+    assert [a.minpoly.coeffs[1] for a in even.elements] == [5, 6, 7, 8]
+    for a in even.elements:
+        assert a.minpoly.coeffs[0] == 0  # even n: x^2 + c
 
 
 @given(spec=st.one_of(REAL_QUAD_N.map(lambda n: SetSpec("2r", (n,))),
@@ -377,18 +384,20 @@ def test_set_instance_is_checked_once_when_it_is_built(monkeypatch):
     """A SetInstance lists its spec's elements in build_set order (module
     docstring); any other list is refused when the instance is built:
     shuffled, shortened or reversed, under another spec, with a conjugate
-    in place of an element, with an element under a wrong free coefficient,
-    or empty.  build_set builds trusted and runs no check."""
+    in place of an element, with a neighbour's number in place of the first
+    element, or empty.  build_set builds trusted and runs no check."""
     spec = SetSpec("3tr", (-2, -20))
     elements = build_set(spec).elements
-    assert any(e.number.minpoly.degree == 2 for e in elements)
+    assert any(a.minpoly.degree == 2 for a in elements)
     assert SetInstance(spec, elements) == build_set(spec)
     order = list(range(len(elements)))
     random.Random(7).shuffle(order)
     assert order != sorted(order)
     first = elements[0]
-    conjugate = next(r for r in irrational_real_roots(first.number.minpoly)
-                     if not same_number(r, first.number))
+    conjugate = next(r for r in irrational_real_roots(first.minpoly)
+                     if not same_number(r, first))
+    k = spec.free_coeffs()[0]
+    assert element(spec, k) == first
     imaginary = build_set(SetSpec("2i", (9,))).elements
     for other, listed in ((spec, tuple(elements[i] for i in order)),
                           (spec, elements[1:]),
@@ -397,8 +406,8 @@ def test_set_instance_is_checked_once_when_it_is_built(monkeypatch):
                           (SetSpec("3tr", (-2, -21)), elements),
                           # 2r(5) and 2r(-7) both have five elements
                           (SetSpec("2r", (-7,)), build_set(SetSpec("2r", (5,))).elements),
-                          (spec, (SetElement(first.free_coeff, conjugate), *elements[1:])),
-                          (spec, (SetElement(first.free_coeff + 1, first.number), *elements[1:])),
+                          (spec, (conjugate, *elements[1:])),
+                          (spec, (element(spec, k + 1), *elements[1:])),
                           (spec, ())):
         with pytest.raises(ValueError):
             SetInstance(other, listed)
@@ -432,8 +441,8 @@ def test_all_real_family_minpolys_irreducible():
         SetSpec("3ntr", (0, 6)),
         SetSpec("3ntr", (-2, 7)),
     ):
-        for e in build_set(spec).elements:
-            assert e.number.minpoly.is_irreducible()
+        for a in build_set(spec).elements:
+            assert a.minpoly.is_irreducible()
 
 
 def test_reflect_spec_anchors():
@@ -458,10 +467,10 @@ def test_reflection_is_an_involution_and_a_bijection(spec):
     assert partner.cardinality() == spec.cardinality()
 
     mirror = build_set(partner)
-    for element in build_set(spec).elements:
-        image = element.number.reflected()
+    for a in build_set(spec).elements:
+        image = a.reflected()
         hits = [m for m in mirror.numbers() if same_number(m, image)]
-        assert len(hits) == 1, f"1 - alpha missing for {element}"
+        assert len(hits) == 1, f"1 - alpha missing for {a}"
 
 
 def test_bc_root_real_and_complex():
@@ -580,12 +589,13 @@ def test_exception_matches_brute_force_reducibility(b, c):
 
 
 def test_exception_element_appears_in_instance():
-    inst = build_set(SetSpec("3tr", (0, -6)))
+    spec = SetSpec("3tr", (0, -6))
+    inst = build_set(spec)
     exc = quadratic_exception(0, -6)
-    hit = [e for e in inst.elements if e.free_coeff == exc.d]
+    hit = [a for d, a in zip(spec.free_coeffs(), inst.elements) if d == exc.d]
     assert len(hit) == 1
-    assert hit[0].number.minpoly == exc.minpoly
-    assert same_number(hit[0].number, exc.element)
+    assert hit[0].minpoly == exc.minpoly
+    assert same_number(hit[0], exc.element)
 
 
 def test_instance_json_shape():

@@ -123,7 +123,7 @@ def _twin_values(inst) -> list:
     """instance_values, with each odd 2i value as its slow twin."""
     spec = inst.spec
     if spec.family == "2i" and spec.params[0] % 2:
-        return [_odd_twin(e.free_coeff) for e in inst.elements]
+        return [_odd_twin(c) for c in spec.free_coeffs()]
     return instance_values(inst)
 
 
